@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test test-fast coverage lint simlint ruff mypy faults-smoke \
 	sweep-smoke trace-smoke oracle-smoke explore-smoke serve-smoke \
-	bench-core conformance all
+	bench-core bench-suite-smoke conformance all
 
 all: lint test
 
@@ -83,6 +83,12 @@ bench-core:
 		--out BENCH_core.json \
 		--trajectory benchmarks/results/BENCH_core_baseline.json \
 		--fail-on-regression 0.20
+
+# self-test of the repo benchmark (benchmarks/suite): every workload
+# at 1% size, untraced and traced, through the real child processes;
+# catches a rename of a method the traced run wraps
+bench-suite-smoke:
+	$(PYTHON) -m pytest benchmarks/suite/test_suite.py -q
 
 # differential conformance suite: every scheme against the reference
 # model — clean runs, a crash at every injection point the scheme

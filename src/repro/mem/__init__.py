@@ -1,5 +1,6 @@
-"""CPU-side memory structures: generic caches and the L1/L2/L3 hierarchy."""
-from repro.mem.cache import CacheStats, Eviction, SetAssocCache
+"""CPU-side memory structures: per-level cache storage and the L1/L2/L3
+hierarchy."""
+from repro.mem.cache import CacheStats, SetAssocCache
 from repro.mem.hierarchy import (
     CacheHierarchy,
     HierarchyResult,
@@ -10,7 +11,6 @@ from repro.mem.hierarchy import (
 __all__ = [
     "CacheHierarchy",
     "CacheStats",
-    "Eviction",
     "HierarchyResult",
     "MemOp",
     "MemoryRequest",

@@ -1,15 +1,15 @@
-"""Generic set-associative write-back cache with LRU replacement.
+"""Storage of one level of the CPU data-cache hierarchy.
 
-Used three ways in the system:
-
-* as the L1/L2/L3 data caches (tracking only presence + dirtiness, since
-  user data values live in the reference model / NVM),
-* as the base of the metadata cache in the memory controller,
-* as the small record-line cache in Steins' ADR domain.
+Each of the L1/L2/L3 caches in :class:`repro.mem.hierarchy.CacheHierarchy`
+is a :class:`SetAssocCache`: its sets and its :class:`CacheStats`.  A
+level tracks only presence and dirtiness, since user data values live
+in the reference model / NVM.  The hierarchy's fused access kernel
+reads and updates the sets directly; this class only owns them.
 
 Python dicts preserve insertion order, so each set is a dict whose
-insertion order *is* the LRU order — re-inserting on access keeps the
-hot path allocation-free.
+insertion order *is* the LRU order (the first key is the next victim):
+a hit is a ``pop`` plus a re-insert, and marking a line clean is a
+plain assignment, which keeps its position.
 """
 from __future__ import annotations
 
@@ -36,19 +36,12 @@ class CacheStats:
         return self.hits / self.accesses if self.accesses else 0.0
 
 
-@dataclass(frozen=True)
-class Eviction:
-    """A victim pushed out by an insertion."""
-
-    key: int
-    dirty: bool
-
-
 class SetAssocCache:
-    """Set-associative LRU cache mapping integer keys to dirty flags.
+    """One set-associative LRU level mapping integer keys to dirty flags.
 
-    Keys are line addresses (or node ids); the set index is derived from
-    the key modulo the set count, matching a physically indexed cache.
+    Keys are line addresses; ``key`` lives in ``sets[key % num_sets]``,
+    matching a physically indexed cache, and a set holds at most
+    ``ways`` keys.
     """
 
     def __init__(self, cfg: CacheConfig) -> None:
@@ -57,92 +50,16 @@ class SetAssocCache:
         self.cfg = cfg
         self.num_sets = cfg.num_sets
         self.ways = cfg.ways
-        self._sets: list[dict[int, bool]] = [dict() for _ in range(self.num_sets)]
+        self.sets: list[dict[int, bool]] = [dict() for _ in range(self.num_sets)]
         self.stats = CacheStats()
 
-    # ----------------------------------------------------------- lookup
-    def set_index(self, key: int) -> int:
-        return key % self.num_sets
-
-    def contains(self, key: int) -> bool:
-        return key in self._sets[key % self.num_sets]
-
-    def is_dirty(self, key: int) -> bool:
-        s = self._sets[key % self.num_sets]
-        return s.get(key, False)
-
-    # ----------------------------------------------------------- access
-    def access(self, key: int, make_dirty: bool) -> tuple[bool, Eviction | None]:
-        """Touch ``key``; insert on miss.
-
-        Returns ``(hit, eviction)``.  ``eviction`` is the LRU victim when
-        the set was full, else ``None``.  On a hit the line is moved to
-        MRU and its dirty flag ORed with ``make_dirty``.
-        """
-        s = self._sets[key % self.num_sets]
-        try:
-            dirty = s.pop(key)
-        except KeyError:
-            pass
-        else:
-            s[key] = dirty or make_dirty
-            self.stats.hits += 1
-            return True, None
-        self.stats.misses += 1
-        victim: Eviction | None = None
-        if len(s) >= self.ways:
-            vkey = next(iter(s))
-            vdirty = s.pop(vkey)
-            victim = Eviction(vkey, vdirty)
-            self.stats.evictions += 1
-            if vdirty:
-                self.stats.dirty_evictions += 1
-        s[key] = make_dirty
-        return False, victim
-
-    def touch(self, key: int) -> bool:
-        """Move ``key`` to MRU without inserting.  Returns presence."""
-        s = self._sets[key % self.num_sets]
-        if key not in s:
-            return False
-        s[key] = s.pop(key)
-        return True
-
-    def mark_clean(self, key: int) -> None:
-        s = self._sets[key % self.num_sets]
-        if key in s:
-            # preserve LRU position: plain assignment, no pop/re-insert
-            s[key] = False
-
-    def mark_dirty(self, key: int) -> None:
-        s = self._sets[key % self.num_sets]
-        if key in s:
-            s[key] = True
-
-    def invalidate(self, key: int) -> bool:
-        """Drop ``key`` (no writeback).  Returns True if it was present."""
-        s = self._sets[key % self.num_sets]
-        return s.pop(key, None) is not None
-
-    # --------------------------------------------------------- contents
-    def keys(self) -> Iterator[int]:
-        for s in self._sets:
-            yield from s
-
     def dirty_keys(self) -> Iterator[int]:
-        for s in self._sets:
+        for s in self.sets:
             for key, dirty in s.items():
                 if dirty:
                     yield key
 
-    def set_contents(self, set_idx: int) -> dict[int, bool]:
-        """Copy of one set's {key: dirty} map (STAR's set-MAC needs it)."""
-        return dict(self._sets[set_idx])
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
-
     def clear(self) -> None:
         """Drop all contents (a crash wiping a volatile cache)."""
-        for s in self._sets:
+        for s in self.sets:
             s.clear()

@@ -1,10 +1,14 @@
-"""Generic set-associative cache: LRU order, dirtiness, eviction."""
+"""Set-associative cache semantics: LRU order, dirtiness, eviction.
+
+Pinned on the per-level reference cache, which the hierarchy's fused
+kernel must match (tests/test_hierarchy.py).
+"""
 from repro.common.config import CacheConfig
-from repro.mem.cache import SetAssocCache
+from tests.cache_reference import RefCache
 
 
-def make_cache(lines=8, ways=2) -> SetAssocCache:
-    return SetAssocCache(CacheConfig(lines * 64, ways))
+def make_cache(lines=8, ways=2) -> RefCache:
+    return RefCache(CacheConfig(lines * 64, ways))
 
 
 def test_miss_then_hit():

@@ -1,6 +1,17 @@
-"""Three-level cache hierarchy: inclusion, writebacks, clwb."""
+"""Three-level cache hierarchy: inclusion, writebacks, clwb, and the
+fused access kernel against the per-level reference algorithm."""
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.figures import figure_config
 from repro.common.config import CacheConfig, HierarchyConfig
 from repro.mem.hierarchy import CacheHierarchy, MemOp
+from repro.workloads import get_profile
+from tests.cache_reference import RefHierarchy
+from tests.conftest import scaled
 
 
 def tiny_hierarchy() -> CacheHierarchy:
@@ -89,3 +100,125 @@ def test_write_allocates_line():
     assert MemOp.READ in [r.op for r in res.requests]
     res2 = h.access(7, is_write=False)
     assert res2.requests == []
+
+
+# ------------------------------------------------ fused kernel vs reference
+# Kernel configs: the tiny one above; figure_config()'s geometry (L1
+# 2-way, L2 and L3 8-way, sizes 1:8:32) scaled down 64x; and lower
+# levels smaller than L1, where most fills back-invalidate.
+KERNEL_CONFIGS = {
+    "tiny": HierarchyConfig(
+        l1=CacheConfig(2 * 64, 1),
+        l2=CacheConfig(4 * 64, 2),
+        l3=CacheConfig(8 * 64, 2),
+    ),
+    "figure-ratios": HierarchyConfig(
+        l1=CacheConfig(4 * 64, 2),
+        l2=CacheConfig(32 * 64, 8),
+        l3=CacheConfig(128 * 64, 8),
+    ),
+    "inverted": HierarchyConfig(
+        l1=CacheConfig(8 * 64, 4),
+        l2=CacheConfig(4 * 64, 1),
+        l3=CacheConfig(4 * 64, 1),
+    ),
+}
+
+
+def cache_state(h) -> list:
+    """Every set's (key, dirty) pairs in LRU order, then every stats
+    field, level by level."""
+    return [([list(s.items()) for s in level.sets],
+             dataclasses.astuple(level.stats))
+            for level in (h.l1, h.l2, h.l3)]
+
+
+def assert_inclusive(h) -> None:
+    """Every L1 line is in L2 and every L2 line in L3: the invariant
+    that lets the kernel treat a writeback one level down as a hit."""
+    resident = [{key for s in level.sets for key in s}
+                for level in (h.l1, h.l2, h.l3)]
+    assert resident[0] <= resident[1] <= resident[2]
+
+
+def replay(cfg: HierarchyConfig, ops, check_every: int = 1) -> None:
+    """Drive the fused kernel and the reference with the same ops."""
+    fused, ref = CacheHierarchy(cfg), RefHierarchy(cfg)
+    for i, (kind, line) in enumerate(ops):
+        if kind == "clwb":
+            assert fused.clwb(line) == bool(ref.clwb(line))
+        else:
+            got = fused.access(line, kind == "store")
+            want = ref.access(line, kind == "store")
+            assert got.cycles == want.cycles
+            assert ([(r.op, r.line_addr) for r in got.requests]
+                    == [(r.op, r.line_addr) for r in want.requests])
+        if i % check_every == 0:
+            assert cache_state(fused) == cache_state(ref)
+            assert_inclusive(fused)
+    assert cache_state(fused) == cache_state(ref)
+    assert fused.flush_dirty() == sorted(
+        set(ref.l1.dirty_keys()) | set(ref.l2.dirty_keys())
+        | set(ref.l3.dirty_keys()))
+
+
+def op_lists(lines: int):
+    return st.lists(st.tuples(st.sampled_from(("load", "store", "clwb")),
+                              st.integers(0, lines - 1)),
+                    min_size=1, max_size=400)
+
+
+@settings(max_examples=scaled(150))
+@given(op_lists(24))
+def test_fused_kernel_matches_reference_tiny(ops):
+    replay(KERNEL_CONFIGS["tiny"], ops)
+
+
+@settings(max_examples=scaled(150))
+@given(op_lists(16))
+def test_fused_kernel_matches_reference_inverted(ops):
+    replay(KERNEL_CONFIGS["inverted"], ops)
+
+
+@settings(max_examples=scaled(100))
+@given(op_lists(320))
+def test_fused_kernel_matches_reference_figure_ratios(ops):
+    replay(KERNEL_CONFIGS["figure-ratios"], ops)
+
+
+@pytest.mark.parametrize("workload", ["xalancbmk", "mcf_r", "pers_hash"])
+def test_fused_kernel_matches_reference_figure_config(workload):
+    """figure_config() itself on a real trace, a clwb after every
+    store, past the LLC fill."""
+    trace = get_profile(workload).generate(7, 20_000, 1 << 14)
+    is_write, lines, _ = trace.columns
+    ops = []
+    for line, store in zip(lines, is_write):
+        ops.append(("store" if store else "load", line))
+        if store:
+            ops.append(("clwb", line))
+    replay(figure_config().hierarchy, ops, check_every=5_000)
+
+
+# ----------------------------------------------- known back-invalidation gap
+@pytest.mark.xfail(strict=True, reason=(
+    "back-invalidation drops a dirty upper-level copy with no writeback "
+    "(docs/performance.md); fixing it changes the golden stats"))
+@pytest.mark.parametrize("cfg,ops", [
+    # L2 evicts line 0 (clean there) and invalidates its dirty L1 copy
+    (HierarchyConfig(l1=CacheConfig(4 * 64, 2), l2=CacheConfig(4 * 64, 1),
+                     l3=CacheConfig(16 * 64, 2)),
+     [(0, True), (4, False)]),
+    # L3 evicts line 0 (clean there) and invalidates its dirty L1 copy
+    (HierarchyConfig(l1=CacheConfig(4 * 64, 4), l2=CacheConfig(4 * 64, 4),
+                     l3=CacheConfig(2 * 64, 2)),
+     [(0, True), (1, False), (2, False)]),
+], ids=["l2-victim", "l3-victim"])
+def test_back_invalidation_keeps_dirty_data(cfg, ops):
+    h = CacheHierarchy(cfg)
+    written = []
+    for line, is_write in ops:
+        written += [r.line_addr for r in h.access(line, is_write).requests
+                    if r.op is MemOp.WRITE]
+    # the store to line 0 must be written back or still dirty somewhere
+    assert 0 in written or 0 in h.flush_dirty()

