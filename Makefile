@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test test-fast coverage lint simlint ruff mypy faults-smoke \
 	sweep-smoke trace-smoke oracle-smoke explore-smoke serve-smoke \
-	bench-core bench-suite-smoke conformance all
+	bench-core bench-suite-smoke bench-ab conformance all
 
 all: lint test
 
@@ -89,6 +89,22 @@ bench-core:
 # catches a rename of a method the traced run wraps
 bench-suite-smoke:
 	$(PYTHON) -m pytest benchmarks/suite/test_suite.py -q
+
+# A/B run of the repo benchmark against PARENT (any git rev), the
+# procedure of benchmarks/suite/README.md as one command
+# (tools/bench_ab.py): PARENT is checked out in a worktree under
+# .bench-ab/, each side runs the suite ten times, alternating which goes
+# first, then `compare` prints every row and the win rate of each claim
+# in BENCH_AB_CLAIM.  BENCH_AB_RUN goes to every `run` (e.g. "--seed 7
+# --workload fig-hit", or "--trace 1"); results land in BENCH_AB_OUT.
+#   make bench-ab PARENT=HEAD~1 BENCH_AB_CLAIM=fig-hit:work_per_s
+BENCH_AB_CLAIM ?=
+BENCH_AB_RUN ?=
+BENCH_AB_OUT ?= .bench-ab/results
+bench-ab:
+	@test -n "$(PARENT)" || { echo "usage: make bench-ab PARENT=<rev>" >&2; exit 2; }
+	$(PYTHON) tools/bench_ab.py $(PARENT) --out $(BENCH_AB_OUT) \
+		$(foreach c,$(BENCH_AB_CLAIM),--claim $(c)) -- $(BENCH_AB_RUN)
 
 # differential conformance suite: every scheme against the reference
 # model — clean runs, a crash at every injection point the scheme

@@ -35,8 +35,9 @@ def mix64(*values: int) -> int:
     within the simulation because attackers never call it with the key.
 
     The splitmix64 step is inlined (identical output to
-    :func:`splitmix64`): this runs once per simulated store, and the
-    per-call tuple allocation of the helper dominated its cost.
+    :func:`splitmix64`): this derives the value of every stored block
+    that reaches the secure controller (and of every oracle write), and
+    the per-call tuple allocation of the helper dominated its cost.
     """
     state = 0x243F6A8885A308D3  # pi fractional bits, arbitrary start
     for v in values:

@@ -2,27 +2,30 @@
 -> NVM device, plus the architectural reference model used to check that
 every scheme returns exactly the data that was written.
 
-The reference model tracks two views of every data block:
+The reference model knows two values for every data block:
 
-* ``current``   — the architectural value (what the CPU last stored;
-  may still be dirty in the volatile hierarchy),
+* :meth:`~SecureNVMSystem.value_of` — the architectural value (what the
+  CPU last stored; may still be dirty in the volatile hierarchy),
 * ``persisted`` — the value most recently written back to NVM.
 
-A demand fill from NVM must return the *persisted* value; a crash rolls
-``current`` back to ``persisted``.  Both invariants are asserted on
-every access when ``check`` is enabled, so a whole simulation doubles as
-an end-to-end functional test of the scheme under test.
+A store records only the block's new version.  Its value,
+``mix64(addr, version)``, is derived when a dirty line leaves the
+hierarchy (a write-back or a ``clwb``), so stores that stay in the CPU
+caches never pay for the hash.  A block not stored since the last crash
+reads as its persisted value: a crash rolls the architectural view back
+by forgetting the stores.  A demand fill from NVM must return the
+*persisted* value, asserted on every fill when ``check`` is enabled, so
+a whole simulation doubles as an end-to-end functional test of the
+scheme under test.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.baselines.base import SecureMemoryController
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
 from repro.common.rng import mix64
 from repro.integrity.geometry import geometry_for
-from repro.mem.hierarchy import CacheHierarchy, MemOp
+from repro.mem.hierarchy import CacheHierarchy, MemOp, MemoryRequest
 from repro.nvm.device import NVMDevice
 from repro.nvm.energy import EnergyMeter
 from repro.nvm.layout import MemoryLayout, build_layout
@@ -30,6 +33,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.schemes import controller_types
 from repro.sim.clock import MemClock
 from repro.sim.stats import RunResult
+from repro.workloads.trace import TraceArrays
 
 #: {scheme: controller class}, a registry view in registration order;
 #: plugins land here (and everywhere downstream) via
@@ -59,15 +63,6 @@ def make_layout(cfg: SystemConfig) -> MemoryLayout:
     )
 
 
-@dataclass
-class AccessOutcome:
-    """What one CPU access caused at the memory controller."""
-
-    llc_hit: bool
-    reads_issued: int
-    writes_issued: int
-
-
 class SecureNVMSystem:
     """One simulated machine running one scheme."""
 
@@ -87,87 +82,99 @@ class SecureNVMSystem:
         self.hierarchy = CacheHierarchy(cfg.hierarchy)
         self.controller: SecureMemoryController = SCHEMES[scheme](
             cfg, self.device, self.clock)
-        # architectural reference model
-        self.current: dict[int, int] = {}
+        # architectural reference model (module docstring)
         self.persisted: dict[int, int] = {}
-        self._versions: dict[int, int] = {}
+        #: {block: version of its latest store} for blocks stored since
+        #: the last crash
+        self._stored: dict[int, int] = {}
+        #: the same for stores lost to (or persisted before) a crash, so
+        #: a block's versions keep counting across crashes
+        self._crashed_versions: dict[int, int] = {}
         self.accesses = 0
 
+    def value_of(self, block_addr: int) -> int:
+        """Architectural value of a block: what the CPU last stored, or
+        the persisted value when it was not stored since the last crash."""
+        version = self._stored.get(block_addr)
+        if version is None:
+            return self.persisted.get(block_addr, 0)
+        return mix64(block_addr, version)
+
     # ------------------------------------------------------------- run
-    def store(self, block_addr: int, flush: bool = False) -> AccessOutcome:
-        """CPU store: derives a fresh deterministic value for the block.
+    def store(self, block_addr: int, flush: bool = False) -> None:
+        """CPU store: gives the block a fresh deterministic value.
 
         With ``flush=True`` the store is followed by a ``clwb`` —
         the persistent-workload idiom — so the value reaches the secure
         controller immediately instead of waiting for an LLC eviction.
         """
-        version = self._versions.get(block_addr, 0) + 1
-        self._versions[block_addr] = version
-        self.current[block_addr] = mix64(block_addr, version)
-        outcome = self._access(block_addr, is_write=True)
+        stored = self._stored
+        stored[block_addr] = (stored.get(block_addr)
+                              or self._crashed_versions.get(block_addr, 0)) + 1
+        self._access(block_addr, is_write=True)
         if flush and self.hierarchy.clwb(block_addr):
-            value = self.current[block_addr]
-            self.controller.write_data(block_addr, value)
-            self.persisted[block_addr] = value
-            outcome.writes_issued += 1
-        return outcome
+            self._write_back(block_addr)
 
-    def load(self, block_addr: int) -> AccessOutcome:
-        return self._access(block_addr, is_write=False)
+    def load(self, block_addr: int) -> None:
+        self._access(block_addr, is_write=False)
 
-    def _access(self, block_addr: int, is_write: bool) -> AccessOutcome:
+    def _access(self, block_addr: int, is_write: bool) -> None:
         self.accesses += 1
         result = self.hierarchy.access(block_addr, is_write)
         self.clock.advance_cycles(result.cycles)
-        reads = writes = 0
-        for request in result.requests:
+        if result.requests:
+            self._serve(result.requests)
+
+    def _serve(self, requests: list[MemoryRequest]) -> None:
+        """Carry one access's memory requests to the controller, for the
+        stepped path and :meth:`run_stream` alike: a write-back sends the
+        block's architectural value, a fill is checked against the
+        persisted one."""
+        for request in requests:
+            line = request.line_addr
             if request.op is MemOp.WRITE:
-                value = self.current.get(request.line_addr, 0)
-                self.controller.write_data(request.line_addr, value)
-                self.persisted[request.line_addr] = value
-                writes += 1
-            else:
-                plaintext = self.controller.read_data(request.line_addr)
-                if self.check:
-                    expected = self.persisted.get(request.line_addr, 0)
-                    if plaintext != expected:
-                        raise AssertionError(
-                            f"scheme {self.scheme!r} returned wrong data "
-                            f"for block {request.line_addr}: "
-                            f"{plaintext} != {expected}")
-                # a fill makes the persisted value architecturally current
-                self.current.setdefault(request.line_addr,
-                                        self.persisted.get(request.line_addr, 0))
-                reads += 1
-        return AccessOutcome(llc_hit=not result.requests
-                             or all(r.op is MemOp.WRITE
-                                    for r in result.requests),
-                             reads_issued=reads, writes_issued=writes)
+                self._write_back(line)
+                continue
+            plaintext = self.controller.read_data(line)
+            if self.check:
+                expected = self.persisted.get(line, 0)
+                if plaintext != expected:
+                    raise AssertionError(
+                        f"scheme {self.scheme!r} returned wrong data "
+                        f"for block {line}: {plaintext} != {expected}")
+
+    def _write_back(self, block_addr: int) -> None:
+        """A dirty line leaves the hierarchy (eviction or ``clwb``)."""
+        value = self.value_of(block_addr)
+        self.controller.write_data(block_addr, value)
+        self.persisted[block_addr] = value
 
     def advance(self, gap_cycles: int) -> None:
         """Compute time between memory accesses."""
         self.clock.advance_cycles(gap_cycles)
 
-    def run_stream(self, trace: "object", flush_writes: bool = False) -> None:
+    def run_stream(self, trace: TraceArrays,
+                   flush_writes: bool = False) -> None:
         """Drive a whole trace through the system (batched hot path).
 
-        Exactly equivalent to per-access ``advance``/``store``/``load``
-        calls, proven by the golden stats suite: cycle costs (compute
-        gaps + cache-hit latencies) accumulate in a plain int and are
-        flushed to the clock only when a controller operation — the only
-        consumer of ``now_ps`` — is about to run.  Integer time makes the
-        deferred sum bit-identical to eager per-access advances; the
-        win is skipping per-access clock/outcome bookkeeping for the
-        (overwhelmingly common) cache-hit accesses in between.
+        Equivalent to per-access ``advance``/``store``/``load`` calls:
+        both paths serve requests through the same :meth:`_serve` and
+        :meth:`_write_back`, and the golden stats suite compares them.
+        Cycle costs (compute gaps + cache-hit latencies) accumulate in a
+        plain int and are flushed to the clock only when a controller
+        operation — the only consumer of ``now_ps`` — is about to run.
+        Integer time makes the deferred sum bit-identical to eager
+        per-access advances; the win is skipping per-access clock
+        bookkeeping for the (overwhelmingly common) cache-hit accesses
+        in between.
         """
         is_write_col, address_col, gap_col = trace.columns
         clock = self.clock
-        hierarchy = self.hierarchy
-        controller = self.controller
-        current = self.current
-        persisted = self.persisted
-        versions = self._versions
-        check = self.check
+        access = self.hierarchy.access
+        clwb = self.hierarchy.clwb
+        serve = self._serve
+        stored = self._stored
+        crashed_versions = self._crashed_versions
         pending_cycles = 0
         n = len(address_col)
         for i in range(n):
@@ -175,40 +182,19 @@ class SecureNVMSystem:
             is_write = is_write_col[i]
             pending_cycles += gap_col[i]
             if is_write:
-                version = versions.get(addr, 0) + 1
-                versions[addr] = version
-                current[addr] = mix64(addr, version)
-            result = hierarchy.access(addr, is_write)
+                stored[addr] = (stored.get(addr)
+                                or crashed_versions.get(addr, 0)) + 1
+            result = access(addr, is_write)
             pending_cycles += result.cycles
-            requests = result.requests
-            if requests:
+            if result.requests:
                 clock.advance_cycles(pending_cycles)
                 pending_cycles = 0
-                for request in requests:
-                    line = request.line_addr
-                    if request.op is MemOp.WRITE:
-                        value = current.get(line, 0)
-                        controller.write_data(line, value)
-                        persisted[line] = value
-                    else:
-                        plaintext = controller.read_data(line)
-                        if check:
-                            expected = persisted.get(line, 0)
-                            if plaintext != expected:
-                                raise AssertionError(
-                                    f"scheme {self.scheme!r} returned "
-                                    f"wrong data for block {line}: "
-                                    f"{plaintext} != {expected}")
-                        # a fill makes the persisted value
-                        # architecturally current
-                        current.setdefault(line, persisted.get(line, 0))
-            if is_write and flush_writes and hierarchy.clwb(addr):
+                serve(result.requests)
+            if is_write and flush_writes and clwb(addr):
                 if pending_cycles:
                     clock.advance_cycles(pending_cycles)
                     pending_cycles = 0
-                value = current[addr]
-                controller.write_data(addr, value)
-                persisted[addr] = value
+                self._write_back(addr)
         if pending_cycles:
             clock.advance_cycles(pending_cycles)
         self.accesses += n
@@ -231,7 +217,8 @@ class SecureNVMSystem:
         self.device.crash_drain(budget)
         self.controller.crash()
         # architecturally, unflushed stores are gone
-        self.current = dict(self.persisted)
+        self._crashed_versions.update(self._stored)
+        self._stored.clear()
 
     def recover(self):
         """Run the scheme's recovery; returns its RecoveryReport."""

@@ -22,9 +22,12 @@ from pathlib import Path
 import pytest
 
 from repro.common.config import small_config
+from repro.nvm.layout import Region
 from repro.sim.multi import MultiControllerSystem
 from repro.sim.runner import VARIANTS, RunSpec, make_system, run_cell
 from repro.workloads import get_profile
+from repro.workloads.trace import TraceArrays
+from tests.conftest import drive
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "fixtures" / \
     "golden_stats.json"
@@ -76,6 +79,12 @@ class TestPinnedCells:
 class TestBatchEquivalence:
     """run_stream == per-access advance/store/load, byte for byte."""
 
+    @staticmethod
+    def assert_same_memory(batched, stepped) -> None:
+        assert batched.persisted == stepped.persisted
+        assert dict(batched.device.populated(Region.DATA)) == \
+            dict(stepped.device.populated(Region.DATA))
+
     @pytest.mark.parametrize("variant,workload", [
         ("steins-gc", "mcf_r"),      # read-heavy, non-persistent
         ("wb-sc", "pers_hash"),      # persistent: exercises clwb flushes
@@ -90,14 +99,40 @@ class TestBatchEquivalence:
         batched.run_stream(trace, flush_writes=flush)
 
         stepped = make_system(variant, small_config())
-        for is_write, addr, gap in trace:
-            stepped.advance(gap)
-            if is_write:
-                stepped.store(addr, flush=flush)
-            else:
-                stepped.load(addr)
+        drive(stepped, trace, flush_writes=flush)
 
         assert batched.clock.now_ps == stepped.clock.now_ps
         assert batched.accesses == stepped.accesses
         assert canon(batched.result(workload).to_json()) == \
             canon(stepped.result(workload).to_json())
+        self.assert_same_memory(batched, stepped)
+
+    @pytest.mark.parametrize("variant,workload", [
+        ("steins-gc", "mcf_r"),      # unflushed stores lost to the crash
+        ("asit", "pers_hash"),       # flushed stores survive it
+    ])
+    def test_crash_between_stream_segments(self, variant, workload):
+        profile = get_profile(workload)
+        trace = profile.generate(5, 1500, 1024)
+        flush = profile.persistent
+        first = trace.head(700)
+        second = TraceArrays(trace.is_write[700:], trace.address[700:],
+                             trace.gap_cycles[700:])
+
+        batched = make_system(variant, small_config())
+        batched.run_stream(first, flush_writes=flush)
+        batched.crash()
+        batched.recover()
+        batched.run_stream(second, flush_writes=flush)
+
+        stepped = make_system(variant, small_config())
+        drive(stepped, first, flush_writes=flush)
+        stepped.crash()
+        stepped.recover()
+        drive(stepped, second, flush_writes=flush)
+
+        assert batched.clock.now_ps == stepped.clock.now_ps
+        assert batched.accesses == stepped.accesses
+        assert canon(batched.result(workload).to_json()) == \
+            canon(stepped.result(workload).to_json())
+        self.assert_same_memory(batched, stepped)

@@ -67,10 +67,10 @@ def test_repeated_crashes(variant, small_trace):
 def test_crash_rolls_back_unflushed_stores():
     system = small_variant_system("steins-gc")
     system.store(5)           # not flushed: volatile
-    value_before = system.current[5]
+    value_before = system.value_of(5)
     system.crash()
     system.recover()
-    assert system.current.get(5, 0) == system.persisted.get(5, 0)
+    assert system.value_of(5) == system.persisted.get(5, 0)
     assert system.persisted.get(5) != value_before or \
         system.persisted.get(5) is None
 
@@ -80,8 +80,8 @@ def test_flushed_stores_survive_crash():
     system.store(5, flush=True)
     value = system.persisted[5]
     crash_and_recover(system)
-    outcome = system.load(5)
-    assert system.current[5] == value
+    system.load(5)
+    assert system.value_of(5) == value
 
 
 def test_layout_covers_all_regions():
@@ -137,8 +137,8 @@ def test_result_metrics_populated(make_small_system, small_trace):
 def test_store_then_load_same_value(make_small_system):
     system = make_small_system("star")
     system.store(42, flush=True)
-    expected = system.current[42]
+    expected = system.value_of(42)
     # force the line out of the hierarchy so the load hits the controller
     system.hierarchy.clear()
     system.load(42)
-    assert system.current[42] == expected
+    assert system.value_of(42) == expected
