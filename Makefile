@@ -29,9 +29,18 @@ coverage:
 	fi
 
 # ~200 injected crashes across Steins and the no-recovery baseline;
-# exits non-zero on any golden-state divergence
+# exits non-zero on any golden-state divergence.  Campaign probes and
+# cases are cached "explore" cells: a warm rerun against the same cache
+# must simulate nothing and print a byte-identical report
+FAULTS_SMOKE = $(PYTHON) -m repro faults --scheme steins --scheme wb \
+	--crashes 200 --seed 1 --cache-dir .faults-smoke/cache
 faults-smoke:
-	$(PYTHON) -m repro faults --scheme steins --scheme wb --crashes 200 --seed 1
+	rm -rf .faults-smoke && mkdir -p .faults-smoke
+	$(FAULTS_SMOKE) > .faults-smoke/cold.txt
+	$(FAULTS_SMOKE) > .faults-smoke/warm.txt 2> .faults-smoke/warm.err
+	grep -q "^faults: 0 cells simulated" .faults-smoke/warm.err
+	cmp .faults-smoke/cold.txt .faults-smoke/warm.txt
+	rm -rf .faults-smoke
 
 # cold + warm mini-sweep through the repro.exec result cache: the two
 # stdouts must be byte-identical and the warm run must simulate nothing

@@ -45,7 +45,7 @@ def render_table(title: str, columns: list[str],
 
 
 #: every outcome class a fault campaign can report, display order
-CAMPAIGN_OUTCOMES = ["recovered", "detected", "data_loss", "unsupported",
+CAMPAIGN_OUTCOMES = ["match", "detected", "data_loss", "unsupported",
                      "no_crash", "diverged"]
 
 

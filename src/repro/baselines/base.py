@@ -662,8 +662,12 @@ class SecureMemoryController:
             "tree": self.tree_state_fingerprint(),
             "dirty": {off: node.snapshot()
                       for off, node in self.metacache.dirty_entries()},
-            "extra": self._oracle_extra_state(),
+            "extra": self.oracle_extra_state(),
         }
+
+    def oracle_extra_state(self) -> dict[str, object]:
+        """The ``extra`` of :meth:`oracle_snapshot` alone."""
+        return self._oracle_extra_state()
 
     def _oracle_extra_state(self) -> dict[str, object]:
         """Scheme-specific durable state for :meth:`oracle_snapshot`.

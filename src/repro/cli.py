@@ -428,6 +428,7 @@ def cmd_faults(args) -> int:
     from repro.analysis.report import render_campaign
     from repro.faults.campaign import run_campaign
 
+    cells: list = []
     report = run_campaign(
         schemes=args.scheme or ["steins"],
         workloads=args.workload or ["pers_hash"],
@@ -435,13 +436,16 @@ def cmd_faults(args) -> int:
         accesses=args.accesses, footprint=args.footprint,
         jobs=args.jobs or (os.cpu_count() or 1),
         cache=ResultCache(args.cache_dir) if args.cache_dir else None,
-        service=args.service)
+        progress=lambda _d, _t, o: cells.append(o), service=args.service)
     if args.json:
         import json
 
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(render_campaign(report))
+    simulated = sum(not (o.cached or o.deduped) for o in cells)
+    print(f"faults: {simulated} cells simulated, "
+          f"{sum(o.cached for o in cells)} cached", file=sys.stderr)
     return 1 if report["outcomes"].get("diverged") else 0
 
 

@@ -2,11 +2,12 @@
 
 A *sweep* is a deterministic list of :class:`~repro.exec.spec.CellSpec`
 values, each describing one independent simulation cell (a figure-matrix
-run, a fault-campaign case, or a fire-span probe) completely: variant,
-workload, trace length, seed, full system configuration, and — for fault
-cells — the crash plan.  :func:`~repro.exec.pool.run_sweep` fans the
-cells out over a ``multiprocessing`` worker pool and returns results in
-spec order, so parallel and serial executions are bitwise identical.
+run, an oracle case, or a crash-engine probe or case) completely:
+variant, workload, trace length, seed, full system configuration, and —
+for oracle and explore cells — the case plan.
+:func:`~repro.exec.pool.run_sweep` fans the cells out over a
+``multiprocessing`` worker pool and returns results in spec order, so
+parallel and serial executions are bitwise identical.
 
 Completed cells persist in a :class:`~repro.exec.cache.ResultCache`
 keyed by a stable SHA-256 of the spec plus a code-version tag

@@ -29,8 +29,8 @@ from repro.exec.spec import CellSpec, cell_key
 def execute_cell(spec: CellSpec) -> dict[str, Any]:
     """Run one cell from scratch; returns the JSON-serializable payload.
 
-    The campaign modules import the simulator stack, so they are
-    imported lazily: ``repro.faults.campaign`` itself calls back into
+    The cell runners import the simulator stack, so they are imported
+    lazily: the oracle and explore sweeps themselves call back into
     :func:`run_sweep` and an import-time cycle would otherwise form.
     """
     cfg = config_from_dict(spec.config) if spec.config is not None else None
@@ -43,35 +43,22 @@ def execute_cell(spec: CellSpec) -> dict[str, Any]:
             footprint_blocks=spec.footprint_blocks,
             seed=spec.seed, check=spec.check), cfg)
         return {"result": result.to_json()}
-    if spec.kind == "probe":
-        from repro.faults.campaign import probe_fire_total
-
-        trace = _trace_for(spec)
-        if cfg is None:
-            raise ConfigError("probe cells need an explicit config")
-        return {"fire_span": probe_fire_total(spec.variant, cfg, trace)}
-    if spec.kind == "fault":
-        from repro.faults.campaign import CampaignCase, run_case
-
-        if cfg is None:
-            raise ConfigError("fault cells need an explicit config")
-        case = CampaignCase(scheme=spec.variant, workload=spec.workload,
-                            **(spec.fault or {}))
-        result = run_case(case, cfg, _trace_for(spec))
-        return {"result": result.to_json()}
+    if cfg is None:
+        raise ConfigError(f"{spec.kind} cells need an explicit config")
     if spec.kind == "oracle":
+        from repro.explore.runner import ExploreCaseResult
         from repro.oracle.sweep import run_oracle_cell
 
-        if cfg is None:
-            raise ConfigError("oracle cells need an explicit config")
         result = run_oracle_cell(spec.variant, spec.workload,
                                  spec.fault or {}, cfg, _trace_for(spec))
+        # clean and crash cells run on the crash engine: their payload
+        # is keyed like an explore case, so it names its own type
+        if isinstance(result, ExploreCaseResult):
+            return {"case": result.to_json()}
         return {"result": result.to_json()}
     if spec.kind == "explore":
         from repro.explore.runner import run_explore_cell
 
-        if cfg is None:
-            raise ConfigError("explore cells need an explicit config")
         return run_explore_cell(spec.variant, spec.fault or {}, cfg,
                                 _trace_for(spec))
     raise ConfigError(f"unknown cell kind {spec.kind!r}")
@@ -83,23 +70,18 @@ def decode_payload(spec: CellSpec, payload: dict[str, Any]) -> Any:
         from repro.sim.stats import RunResult
 
         return RunResult.from_json(payload["result"])
-    if spec.kind == "probe":
-        return int(payload["fire_span"])
-    if spec.kind == "fault":
-        from repro.faults.campaign import CaseResult
+    if spec.kind not in ("oracle", "explore"):
+        raise ConfigError(f"unknown cell kind {spec.kind!r}")
+    from repro.explore.runner import ExploreCaseResult, ExploreProbe
+    from repro.oracle.harness import OracleCaseResult
 
-        return CaseResult.from_json(payload["result"])
-    if spec.kind == "oracle":
-        from repro.oracle.harness import OracleCaseResult
-
-        return OracleCaseResult.from_json(payload["result"])
-    if spec.kind == "explore":
-        from repro.explore.runner import ExploreCaseResult, ExploreProbe
-
-        if "probe" in payload:
-            return ExploreProbe.from_json(payload["probe"])
+    # crash-engine payloads name their type ("probe" or "case"); the
+    # oracle's tamper and mutant cells keep "result"
+    if "probe" in payload:
+        return ExploreProbe.from_json(payload["probe"])
+    if "case" in payload:
         return ExploreCaseResult.from_json(payload["case"])
-    raise ConfigError(f"unknown cell kind {spec.kind!r}")
+    return OracleCaseResult.from_json(payload["result"])
 
 
 def _trace_for(spec: CellSpec):

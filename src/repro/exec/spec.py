@@ -34,16 +34,20 @@ from repro.common.errors import ConfigError
 #: bump when result semantics change without a library version bump
 #: (e.g. a metric definition or the trace derivation changes).
 #: Schema 2: the "explore" cell kind joined and envelope kinds are
-#: validated loudly on read.  The bump only changes keys *computed from
-#: now on* — entries written under schema 1 sit at their old addresses,
-#: never looked up and never invalidated retroactively.
-CACHE_SCHEMA = 2
+#: validated loudly on read.
+#: Schema 3: one crash engine.  The "probe" and "fault" kinds are gone,
+#: oracle clean/crash payloads are ``ExploreCaseResult``s under "case",
+#: and the tightened post-recovery check can change a crash verdict.
+#: A bump only changes keys *computed from now on* — older entries sit
+#: at their old addresses, never looked up and never invalidated
+#: retroactively.
+CACHE_SCHEMA = 3
 
 #: the cell kinds the executor knows how to run
-KINDS = ("sim", "probe", "fault", "oracle", "explore")
+KINDS = ("sim", "oracle", "explore")
 
-#: kinds whose cells are parameterized by a fault/case plan dict
-_PLAN_KINDS = ("fault", "oracle", "explore")
+#: kinds whose cells are parameterized by a case plan dict
+_PLAN_KINDS = ("oracle", "explore")
 
 
 @dataclass(frozen=True)
@@ -53,19 +57,20 @@ class CellSpec:
     ``kind`` selects the worker routine:
 
     * ``"sim"``    — one (variant, workload) figure cell -> ``RunResult``
-    * ``"probe"``  — count-only fault-fire span -> ``int``
-    * ``"fault"``  — one campaign crash case -> ``CaseResult``
-    * ``"oracle"`` — one differential-oracle case -> ``OracleCaseResult``
-    * ``"explore"`` — one crash-space exploration unit (digest probe or
-      candidate crash case) -> ``ExploreProbe`` / ``ExploreCaseResult``
+    * ``"oracle"`` — one differential-oracle case: clean and crash
+      cells -> ``ExploreCaseResult`` (run on the crash engine), tamper
+      and mutant cells -> ``OracleCaseResult``
+    * ``"explore"`` — one unit of the crash engine (digest probe or
+      crash candidate, including every fault-campaign probe and case)
+      -> ``ExploreProbe`` / ``ExploreCaseResult``
 
     ``variant`` is a paper variant name for ``"sim"`` cells and a bare
     scheme name for every other kind.
     ``config`` is the full system configuration as produced by
     :func:`repro.exec.configio.config_to_dict` (``None`` means the
-    default Table I configuration).  ``fault`` holds the crash-plan
-    fields of a campaign case, or the case plan (mode, crash point,
-    attack/mutant name) of an oracle cell.
+    default Table I configuration).  ``fault`` holds the case plan
+    (mode, crash fire, torn budget, attack/mutant name) of an oracle
+    or explore cell.
     """
 
     kind: str

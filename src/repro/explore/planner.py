@@ -2,8 +2,13 @@
 
 The probe (:func:`repro.explore.runner.run_probe`) records every
 deliverable runtime fire as ``(point, access index, durable digest)``.
-The planner turns that list into the candidate set actually simulated,
-with the DPOR-style pruning the explorer reports on:
+Every crash-selection policy is a plain function over that list, and
+every candidate it picks runs through
+:func:`repro.explore.runner.run_case`: :func:`first_middle_last_plans`
+(``repro oracle``), :func:`spread_plans` (``repro faults``), and the
+exhaustive builders below (``repro explore``), which turn the list into
+the candidate set actually simulated, with the DPOR-style pruning the
+explorer reports on:
 
 * **Partition** fires into equivalence classes keyed ``(digest, access
   index)``.  Two fires in the same class crash with byte-identical
@@ -26,8 +31,9 @@ with the DPOR-style pruning the explorer reports on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
+from repro.common.rng import make_rng
 from repro.explore.runner import ExploreProbe
 
 
@@ -165,3 +171,53 @@ def _spread(n: int, cap: int | None) -> tuple[int, ...]:
         return (1,)
     step = (n - 1) / (cap - 1)
     return tuple(sorted({1 + round(i * step) for i in range(cap)}))
+
+
+def first_middle_last_plans(probe: ExploreProbe,
+                            recovery_doses: Iterable[int] = (1, 2),
+                            ) -> list[dict[str, Any]]:
+    """The oracle's policy: crash at the first, middle, and last fire of
+    every point that fired, plus crash-during-recovery doses on top of
+    the run's middle fire.  Plans are ``"oracle"`` cell plans (mode
+    ``crash``, labelled with the targeted point)."""
+    occurrences: dict[str, list[int]] = {}
+    for k, (point, _, _) in enumerate(probe.fires, start=1):
+        occurrences.setdefault(point, []).append(k)
+    plans: list[dict[str, Any]] = []
+    for point in sorted(occurrences):
+        hits = occurrences[point]
+        for crash_after in sorted({hits[0], hits[len(hits) // 2],
+                                   hits[-1]}):
+            plans.append({"mode": "crash", "point": point,
+                          "crash_after": crash_after})
+    if probe.fires:
+        mid = len(probe.fires) // 2 + 1
+        for dose in recovery_doses:
+            plans.append({"mode": "crash", "point": "recovery.step",
+                          "crash_after": mid,
+                          "recovery_crash_after": dose})
+    return plans
+
+
+def spread_plans(probe: ExploreProbe, count: int, seed: int,
+                 *tags: int | str) -> list[dict[str, Any]]:
+    """The fault campaign's policy: ``count`` crashes evenly spaced over
+    the probe's fire span with +-1 jitter drawn from
+    ``make_rng(seed, *tags)``; every 5th adds a crash-during-recovery
+    trigger and every 7th a finite ADR energy budget (a torn
+    variant)."""
+    rng = make_rng(seed, *tags)
+    span = len(probe.fires)
+    plans: list[dict[str, Any]] = []
+    for j in range(count):
+        base = 1 + (j * span) // count
+        jitter = int(rng.integers(0, 3)) - 1
+        plan: dict[str, Any] = {
+            "mode": "case",
+            "crash_after": min(max(1, span), max(1, base + jitter))}
+        if j % 5 == 4:
+            plan["recovery_crash_after"] = 1 + int(rng.integers(0, 12))
+        if j % 7 == 6:
+            plan["residual_words"] = int(rng.integers(0, 64))
+        plans.append(plan)
+    return plans

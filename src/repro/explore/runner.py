@@ -1,4 +1,8 @@
-"""Workers for ``"explore"`` cells: digest probes and candidate cases.
+"""The crash engine: digest probes and candidate cases.
+
+These are the workers of ``"explore"`` cells — every ``repro explore``
+and ``repro faults`` probe and case — and of the oracle's clean and
+crash cells.
 
 Every routine here is a pure function of ``(scheme, plan dict, config,
 trace)`` — the contract that lets :mod:`repro.exec` fan cells out over
@@ -21,12 +25,12 @@ All three accept an optional ``"mutant"`` key naming a seeded bug from
 explorer's self-test re-finds every mutant without being told where to
 crash.
 
-Outcome vocabulary merges the oracle's and the campaign's: ``match`` /
-``diverged`` / ``unsupported`` / ``no_crash`` as in the oracle, plus
-``detected`` / ``data_loss`` for torn (finite-budget) variants where a
-loud loss is the acceptable failure mode, and ``inapplicable`` when a
-mutant's post-crash corruption has no state to corrupt at this crash
-point.  ``diverged`` is *always* a failure.
+Outcome vocabulary, shared by every crash check: ``match`` /
+``diverged`` / ``unsupported`` / ``no_crash``, plus ``detected`` /
+``data_loss`` for torn (finite-budget) variants where a loud loss is
+the acceptable failure mode, and ``inapplicable`` when a mutant's
+post-crash corruption has no state to corrupt at this crash point.
+``diverged`` is *always* a failure.
 """
 from __future__ import annotations
 
@@ -41,7 +45,7 @@ from repro.common.errors import (
     IntegrityError,
     RecoveryError,
 )
-from repro.explore.digest import durable_digest
+from repro.explore.digest import DurableDigest
 from repro.faults.registry import FaultPlan, armed
 from repro.oracle.harness import DifferentialRun
 from repro.oracle.model import OracleViolation
@@ -123,11 +127,12 @@ def run_probe(scheme: str, cfg: SystemConfig, trace: TraceArrays,
     index ``len(trace)`` — a crash there resumes nothing.
     """
     dr = DifferentialRun(scheme, cfg, check_counters=False)
+    digest = DurableDigest(dr.system)
     fires: list[Fire] = []
     pos = {"i": 0}
 
     def observe(point: str) -> None:
-        fires.append((point, pos["i"], durable_digest(dr.system)))
+        fires.append((point, pos["i"], digest()))
 
     with _mutant_ctx(dr, mutant), armed(FaultPlan(on_fire=observe)):
         try:

@@ -1,24 +1,29 @@
 """Deterministic fault-injection campaign over schemes and workloads.
 
-One *case* is one simulated machine driven through one trace with one
-:class:`~repro.faults.registry.FaultPlan` armed: a crash fires at a
-chosen injection point mid-operation (optionally with an exhausted ADR
-energy budget, optionally followed by a second crash *inside* the
-recovery that follows), the machine recovers, the recovered state is
-validated against the golden pre-crash snapshot, the rest of the trace
-runs, and every persisted block is read back through the secure path.
+One *case* is one crash candidate of the crash engine
+(:func:`repro.explore.runner.run_case`): a simulated machine driven
+through one trace with a crash at a chosen fire (optionally with an
+exhausted ADR energy budget, optionally followed by a second crash
+*inside* the recovery that follows), recovered, checked against the
+golden pre-crash snapshot, resumed, and read back through the secure
+path against the reference model.
 
-The campaign spreads crash points evenly (with seeded jitter) over the
-fire span a probe run measures, so coverage tracks the instrumented
-persist boundaries rather than wall-clock or access counts.  Everything
-derives from ``make_rng(seed, ...)``: two runs with the same arguments
-produce the same report, byte for byte.
+The campaign is a selection policy over the engine's probe
+(:func:`repro.explore.planner.spread_plans`): crash points are spread
+evenly, with seeded jitter, over the fire span one probe run measures,
+so coverage tracks the instrumented persist boundaries rather than
+wall-clock or access counts.  Probes and cases run as cached
+``"explore"`` cells.  Everything derives from ``make_rng(seed, ...)``:
+two runs with the same arguments produce the same report, byte for
+byte.
 
-Outcome classes
----------------
+Outcome classes (the engine's vocabulary)
+-----------------------------------------
 
-``recovered``
+``match``
     Full success: recovery validated, trace resumed, read-back clean.
+    Lossy plans skip the golden-state check (their budget models lost
+    state) and are judged by recovery and read-back alone.
 ``detected``
     A lossy plan (finite ``residual_words``) lost state and a detection
     error surfaced — the acceptable failure mode (Sec. III-H).
@@ -41,213 +46,18 @@ paths the simulator is built out of).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.common.config import SystemConfig, small_config
-from repro.common.errors import (
-    CrashInjected,
-    IntegrityError,
-    RecoveryError,
-)
-from repro.common.rng import make_rng
-from repro.faults.registry import FaultPlan, armed
+from repro.exec import CellSpec, ResultCache, config_to_dict, run_sweep
+from repro.explore import runner
+from repro.explore.planner import spread_plans
 from repro.schemes import resolve_schemes
-from repro.sim.crash import capture_golden, check_recovered
-from repro.sim.system import SecureNVMSystem
 from repro.workloads import get_profile
 from repro.workloads.trace import TraceArrays
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec import ResultCache
 
-
-@dataclass(frozen=True)
-class CampaignCase:
-    """One planned crash scenario."""
-
-    scheme: str
-    workload: str
-    crash_after: int
-    recovery_crash_after: int | None = None
-    residual_words: int | None = None
-
-    @property
-    def lossy(self) -> bool:
-        """True when the plan models exhausted ADR residual energy."""
-        return self.residual_words is not None
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "scheme": self.scheme,
-            "workload": self.workload,
-            "crash_after": self.crash_after,
-            "recovery_crash_after": self.recovery_crash_after,
-            "residual_words": self.residual_words,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "CampaignCase":
-        return cls(**data)
-
-
-@dataclass
-class CaseResult:
-    """What one executed case produced."""
-
-    case: CampaignCase
-    outcome: str
-    crash_point: str = ""
-    crash_index: int = -1
-    recovery_crashed: bool = False
-    detail: str = ""
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "case": self.case.to_json(),
-            "outcome": self.outcome,
-            "crash_point": self.crash_point,
-            "crash_index": self.crash_index,
-            "recovery_crashed": self.recovery_crashed,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "CaseResult":
-        data = dict(data)
-        case = CampaignCase.from_json(data.pop("case"))
-        return cls(case=case, **data)
-
-
-def _step(system: SecureNVMSystem, trace: TraceArrays, i: int) -> None:
-    """Drive one trace access (writes are persisted via clwb)."""
-    system.advance(int(trace.gap_cycles[i]))
-    if trace.is_write[i]:
-        system.store(int(trace.address[i]), flush=True)
-    else:
-        system.load(int(trace.address[i]))
-
-
-def probe_fire_total(scheme: str, cfg: SystemConfig,
-                     trace: TraceArrays) -> int:
-    """Count-only run: how many runtime fires this trace produces."""
-    system = SecureNVMSystem(scheme, cfg, check=True)
-    with armed(FaultPlan()) as plan:
-        for i in range(len(trace)):
-            _step(system, trace, i)
-    return plan.run_fires
-
-
-def probe_spans(schemes: list[str], workloads: list[str], seed: int,
-                accesses: int, footprint: int, cfg: SystemConfig,
-                jobs: int = 1, cache: "ResultCache | None" = None,
-                progress: Any = None,
-                service: str | None = None) -> dict[str, int]:
-    """Probed fire span per ``scheme/workload`` cell, via the executor."""
-    from repro.exec import CellSpec, config_to_dict, run_sweep
-
-    cells = [(s, w) for s in schemes for w in workloads]
-    cfg_dict = config_to_dict(cfg)
-    specs = [CellSpec("probe", s, w, accesses, footprint, seed,
-                      config=cfg_dict) for s, w in cells]
-    report = run_sweep(specs, jobs=jobs, cache=cache, progress=progress,
-                       service=service)
-    return {f"{s}/{w}": span
-            for (s, w), span in zip(cells, report.values)}
-
-
-def build_cases(schemes: list[str], workloads: list[str], crashes: int,
-                seed: int, spans: dict[str, int]) -> list[CampaignCase]:
-    """Spread ``crashes`` cases over every scheme x workload cell.
-
-    Crash points are evenly spaced over the cell's probed fire span with
-    +-1 seeded jitter; every 5th case adds a crash-during-recovery
-    trigger and every 7th a finite ADR energy budget.
-    """
-    cells = [(s, w) for s in schemes for w in workloads]
-    per_cell = max(1, crashes // len(cells))
-    cases: list[CampaignCase] = []
-    for scheme, workload in cells:
-        span = spans[f"{scheme}/{workload}"]
-        rng = make_rng(seed, "faults", scheme, workload)
-        for j in range(per_cell):
-            base = 1 + (j * span) // per_cell
-            jitter = int(rng.integers(0, 3)) - 1
-            recovery_after = None
-            if j % 5 == 4:
-                recovery_after = 1 + int(rng.integers(0, 12))
-            residual = None
-            if j % 7 == 6:
-                residual = int(rng.integers(0, 64))
-            cases.append(CampaignCase(
-                scheme=scheme, workload=workload,
-                crash_after=min(max(1, span), max(1, base + jitter)),
-                recovery_crash_after=recovery_after,
-                residual_words=residual))
-    return cases
-
-
-def run_case(case: CampaignCase, cfg: SystemConfig,
-             trace: TraceArrays) -> CaseResult:
-    """Execute one case on a fresh machine and classify the outcome."""
-    system = SecureNVMSystem(case.scheme, cfg, check=True)
-    plan = FaultPlan(crash_after=case.crash_after,
-                     recovery_crash_after=case.recovery_crash_after,
-                     residual_words=case.residual_words)
-    with armed(plan):
-        crash_index = len(trace)
-        point = ""
-        try:
-            i = 0
-            while i < len(trace):
-                _step(system, trace, i)
-                i += 1
-        except CrashInjected as exc:
-            point = exc.point
-            crash_index = i
-        if not plan.crash_delivered:
-            return CaseResult(case, "no_crash")
-        golden = capture_golden(system)
-        system.crash()
-        recovery_crashed = False
-        try:
-            try:
-                system.recover()
-            except CrashInjected:
-                # the crash-during-recovery scenario: power fails again
-                # mid-recover(); the second pass must finish the job
-                recovery_crashed = True
-                system.crash()
-                system.recover()
-            check_recovered(system, golden)
-            for j in range(crash_index, len(trace)):
-                _step(system, trace, j)
-            system.verify_all_persisted()
-        # a scheme without a recovery path, or a detected loss under an
-        # exhausted ADR budget, is an expected terminal outcome — only a
-        # healthy-ADR failure counts against the scheme
-        # simlint: disable-next=SL402 -- classified, not swallowed
-        except RecoveryError as exc:
-            if not system.controller.supports_recovery:
-                return CaseResult(case, "unsupported", point, crash_index,
-                                  recovery_crashed, str(exc))
-            outcome = "detected" if case.lossy else "diverged"
-            return CaseResult(case, outcome, point, crash_index,
-                              recovery_crashed, str(exc))
-        # simlint: disable-next=SL402 -- classified, not swallowed
-        except IntegrityError as exc:
-            outcome = "detected" if case.lossy else "diverged"
-            return CaseResult(case, outcome, point, crash_index,
-                              recovery_crashed, str(exc))
-        except AssertionError as exc:
-            outcome = "data_loss" if case.lossy else "diverged"
-            return CaseResult(case, outcome, point, crash_index,
-                              recovery_crashed, str(exc))
-        return CaseResult(case, "recovered", point, crash_index,
-                          recovery_crashed)
-
-
-def minimize_case(case: CampaignCase, cfg: SystemConfig,
+def minimize_case(scheme: str, plan: dict[str, Any], cfg: SystemConfig,
                   trace: TraceArrays, require_point: str = "") -> int:
     """Smallest trace prefix (in accesses) that still diverges.
 
@@ -267,7 +77,7 @@ def minimize_case(case: CampaignCase, cfg: SystemConfig,
     debug a different bug than the campaign hit.
     """
     def diverges(n: int) -> bool:
-        result = run_case(case, cfg, trace.head(n))
+        result = runner.run_case(scheme, cfg, trace.head(n), plan)
         if result.outcome != "diverged":
             return False
         return not require_point or result.crash_point == require_point
@@ -288,37 +98,37 @@ def run_campaign(schemes: list[str], workloads: list[str],
                  crashes: int = 200, seed: int = 2024,
                  accesses: int = 400, footprint: int = 2048,
                  cfg: SystemConfig | None = None,
-                 jobs: int = 1, cache: "ResultCache | None" = None,
+                 jobs: int = 1, cache: ResultCache | None = None,
                  progress: Any = None,
                  service: str | None = None) -> dict[str, Any]:
     """Run the full campaign; returns a JSON-serializable report.
 
-    Probes and cases fan out over ``repro.exec`` (``jobs`` worker
-    processes, optional result cache; ``service`` routes both sweeps to
-    a running ``repro serve`` socket instead).  The report is a pure
+    Probes and cases are ``"explore"`` cells fanned out over
+    ``repro.exec`` (``jobs`` worker processes, optional result cache;
+    ``service`` routes both sweeps to a running ``repro serve`` socket
+    instead).  The report is a pure
     function of the campaign parameters: it never contains timing or
     worker-count information, so serial, parallel, and distributed runs
     compare byte for byte.
     """
-    from repro.exec import CellSpec, config_to_dict, run_sweep
-
     schemes = resolve_schemes(schemes)
     if cfg is None:
         cfg = small_config(metadata_cache_bytes=2048)
-    spans = probe_spans(schemes, workloads, seed, accesses, footprint,
-                        cfg, jobs=jobs, cache=cache, progress=progress,
-                        service=service)
-    cases = build_cases(schemes, workloads, crashes, seed, spans)
     cfg_dict = config_to_dict(cfg)
-    specs = [CellSpec("fault", case.scheme, case.workload, accesses,
-                      footprint, seed, config=cfg_dict,
-                      fault={"crash_after": case.crash_after,
-                             "recovery_crash_after":
-                                 case.recovery_crash_after,
-                             "residual_words": case.residual_words})
-             for case in cases]
-    sweep = run_sweep(specs, jobs=jobs, cache=cache, progress=progress,
-                      service=service)
+
+    def sweep(cells: list[tuple[str, str, dict[str, Any]]]) -> list[Any]:
+        specs = [CellSpec("explore", s, w, accesses, footprint, seed,
+                          check=False, config=cfg_dict, fault=plan)
+                 for s, w, plan in cells]
+        return run_sweep(specs, jobs=jobs, cache=cache, progress=progress,
+                         service=service).values
+
+    pairs = [(s, w) for s in schemes for w in workloads]
+    probes = sweep([(s, w, {"mode": "probe"}) for s, w in pairs])
+    per_cell = max(1, crashes // len(pairs))
+    cases = [(s, w, plan) for (s, w), probe in zip(pairs, probes)
+             for plan in spread_plans(probe, per_cell, seed, "faults", s, w)]
+    results = sweep(cases)
 
     # minimization re-runs cases in-process; traces are built on demand
     traces: dict[str, TraceArrays] = {}
@@ -332,31 +142,32 @@ def run_campaign(schemes: list[str], workloads: list[str],
     outcomes: dict[str, int] = {}
     crash_points: dict[str, int] = {}
     cells: dict[str, dict[str, Any]] = {
-        cell: {"cases": 0, "outcomes": {}, "fire_span": span}
-        for cell, span in spans.items()}
+        f"{s}/{w}": {"cases": 0, "outcomes": {},
+                     "fire_span": len(probe.fires)}
+        for (s, w), probe in zip(pairs, probes)}
     diverged: list[dict[str, Any]] = []
-    for case, result in zip(cases, sweep.values):
+    for (scheme, workload, plan), result in zip(cases, results):
         outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
         if result.crash_point:
             crash_points[result.crash_point] = \
                 crash_points.get(result.crash_point, 0) + 1
-        cell = cells[f"{case.scheme}/{case.workload}"]
+        cell = cells[f"{scheme}/{workload}"]
         cell["cases"] += 1
         cell["outcomes"][result.outcome] = \
             cell["outcomes"].get(result.outcome, 0) + 1
         if result.outcome == "diverged":
             entry: dict[str, Any] = {
-                "scheme": case.scheme, "workload": case.workload,
-                "crash_after": case.crash_after,
-                "recovery_crash_after": case.recovery_crash_after,
-                "residual_words": case.residual_words,
+                "scheme": scheme, "workload": workload,
+                "crash_after": plan["crash_after"],
+                "recovery_crash_after": plan.get("recovery_crash_after"),
+                "residual_words": plan.get("residual_words"),
                 "crash_point": result.crash_point,
                 "crash_index": result.crash_index,
                 "detail": result.detail,
             }
             if len(diverged) < 3:  # minimization is a full re-run loop
                 entry["minimized_prefix"] = minimize_case(
-                    case, cfg, trace_for(case.workload),
+                    scheme, plan, cfg, trace_for(workload),
                     require_point=result.crash_point)
             diverged.append(entry)
     return {
@@ -372,33 +183,3 @@ def run_campaign(schemes: list[str], workloads: list[str],
         "crash_points": crash_points,
         "diverged": diverged,
     }
-
-
-def controller_fingerprint(system: SecureNVMSystem) -> tuple:
-    """A comparable snapshot of every architectural state a recovery
-    touches — NVM contents, cache residency (with ways), registers —
-    used by the idempotence property tests.  Stats and timing excluded.
-    """
-    c = system.controller
-    device = tuple(sorted(
-        ((region.value, idx), value)
-        for (region, idx), value in system.device.lines()))
-    cache = tuple(sorted(
-        (offset, c.metacache.way_of(offset), node.snapshot(), dirty)
-        for offset, node, dirty in c.metacache.entries()))
-    extras: list[tuple] = []
-    lincs = getattr(c, "lincs", None)
-    if lincs is not None:
-        extras.append(("lincs", tuple(lincs.values())))
-    nv_buffer = getattr(c, "nv_buffer", None)
-    if nv_buffer is not None:
-        extras.append(("nv_buffer", tuple(
-            (u.child_level, u.child_index, u.generated_counter)
-            for u in nv_buffer.entries)))
-    recovery_root = getattr(c, "recovery_root", None)
-    if recovery_root is not None:
-        extras.append(("recovery_root", recovery_root.value))
-    cache_tree = getattr(c, "cache_tree", None)
-    if cache_tree is not None:
-        extras.append(("cache_tree_root", cache_tree.root))
-    return (device, cache, c.root.snapshot(), tuple(extras))

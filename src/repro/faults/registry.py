@@ -28,7 +28,7 @@ Design rules enforced here:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.common.errors import ConfigError, CrashInjected
@@ -73,18 +73,11 @@ class FaultPlan:
     crash_after: int | None = None
     recovery_crash_after: int | None = None
     residual_words: int | None = None
-    #: record the ordered sequence of runtime fires in ``fire_log`` —
-    #: count-only probes use it to find the global fire index of the
-    #: n-th occurrence of a *specific* point (the oracle's per-point
-    #: crash targeting); off by default to keep armed hot paths lean
-    log_fires: bool = False
     #: observer invoked at every *deliverable* runtime fire (after the
     #: counters advance, before any crash raises) — the crash-space
     #: explorer's probe uses it to digest the durable state a crash at
     #: exactly this fire would see; None costs nothing on the hot path
     on_fire: Callable[[str], None] | None = None
-    fires: dict[str, int] = field(default_factory=dict)
-    fire_log: list[str] = field(default_factory=list)
     run_fires: int = 0
     recovery_fires: int = 0
     suppressed_fires: int = 0
@@ -154,7 +147,6 @@ def fire(point: str) -> None:
     if _atomic_depth > 0:
         plan.suppressed_fires += 1
         return
-    plan.fires[point] = plan.fires.get(point, 0) + 1
     if point == POINT_RECOVERY:
         plan.recovery_fires += 1
         if (plan.recovery_crash_after is not None
@@ -166,8 +158,6 @@ def fire(point: str) -> None:
                 f"(recovery fire #{plan.recovery_fires})", point=point)
     else:
         plan.run_fires += 1
-        if plan.log_fires:
-            plan.fire_log.append(point)
         if plan.on_fire is not None:
             plan.on_fire(point)
         if (plan.crash_after is not None

@@ -160,23 +160,23 @@ class NVMDevice:
     def populated_count(self, region: Region) -> int:
         return sum(1 for _ in self.populated(region))
 
-    def lines(self) -> Iterator[tuple[tuple[Region, int], Any]]:
-        """Raw ((region, index), value) view of every populated line,
-        torn lines included — state fingerprinting in tests."""
-        yield from self._store.items()
+    def lines(self) -> dict[tuple[Region, int], Any]:
+        """Every populated line keyed ``(region, index)``, torn lines
+        included: a copy, and a snapshot since values are immutable."""
+        return self._store.copy()
 
     def pending_wpq(self) -> int:
         """In-flight (not yet architecturally durable) writes."""
         return len(self._wpq)
 
-    def wpq_snapshot(self) -> tuple[tuple[str, int], ...]:
+    def wpq_snapshot(self) -> tuple[tuple[Region, int], ...]:
         """The queued (region, index) targets, oldest first.
 
         Two machine states with identical line contents but different
         pending queues crash differently under a finite ADR energy
         budget (unfunded tails are rolled back or torn), so crash-space
         digests must cover the queue, not just the store."""
-        return tuple((region.value, index) for region, index, _ in self._wpq)
+        return tuple([(region, index) for region, index, _ in self._wpq])
 
     # ------------------------------------------------------------- crash
     def crash(self) -> None:

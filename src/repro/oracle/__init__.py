@@ -7,22 +7,21 @@ package splits into:
 * :mod:`repro.oracle.model`   — the pure (stdlib-only) reference model
   of secure-NVM semantics: logical contents, counter monotonicity,
   crash durability;
-* :mod:`repro.oracle.harness` — the lockstep differential runner and
-  the clean / crash / tamper case runners;
+* :mod:`repro.oracle.harness` — the lockstep differential runner every
+  crash check drives (the crash engine in :mod:`repro.explore.runner`
+  included) and the tamper case runner;
 * :mod:`repro.oracle.mutants` — seeded controller bugs proving the
   oracle catches the claimed classes;
 * :mod:`repro.oracle.sweep`   — suite planning plus the parallel,
-  cached crash-point sweep over schemes x workloads x points
-  (``repro oracle`` on the command line).
+  cached sweep over schemes x workloads x cases (``repro oracle`` on
+  the command line); its clean and crash cases run on the crash
+  engine.
 """
 from repro.oracle.harness import (
     TAMPER_KINDS,
     DifferentialRun,
     Divergence,
-    OracleCase,
     OracleCaseResult,
-    run_clean_case,
-    run_crash_case,
     run_tamper_case,
 )
 from repro.oracle.model import OracleViolation, ReferenceModel
@@ -30,8 +29,6 @@ from repro.oracle.mutants import MUTANTS, Mutant, run_mutant_case
 from repro.oracle.sweep import (
     SuiteSummary,
     build_suite,
-    crash_plans_from_log,
-    probe_fire_log,
     run_oracle_cell,
     run_oracle_suite,
 )
@@ -40,7 +37,6 @@ __all__ = [
     "TAMPER_KINDS",
     "DifferentialRun",
     "Divergence",
-    "OracleCase",
     "OracleCaseResult",
     "OracleViolation",
     "ReferenceModel",
@@ -48,10 +44,6 @@ __all__ = [
     "Mutant",
     "SuiteSummary",
     "build_suite",
-    "crash_plans_from_log",
-    "probe_fire_log",
-    "run_clean_case",
-    "run_crash_case",
     "run_mutant_case",
     "run_oracle_cell",
     "run_oracle_suite",

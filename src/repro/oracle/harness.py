@@ -10,27 +10,30 @@ diffs three things:
   the secure path) against the model's digest,
 * the post-recovery secure state against the pre-crash
   ``oracle_snapshot()`` (root never regresses, persisted nodes never
-  vanish, dirty nodes are restored or durably superseded).
+  vanish, every pre-crash dirty node is back in the metadata cache
+  dirty and dominating its snapshot, or — once evicted — durably
+  superseded in NVM).
 
 Unlike the inline check in :class:`repro.sim.system.SecureNVMSystem`
 (which shares the simulator's view of the cache hierarchy), the harness
 talks to the controller directly and trusts nothing but the model, so a
 misconception shared by a scheme and the simulator stack still diverges
-here.  Case runners cover the three claim classes:
+here.
 
-* :func:`run_clean_case`     — untampered run + graceful shutdown,
-* :func:`run_crash_case`     — crash at a chosen fault-injection fire
-  (optionally again inside recovery), recover, resume, read back,
-* :func:`run_tamper_case`    — a :mod:`repro.attacks` tamper/replay
-  between crash and recovery must surface as a detection error (or be
-  provably neutralized), never as silently wrong data.
+Clean and crash cases run on the crash engine in
+:mod:`repro.explore.runner` (``run_clean``/``run_case``), which drives a
+:class:`DifferentialRun`.  This module keeps the runner for the attack
+claim class: :func:`run_tamper_case` stages a :mod:`repro.attacks`
+tamper/replay between crash and recovery, which must surface as a
+detection error (or be provably neutralized), never as silently wrong
+data.
 
-Outcomes use the fault-campaign vocabulary: ``match`` (everything
-agreed), ``detected`` (a detection error surfaced — the expected result
-of tampering), ``neutralized`` (a tamper was overwritten by recovery and
-all data read back correct — SCUE's whole-tree rebuild does this),
-``diverged`` (any silent disagreement — always a bug), ``unsupported``
-(no recovery path), ``no_crash`` (trigger beyond the trace's fire span).
+Outcomes: ``detected`` (a detection error surfaced — the expected
+result of tampering), ``neutralized`` (a tamper was overwritten by
+recovery and all data read back correct — SCUE's whole-tree rebuild
+does this), ``diverged`` (any silent disagreement — always a bug);
+mutant runs (:mod:`repro.oracle.mutants`) add ``match`` for an escaped
+bug.
 """
 from __future__ import annotations
 
@@ -41,13 +44,8 @@ from typing import Any
 
 from repro.attacks.injector import AttackInjector
 from repro.common.config import SystemConfig
-from repro.common.errors import (
-    CrashInjected,
-    IntegrityError,
-    RecoveryError,
-)
+from repro.common.errors import IntegrityError, RecoveryError
 from repro.common.rng import mix64
-from repro.faults.registry import FaultPlan, armed
 from repro.nvm.layout import Region
 from repro.oracle.model import OracleViolation, ReferenceModel
 from repro.sim.crash import counters_dominate
@@ -78,26 +76,6 @@ class Divergence:
 
     @classmethod
     def from_json(cls, data: dict[str, str]) -> "Divergence":
-        return cls(**data)
-
-
-@dataclass(frozen=True)
-class OracleCase:
-    """One planned crash-differential scenario (the sweep unit)."""
-
-    scheme: str
-    workload: str
-    point: str                        #: injection point being targeted
-    crash_after: int                  #: global runtime-fire index
-    recovery_crash_after: int | None = None
-
-    def to_json(self) -> dict[str, Any]:
-        return {"scheme": self.scheme, "workload": self.workload,
-                "point": self.point, "crash_after": self.crash_after,
-                "recovery_crash_after": self.recovery_crash_after}
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "OracleCase":
         return cls(**data)
 
 
@@ -217,7 +195,7 @@ class DifferentialRun:
     def check_recovery(self, pre: dict[str, Any]) -> None:
         """Diff the recovered secure state against the pre-crash
         snapshot: monotone root, no lost persisted nodes, every dirty
-        node restored (or durably superseded)."""
+        node restored dirty (or, once evicted, durably superseded)."""
         c = self.controller
         for slot, (before, now) in enumerate(zip(pre["root"],
                                                  c.root.snapshot())):
@@ -232,14 +210,18 @@ class DifferentialRun:
                     "tree-lost", f"offset {off}",
                     "persisted node survives recovery", "missing"))
         for off, snap in pre["dirty"].items():
+            # a cached copy is the live one: a clean or regressed copy
+            # is lost state even when NVM holds a newer line; only an
+            # evicted node is judged by its persisted copy
             node = c.metacache.peek(off)
             persisted = tree_now.get(off)
-            persisted_ok = persisted is not None and \
-                counters_dominate(persisted, snap)
-            cached_ok = node is not None and \
-                counters_dominate(node.snapshot(), snap) and \
-                (c.metacache.is_dirty(off) or persisted_ok)
-            if not (cached_ok or persisted_ok):
+            if node is not None:
+                ok = c.metacache.is_dirty(off) and \
+                    counters_dominate(node.snapshot(), snap)
+            else:
+                ok = persisted is not None and \
+                    counters_dominate(persisted, snap)
+            if not ok:
                 self.divergences.append(Divergence(
                     "node-lost" if node is None and persisted is None
                     else "node-regress", f"offset {off}",
@@ -272,94 +254,7 @@ class DifferentialRun:
             divergences=list(self.divergences), **kw)
 
 
-# ------------------------------------------------------------ case runs
-def run_clean_case(scheme: str, workload: str, trace: TraceArrays,
-                   cfg: SystemConfig) -> OracleCaseResult:
-    """Untampered run: trace, graceful shutdown, full read-back."""
-    dr = DifferentialRun(scheme, cfg)
-    dr.run_trace(trace)
-    dr.controller.flush_all()
-    digest = dr.verify_end_state()
-    model_digest = dr.model.digest()
-    outcome = "match" if not dr.divergences else "diverged"
-    return dr.result(outcome, workload=workload, digest=digest,
-                     detail=f"model digest {model_digest[:16]}")
-
-
-def run_crash_case(case: OracleCase, cfg: SystemConfig,
-                   trace: TraceArrays) -> OracleCaseResult:
-    """Crash at the case's fire index, recover, resume, read back.
-
-    Healthy ADR throughout: *any* detection error, recovery failure, or
-    data disagreement is a divergence.  A second crash inside recovery
-    (``recovery_crash_after``) must still converge on the second pass.
-    """
-    dr = DifferentialRun(case.scheme, cfg)
-    plan = FaultPlan(crash_after=case.crash_after,
-                     recovery_crash_after=case.recovery_crash_after)
-    with armed(plan):
-        point = ""
-        crash_index = len(trace)
-        i = 0
-        try:
-            while i < len(trace):
-                dr.step(trace, i)
-                i += 1
-        except CrashInjected as exc:
-            point = exc.point
-            crash_index = i
-        if not plan.crash_delivered:
-            # the probe's fire span includes graceful shutdown; a crash
-            # aimed past the trace lands inside flush_all
-            try:
-                dr.controller.flush_all()
-            except CrashInjected as exc:
-                point = exc.point
-        if not plan.crash_delivered:
-            return dr.result("no_crash", workload=case.workload)
-        pre = dr.crash()
-        recovery_crashed = False
-        try:
-            try:
-                dr.system.recover()
-            except CrashInjected:
-                recovery_crashed = True
-                dr.system.crash()
-                dr.model.crash()
-                dr.system.recover()
-            dr.check_recovery(pre)
-            dr.run_trace(trace, start=crash_index)
-            digest = dr.verify_end_state()
-        # healthy ADR: a detection or recovery error on a clean run is a
-        # semantic failure, classified (loudly) as divergence
-        # simlint: disable-next=SL402 -- classified, not swallowed
-        except RecoveryError as exc:
-            if not dr.controller.supports_recovery:
-                return dr.result("unsupported", workload=case.workload,
-                                 crash_point=point,
-                                 crash_index=crash_index,
-                                 detail=str(exc))
-            return dr.result("diverged", workload=case.workload,
-                             crash_point=point, crash_index=crash_index,
-                             recovery_crashed=recovery_crashed,
-                             detail=f"recovery failed: {exc}")
-        # simlint: disable-next=SL402 -- classified, not swallowed
-        except IntegrityError as exc:
-            return dr.result("diverged", workload=case.workload,
-                             crash_point=point, crash_index=crash_index,
-                             recovery_crashed=recovery_crashed,
-                             detail=f"spurious detection: {exc}")
-        except AssertionError as exc:
-            return dr.result("diverged", workload=case.workload,
-                             crash_point=point, crash_index=crash_index,
-                             recovery_crashed=recovery_crashed,
-                             detail=str(exc))
-    outcome = "match" if not dr.divergences else "diverged"
-    return dr.result(outcome, workload=case.workload, crash_point=point,
-                     crash_index=crash_index, digest=digest,
-                     recovery_crashed=recovery_crashed)
-
-
+# ---------------------------------------------------------- tamper runs
 def _replay_target(dr: DifferentialRun) -> int:
     """The most-rewritten block: its stale recording is guaranteed to
     disagree with the current contents."""

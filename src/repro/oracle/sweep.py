@@ -6,15 +6,20 @@ from a pinned seed and executed as ``"oracle"`` cells through
 content-addressed cache):
 
 * ``clean``  — untampered run + graceful shutdown + full read-back,
-* ``crash``  — power failure at targeted occurrences of *every*
-  injection point the scheme actually fires (probed per scheme with a
-  count-only :class:`~repro.faults.registry.FaultPlan` whose
-  ``fire_log`` records the ordered fire sequence), plus
-  crash-during-recovery doses,
+* ``crash``  — power failure at the first, middle and last fire of
+  *every* injection point the scheme actually fires, plus
+  crash-during-recovery doses (the
+  :func:`~repro.explore.planner.first_middle_last_plans` policy over
+  one :func:`~repro.explore.runner.run_probe` per scheme and workload),
 * ``tamper`` — :mod:`repro.attacks` tampers/replays that must be
   detected or provably neutralized,
 * ``mutant`` — seeded controller bugs that must *not* come back
   ``match`` (the oracle's self-test).
+
+Clean and crash cells run on the crash engine
+(:func:`repro.explore.runner.run_clean` / ``run_case``) and yield an
+:class:`~repro.explore.runner.ExploreCaseResult`; tamper and mutant
+cells yield an :class:`~repro.oracle.harness.OracleCaseResult`.
 
 The acceptance bar, encoded in :meth:`SuiteSummary.failures`: zero
 silent divergences anywhere, every tamper loud, every mutant caught.
@@ -22,7 +27,7 @@ silent divergences anywhere, every tamper loud, every mutant caught.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any
 
 from repro.common.config import SystemConfig, small_config
 from repro.common.errors import ConfigError
@@ -30,36 +35,35 @@ from repro.exec.cache import ResultCache
 from repro.exec.configio import config_to_dict
 from repro.exec.pool import ProgressFn, run_sweep
 from repro.exec.spec import CellSpec
-from repro.faults.registry import FaultPlan, armed
 from repro.oracle.harness import (
     TAMPER_KINDS,
-    OracleCase,
     OracleCaseResult,
-    run_clean_case,
-    run_crash_case,
     run_tamper_case,
 )
 from repro.oracle.mutants import MUTANTS, run_mutant_case
 from repro.schemes import get_scheme, resolve_schemes
 from repro.workloads.trace import TraceArrays
 
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.explore.runner import ExploreCaseResult
+
 #: tamper kinds that need a crash/recover cycle to force tree refetches
 _TREE_TAMPERS = ("tree-counter", "tree-replay")
 
 
 def run_oracle_cell(scheme: str, workload: str, plan: dict[str, Any],
-                    cfg: SystemConfig,
-                    trace: TraceArrays) -> OracleCaseResult:
+                    cfg: SystemConfig, trace: TraceArrays,
+                    ) -> ExploreCaseResult | OracleCaseResult:
     """Executor entry point: dispatch one oracle cell by its plan."""
+    # the crash engine drives a DifferentialRun, so it imports this
+    # package: import it at call time, after both have initialised
+    from repro.explore.runner import run_case, run_clean
+
     mode = plan.get("mode")
     if mode == "clean":
-        return run_clean_case(scheme, workload, trace, cfg)
+        return run_clean(scheme, cfg, trace)
     if mode == "crash":
-        case = OracleCase(
-            scheme=scheme, workload=workload, point=plan["point"],
-            crash_after=plan["crash_after"],
-            recovery_crash_after=plan.get("recovery_crash_after"))
-        return run_crash_case(case, cfg, trace)
+        return run_case(scheme, cfg, trace, plan)
     if mode == "tamper":
         return run_tamper_case(plan["attack"], scheme, workload, trace,
                                cfg)
@@ -67,48 +71,6 @@ def run_oracle_cell(scheme: str, workload: str, plan: dict[str, Any],
         return run_mutant_case(plan["mutant"], scheme, workload, trace,
                                cfg)
     raise ConfigError(f"unknown oracle cell mode {plan.get('mode')!r}")
-
-
-def probe_fire_log(scheme: str, cfg: SystemConfig,
-                   trace: TraceArrays) -> list[str]:
-    """The ordered runtime-fire sequence one differential run produces.
-
-    Count-only (no crash is delivered); the log is what lets the suite
-    aim a crash at the first/middle/last occurrence of each point.
-    """
-    from repro.oracle.harness import DifferentialRun
-
-    plan = FaultPlan(log_fires=True)
-    with armed(plan):
-        dr = DifferentialRun(scheme, cfg, check_counters=False)
-        dr.run_trace(trace)
-        dr.controller.flush_all()
-    return plan.fire_log
-
-
-def crash_plans_from_log(fire_log: list[str],
-                         recovery_doses: Iterable[int] = (1, 2),
-                         ) -> list[dict[str, Any]]:
-    """Aim crashes at the first, middle, and last occurrence of every
-    point that fired, plus crash-during-recovery doses on top of the
-    run's middle fire."""
-    occurrences: dict[str, list[int]] = {}
-    for i, point in enumerate(fire_log):
-        occurrences.setdefault(point, []).append(i + 1)  # 1-based
-    plans: list[dict[str, Any]] = []
-    for point in sorted(occurrences):
-        hits = occurrences[point]
-        picks = sorted({hits[0], hits[len(hits) // 2], hits[-1]})
-        for crash_after in picks:
-            plans.append({"mode": "crash", "point": point,
-                          "crash_after": crash_after})
-    if fire_log:
-        mid = len(fire_log) // 2 + 1
-        for dose in recovery_doses:
-            plans.append({"mode": "crash", "point": "recovery.step",
-                          "crash_after": mid,
-                          "recovery_crash_after": dose})
-    return plans
 
 
 def tamper_plans_for(scheme: str) -> list[dict[str, Any]]:
@@ -137,7 +99,8 @@ class SuiteSummary:
     cells_cached: int = 0
     cells_executed: int = 0
 
-    def add(self, spec: CellSpec, result: OracleCaseResult,
+    def add(self, spec: CellSpec,
+            result: ExploreCaseResult | OracleCaseResult,
             cached: bool) -> None:
         plan = spec.fault or {}
         mode = plan.get("mode", "?")
@@ -147,7 +110,7 @@ class SuiteSummary:
             "scheme": spec.variant, "workload": spec.workload,
             "mode": mode, "plan": plan, "outcome": result.outcome,
             "ok": ok, "caught": caught, "detail": result.detail,
-            "divergences": [d.to_json() for d in result.divergences],
+            "divergences": result.to_json()["divergences"],
         })
         self.outcome_counts[result.outcome] = \
             self.outcome_counts.get(result.outcome, 0) + 1
@@ -157,7 +120,8 @@ class SuiteSummary:
             self.cells_executed += 1
 
     @staticmethod
-    def _case_ok(mode: str, result: OracleCaseResult) -> bool:
+    def _case_ok(mode: str,
+                 result: ExploreCaseResult | OracleCaseResult) -> bool:
         if mode in ("clean", "crash"):
             # untampered: only agreement (or an honest refusal) passes
             return result.outcome in ("match", "unsupported", "no_crash")
@@ -214,6 +178,8 @@ def build_suite(schemes: list[str], workloads: list[str], accesses: int,
                 footprint: int, seed: int,
                 cfg: SystemConfig) -> list[CellSpec]:
     """Plan the full case list (deterministic for a given seed/config)."""
+    from repro.explore.planner import first_middle_last_plans
+    from repro.explore.runner import run_probe
     from repro.workloads import get_profile
 
     cfg_dict = config_to_dict(cfg)
@@ -230,8 +196,8 @@ def build_suite(schemes: list[str], workloads: list[str], accesses: int,
                 seed=seed, n=accesses, footprint=footprint)
             specs.append(spec_for(scheme, workload,
                                   {"mode": "clean"}))
-            log = probe_fire_log(scheme, cfg, trace)
-            for plan in crash_plans_from_log(log):
+            probe = run_probe(scheme, cfg, trace)
+            for plan in first_middle_last_plans(probe):
                 specs.append(spec_for(scheme, workload, plan))
         # tampers and mutants probe detection machinery, not workload
         # shape: one workload each keeps the suite tight

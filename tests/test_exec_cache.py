@@ -59,8 +59,8 @@ class TestCellKey:
             != cell_key(spec(), code_version="1.0.0/2")
 
     def test_fault_plan_is_covered(self):
-        a = spec(kind="fault", fault={"crash_after": 3})
-        b = spec(kind="fault", fault={"crash_after": 4})
+        a = spec(kind="explore", fault={"mode": "case", "crash_after": 3})
+        b = spec(kind="explore", fault={"mode": "case", "crash_after": 4})
         assert cell_key(a) != cell_key(b)
 
 
@@ -119,11 +119,18 @@ class TestCacheSchema:
     cache directory).
     """
 
-    def test_schema_is_two(self):
+    def test_schema_is_three(self):
         from repro.exec.spec import CACHE_SCHEMA, KINDS
 
-        assert CACHE_SCHEMA == 2
+        assert CACHE_SCHEMA == 3
         assert "explore" in KINDS
+
+    @pytest.mark.parametrize("kind", ["probe", "fault"])
+    def test_retired_kinds_rejected(self, kind):
+        # fault-campaign probes and cases are "explore" cells since
+        # schema 3
+        with pytest.raises(ConfigError, match="unknown cell kind"):
+            spec(kind=kind, fault={"crash_after": 3})
 
     def test_key_pinned_under_explicit_version(self):
         # golden hash computed when "explore" joined KINDS: growing the

@@ -20,6 +20,7 @@ from repro.common.config import small_config
 from repro.common.errors import ConfigError
 from repro.exec import CellSpec, ResultCache, config_to_dict, run_sweep
 from repro.explore import (
+    DurableDigest,
     ExploreCaseResult,
     ExploreProbe,
     partition_fires,
@@ -38,6 +39,8 @@ from repro.explore.planner import (
     shutdown_plans,
 )
 from repro.explore.runner import run_case
+from repro.faults.registry import FaultPlan, ResidualBudget, armed
+from repro.oracle.harness import DifferentialRun
 from repro.workloads import get_profile
 
 
@@ -95,6 +98,43 @@ class TestProbe:
 
 
 # ------------------------------------------------- partition + frontier
+class TestDigest:
+    """The probe's digest is incremental; it must equal a digest built
+    from scratch on the same machine state."""
+
+    @pytest.mark.parametrize("scheme", ["steins", "asit", "star"])
+    def test_incremental_equals_fresh_at_every_fire(self, scheme,
+                                                    explore_cfg,
+                                                    tiny_trace):
+        dr = DifferentialRun(scheme, explore_cfg, check_counters=False)
+        digest = DurableDigest(dr.system)
+        pairs = []
+
+        def observe(point):
+            pairs.append((digest(), DurableDigest(dr.system)()))
+
+        with armed(FaultPlan(on_fire=observe)):
+            dr.run_trace(tiny_trace)
+        assert len(pairs) > 40
+        assert all(inc == fresh for inc, fresh in pairs)
+        assert len({inc for inc, _ in pairs}) > 1
+
+    def test_rolled_back_lines_leave_the_digest(self, explore_cfg,
+                                                tiny_trace):
+        dr = DifferentialRun("steins", explore_cfg, check_counters=False)
+        dr.run_trace(tiny_trace.head(20))
+        digest = DurableDigest(dr.system)
+        before = digest()
+        lines = len(dr.system.device.lines())
+        # an exhausted ADR budget rolls back every queued write; lines
+        # first written inside the queue window disappear
+        dr.system.device.crash_drain(ResidualBudget(0))
+        assert len(dr.system.device.lines()) < lines
+        after = digest()
+        assert after != before
+        assert after == DurableDigest(dr.system)()
+
+
 class TestPartition:
     def test_classes_merge_only_equal_state_and_resume(self,
                                                        steins_probe):

@@ -15,6 +15,7 @@ from repro.common.errors import (
     RecoveryError,
     TamperDetectedError,
 )
+from repro.exec import ResultCache
 from repro.faults.campaign import run_campaign
 from repro.faults.registry import (
     INJECTION_POINTS,
@@ -193,9 +194,27 @@ class TestCampaign:
         second = run_campaign(**kwargs)
         assert first == second
         assert not first["outcomes"].get("diverged")
-        assert first["outcomes"].get("recovered", 0) > 0
+        assert first["outcomes"].get("match", 0) > 0
         assert first["cells"]["wb/pers_hash"]["outcomes"].get(
             "unsupported", 0) > 0
+
+    def test_warm_rerun_is_served_from_the_cache(self, tmp_path):
+        kwargs = dict(schemes=["steins", "wb"], workloads=["pers_hash"],
+                      crashes=12, seed=1, accesses=200, footprint=2048,
+                      cache=ResultCache(tmp_path))
+        runs = []
+        for _ in range(2):
+            outcomes = []
+            report = run_campaign(
+                progress=lambda _d, _t, o: outcomes.append(o), **kwargs)
+            runs.append((report, outcomes))
+        (cold, cold_cells), (warm, warm_cells) = runs
+        assert warm == cold
+        # probes and cases are explore cells: all of them ran cold, and
+        # the warm rerun executed none
+        assert {o.spec.kind for o in cold_cells} == {"explore"}
+        assert not any(o.cached for o in cold_cells)
+        assert warm_cells and all(o.cached for o in warm_cells)
 
     def test_lossy_budget_is_detected_not_diverged(self):
         report = run_campaign(schemes=["steins"], workloads=["pers_hash"],
@@ -214,50 +233,53 @@ class TestMinimizeCase:
     failure.
     """
 
+    PLAN = {"mode": "case", "crash_after": 20}
+
     @staticmethod
-    def _fake_run_case(case, cfg, prefix):
-        from repro.faults.campaign import CaseResult
+    def _fake_run_case(scheme, cfg, prefix, plan):
+        from repro.explore.runner import ExploreCaseResult
 
         # short prefixes shift the same fire count onto an eviction
         # fire (a different, also-divergent crash); only prefixes long
         # enough to reach the original write fire reproduce the bug
         if len(prefix) >= 40:
-            return CaseResult(case, "diverged",
-                              crash_point="controller.write")
+            return ExploreCaseResult("diverged",
+                                     crash_point="controller.write")
         if len(prefix) >= 10:
-            return CaseResult(case, "diverged",
-                              crash_point="metacache.evict")
-        return CaseResult(case, "recovered")
+            return ExploreCaseResult("diverged",
+                                     crash_point="metacache.evict")
+        return ExploreCaseResult("match")
 
     def test_unpinned_search_lands_on_the_wrong_fire(self, monkeypatch):
+        from repro.explore import runner
         from repro.faults import campaign
 
-        monkeypatch.setattr(campaign, "run_case", self._fake_run_case)
-        case = campaign.CampaignCase("steins", "pers_hash",
-                                     crash_after=20)
+        monkeypatch.setattr(runner, "run_case", self._fake_run_case)
         cfg = small_config()
         trace = get_profile("pers_hash").generate(seed=3, n=100,
                                                   footprint=2048)
         # the unpinned minimum accepts the shifted crash: rerunning it
         # would crash at metacache.evict, not the campaign's fire
-        assert campaign.minimize_case(case, cfg, trace) == 10
-        wrong = self._fake_run_case(case, cfg, trace.head(10))
+        assert campaign.minimize_case("steins", self.PLAN, cfg,
+                                      trace) == 10
+        wrong = self._fake_run_case("steins", cfg, trace.head(10),
+                                    self.PLAN)
         assert wrong.crash_point != "controller.write"
 
     def test_pinned_search_reproduces_the_original_crash(self,
                                                          monkeypatch):
+        from repro.explore import runner
         from repro.faults import campaign
 
-        monkeypatch.setattr(campaign, "run_case", self._fake_run_case)
-        case = campaign.CampaignCase("steins", "pers_hash",
-                                     crash_after=20)
+        monkeypatch.setattr(runner, "run_case", self._fake_run_case)
         cfg = small_config()
         trace = get_profile("pers_hash").generate(seed=3, n=100,
                                                   footprint=2048)
-        n = campaign.minimize_case(case, cfg, trace,
+        n = campaign.minimize_case("steins", self.PLAN, cfg, trace,
                                    require_point="controller.write")
         assert n == 40
-        repro_result = self._fake_run_case(case, cfg, trace.head(n))
+        repro_result = self._fake_run_case("steins", cfg, trace.head(n),
+                                           self.PLAN)
         assert repro_result.outcome == "diverged"
         assert repro_result.crash_point == "controller.write"
 

@@ -1,24 +1,27 @@
 """Differential harness unit tests (repro.oracle.harness).
 
-Each case runner is exercised directly on short traces: clean runs must
-match, targeted crashes must recover and match, staged tampers must be
-loud, and a deliberately lying controller must produce a divergence —
+Each oracle case is exercised directly on short traces: clean runs must
+match, targeted crashes (run on the crash engine, ``repro.explore``)
+must recover and match, staged tampers must be loud, and a deliberately
+lying controller or a forged recovery must produce a divergence —
 proving the harness can actually fail.
 """
+import json
+
 import numpy as np
 import pytest
 
 from repro.common.config import small_config
 from repro.common.errors import RecoveryError
+from repro.explore.runner import ExploreCaseResult, run_case, run_clean
+from repro.integrity.node import SITNode
+from repro.nvm.layout import Region
 from repro.oracle.harness import (
     TAMPER_KINDS,
     DifferentialRun,
     Divergence,
-    OracleCase,
     OracleCaseResult,
     _straddling_target,
-    run_clean_case,
-    run_crash_case,
     run_tamper_case,
 )
 from repro.workloads import get_profile
@@ -48,8 +51,11 @@ def make_trace(ops):
 def test_divergence_and_case_json_roundtrip():
     div = Divergence("read", "block 3", "1", "2")
     assert Divergence.from_json(div.to_json()) == div
-    case = OracleCase("steins", "pers_hash", "controller.write", 7, 2)
-    assert OracleCase.from_json(case.to_json()) == case
+    case = ExploreCaseResult(outcome="diverged",
+                             crash_point="controller.write", crash_index=7,
+                             divergences=[div.to_json()])
+    blob = json.dumps(case.to_json())
+    assert ExploreCaseResult.from_json(json.loads(blob)) == case
     result = OracleCaseResult(
         scheme="steins", workload="pers_hash", outcome="diverged",
         crash_point="controller.write", crash_index=9,
@@ -61,12 +67,21 @@ def test_divergence_and_case_json_roundtrip():
 
 # ------------------------------------------------------------ clean runs
 @pytest.mark.parametrize("scheme", ["wb", "steins"])
-def test_clean_case_matches(scheme, cfg, trace):
-    result = run_clean_case(scheme, "pers_hash", trace, cfg)
+def test_clean_case_matches(scheme, cfg, trace, monkeypatch):
+    runs = []
+    init = DifferentialRun.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        runs.append(self)
+
+    monkeypatch.setattr(DifferentialRun, "__init__", spy)
+    result = run_clean(scheme, cfg, trace)
     assert result.outcome == "match"
     assert result.divergences == []
-    assert result.reads_checked > 0
-    assert result.blocks_checked > 0
+    (dr,) = runs
+    assert dr.reads > 0
+    assert dr.blocks_checked > 0
 
 
 def test_lying_reads_diverge(cfg):
@@ -95,34 +110,69 @@ def test_recovery_check_flags_root_rollback(cfg, trace):
     assert any(d.kind == "root-regress" for d in dr.divergences)
 
 
+def _restored_dirty_node(dr, pre):
+    """Recover, then pick a pre-crash dirty node recovery put back dirty
+    in the metadata cache, and persist that copy so its NVM line
+    dominates the pre-crash snapshot too."""
+    dr.system.recover()
+    c = dr.controller
+    off = next(o for o in sorted(pre["dirty"]) if c.metacache.is_dirty(o)
+               and max(pre["dirty"][o][3][1]) > 0)
+    dr.system.device.poke(Region.TREE, off, c.metacache.peek(off).snapshot())
+    return off
+
+
+@pytest.mark.parametrize("forgery", ["marked-clean", "regressed-copy"])
+def test_recovery_check_flags_restored_node_clean_or_regressed(
+        forgery, cfg, trace):
+    """A cached copy is the live one: a restored node that lost its
+    dirty bit, or that regressed below the pre-crash snapshot, is a
+    divergence even while its persisted line dominates."""
+    dr = DifferentialRun("steins", cfg)
+    dr.run_trace(trace)
+    pre = dr.crash()
+    off = _restored_dirty_node(dr, pre)
+    c = dr.controller
+    if forgery == "marked-clean":
+        c.metacache.mark_clean(off)
+    else:
+        kind, level, index, (mode, ctrs), hmac = pre["dirty"][off][:5]
+        low = list(ctrs)
+        low[low.index(max(low))] -= 1
+        c.metacache.peek(off).block = SITNode.from_snapshot(
+            (kind, level, index, (mode, tuple(low)), hmac)).block
+    dr.check_recovery(pre)
+    assert [d.where for d in dr.divergences] == [f"offset {off}"]
+
+
 # ----------------------------------------------------------- crash cases
 def test_crash_case_recovers_and_matches(cfg, trace):
-    case = OracleCase("steins", "pers_hash", "controller.write",
-                      crash_after=5)
-    result = run_crash_case(case, cfg, trace)
+    result = run_case("steins", cfg, trace,
+                      {"mode": "crash", "point": "controller.write",
+                       "crash_after": 5})
     assert result.outcome == "match"
     assert result.crash_point
     assert result.crash_index < len(trace)
 
 
 def test_crash_case_on_wb_is_unsupported(cfg, trace):
-    case = OracleCase("wb", "pers_hash", "controller.write",
-                      crash_after=5)
-    result = run_crash_case(case, cfg, trace)
+    result = run_case("wb", cfg, trace,
+                      {"mode": "crash", "point": "controller.write",
+                       "crash_after": 5})
     assert result.outcome == "unsupported"
 
 
 def test_crash_beyond_fire_span_reports_no_crash(cfg, trace):
-    case = OracleCase("steins", "pers_hash", "controller.write",
-                      crash_after=10_000_000)
-    result = run_crash_case(case, cfg, trace)
+    result = run_case("steins", cfg, trace,
+                      {"mode": "crash", "point": "controller.write",
+                       "crash_after": 10_000_000})
     assert result.outcome == "no_crash"
 
 
 def test_crash_during_recovery_still_converges(cfg, trace):
-    case = OracleCase("steins", "pers_hash", "recovery.step",
-                      crash_after=40, recovery_crash_after=1)
-    result = run_crash_case(case, cfg, trace)
+    result = run_case("steins", cfg, trace,
+                      {"mode": "crash", "point": "recovery.step",
+                       "crash_after": 40, "recovery_crash_after": 1})
     assert result.outcome == "match"
     assert result.recovery_crashed
 

@@ -46,8 +46,8 @@ def test_every_mutant_is_caught(name, scheme, cfg, trace):
 def test_unpatched_controller_still_matches(cfg, trace):
     """The self-test's control arm: with no mutant the same flow passes,
     so the catches above are attributable to the planted bugs."""
-    from repro.oracle.harness import run_clean_case
-    result = run_clean_case("steins", "pers_hash", trace, cfg)
+    from repro.explore.runner import run_clean
+    result = run_clean("steins", cfg, trace)
     assert result.outcome == "match"
 
 

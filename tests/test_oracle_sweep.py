@@ -9,14 +9,14 @@ import pytest
 from repro.common.config import small_config
 from repro.common.errors import ConfigError
 from repro.exec.cache import ResultCache
+from repro.explore.planner import first_middle_last_plans
+from repro.explore.runner import ExploreProbe, run_probe
 from repro.oracle.harness import OracleCaseResult
 from repro.oracle.mutants import MUTANTS
 from repro.oracle.sweep import (
     SuiteSummary,
     build_suite,
-    crash_plans_from_log,
     mutant_plans_for,
-    probe_fire_log,
     run_oracle_cell,
     run_oracle_suite,
     tamper_plans_for,
@@ -37,16 +37,22 @@ def trace():
 
 # -------------------------------------------------------------- planning
 def test_probe_fire_log_orders_runtime_fires(cfg, trace):
-    log = probe_fire_log("steins", cfg, trace)
+    log = [p for p, _, _ in run_probe("steins", cfg, trace).fires]
     assert log, "a write-heavy trace must fire injection points"
     assert "controller.write" in log
     # the probe is deterministic: same trace, same log
-    assert log == probe_fire_log("steins", cfg, trace)
+    assert log == [p for p, _, _ in run_probe("steins", cfg, trace).fires]
+
+
+def probe_of(points):
+    """A probe whose fires hit ``points`` in order."""
+    return ExploreProbe(fires=tuple((p, i, "d") for i, p in
+                                    enumerate(points)))
 
 
 def test_crash_plans_pick_first_middle_last():
-    log = ["a", "b", "a", "a"]
-    plans = crash_plans_from_log(log, recovery_doses=(1,))
+    probe = probe_of(["a", "b", "a", "a"])
+    plans = first_middle_last_plans(probe, recovery_doses=(1,))
     aimed = {(p["point"], p["crash_after"]) for p in plans
              if "recovery_crash_after" not in p}
     assert aimed == {("a", 1), ("a", 3), ("a", 4), ("b", 2)}
@@ -56,7 +62,7 @@ def test_crash_plans_pick_first_middle_last():
 
 
 def test_crash_plans_empty_log_plans_nothing():
-    assert crash_plans_from_log([]) == []
+    assert first_middle_last_plans(probe_of([])) == []
 
 
 def test_tamper_plans_respect_recovery_support():

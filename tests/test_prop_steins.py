@@ -145,9 +145,9 @@ def test_repeated_recovery_converges_to_a_fixed_point(addrs):
     crash+recover must reach a bit-identical fixed point once the
     buffered updates have migrated to the root (a few tree heights)."""
     from repro.common.config import small_config
-    from repro.faults.campaign import controller_fingerprint
     from repro.sim.crash import capture_golden, check_recovered
     from repro.sim.system import SecureNVMSystem
+    from tests.recovery_fingerprint import controller_fingerprint
 
     system = SecureNVMSystem(
         "steins", small_config(metadata_cache_bytes=1024), check=True)

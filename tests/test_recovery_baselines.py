@@ -218,8 +218,8 @@ def test_recovery_idempotent_fingerprint(scheme):
     converges over a few passes instead — its reinstall evictions park
     NV-buffer updates; see test_prop_steins.)"""
     from repro.common.config import small_config
-    from repro.faults.campaign import controller_fingerprint
     from repro.sim.system import SecureNVMSystem
+    from tests.recovery_fingerprint import controller_fingerprint
 
     system = SecureNVMSystem(
         scheme, small_config(metadata_cache_bytes=2048), check=True)

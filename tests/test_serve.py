@@ -173,7 +173,8 @@ class TestWorkerCrew:
             assert "result" in payload and elapsed > 0
             assert crew.idle_workers() == [0]
             # a deterministic raise comes back as an error result
-            bad = CellSpec("probe", "steins", "pers_hash", 60, 256, 7)
+            bad = CellSpec("explore", "steins", "pers_hash", 60, 256, 7,
+                           check=False, fault={"mode": "probe"})
             crew.dispatch(0, 2, bad.to_json())
             item = None
             deadline = time.monotonic() + 60
@@ -253,8 +254,9 @@ class TestServiceE2E:
 
     def test_deterministic_cell_error_propagates_not_retries(self, serve):
         handle = serve(workers=1, cache=MemoryBackend())
-        # probe cells without a config raise deterministically
-        bad = CellSpec("probe", "steins", "pers_hash", 60, 256, 7)
+        # explore cells without a config raise deterministically
+        bad = CellSpec("explore", "steins", "pers_hash", 60, 256, 7,
+                       check=False, fault={"mode": "probe"})
         with pytest.raises(ServiceError, match="cell 1"):
             submit_sweep([matrix(accesses=60)[0], bad],
                          handle.service.socket_path)
