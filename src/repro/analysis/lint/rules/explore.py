@@ -1,15 +1,21 @@
 """Crash-space exploration hygiene.
 
-Crash enumeration lives in ``repro.explore`` (systematic, digest-pruned,
-cached) and ``repro.oracle.sweep`` / ``repro.faults.campaign`` (the
-sanctioned samplers).  A hand-rolled loop that arms ``FaultPlan`` after
-``FaultPlan`` or walks the injection-point table re-grows the pre-
-explorer failure mode: ad-hoc sweeps with no pruning, no caching, no
-report, and coverage claims nobody can audit (docs/crash_exploration.md):
+Crash enumeration lives in ``repro.explore``, the one crash engine: its
+probe records every fault-point fire (``ExploreProbe.fires``), its
+planner picks the crash cases — the oracle's and the fault campaign's
+selection policies included — and its runner executes them,
+digest-pruned and cached.  ``repro.oracle`` and ``repro.faults`` build
+their crash cells on that engine (and ``repro.faults`` owns the
+``FaultPlan`` registry), so they are sanctioned too.  A hand-rolled
+loop that arms ``FaultPlan`` after ``FaultPlan``, walks the
+injection-point table, or replays a probe's fires re-grows the
+pre-explorer failure mode: ad-hoc sweeps with no pruning, no caching,
+no report, and coverage claims nobody can audit
+(docs/crash_exploration.md):
 
 * SL801 ``crash-loop-outside-explore`` (ERROR) — a ``for``/``while``
   loop that constructs ``FaultPlan`` in its body, or iterates over
-  ``INJECTION_POINTS`` / a plan's ``fire_log``, outside the sanctioned
+  ``INJECTION_POINTS`` / a probe's ``fires``, outside the sanctioned
   crash-tooling packages (``repro.explore``, ``repro.oracle``,
   ``repro.faults``).
 
@@ -29,8 +35,8 @@ from repro.analysis.lint.registry import (
     register,
 )
 
-#: packages allowed to enumerate crashes: the explorer itself, the
-#: oracle sweep, and the fault campaign/registry they are built on
+#: packages allowed to enumerate crashes: the explorer itself and the
+#: oracle and fault campaign built on it (plus the FaultPlan registry)
 _SANCTIONED_DIRS = frozenset({"explore", "oracle", "faults"})
 
 
@@ -46,6 +52,12 @@ def _mentions(node: ast.AST, name: str) -> bool:
         if isinstance(sub, ast.Attribute) and sub.attr == name:
             return True
     return False
+
+
+def _reads_attribute(node: ast.AST, attr: str) -> bool:
+    """Does ``node`` read ``<something>.<attr>``?"""
+    return any(isinstance(sub, ast.Attribute) and sub.attr == attr
+               for sub in ast.walk(node))
 
 
 def _fault_plan_calls(body: list[ast.stmt]) -> Iterator[ast.Call]:
@@ -64,9 +76,9 @@ class CrashLoopOutsideExploreRule(Rule):
     description = ("ad-hoc loop over injection points / fire indices "
                    "outside repro.explore and the sanctioned crash "
                    "tooling")
-    invariant = ("every crash-space sweep flows through repro.explore "
-                 "(or the oracle/campaign samplers), so enumeration is "
-                 "pruned, cached, reported, and auditable")
+    invariant = ("every crash-space sweep flows through repro.explore, "
+                 "so enumeration is pruned, cached, reported, and "
+                 "auditable")
     paper = "crash-space explorer (docs/crash_exploration.md)"
 
     def check(self, unit: FileUnit,
@@ -79,12 +91,12 @@ class CrashLoopOutsideExploreRule(Rule):
                 continue
             if isinstance(node, ast.For) and (
                     _mentions(node.iter, "INJECTION_POINTS")
-                    or _mentions(node.iter, "fire_log")):
+                    or _reads_attribute(node.iter, "fires")):
                 if id(node) not in flagged:
                     flagged.add(id(node))
                     yield self.diag(unit, node, (
-                        "loop over the injection-point table / fire "
-                        "log: crash-space sweeps belong in "
+                        "loop over the injection-point table / a "
+                        "probe's fires: crash-space sweeps belong in "
                         "repro.explore (run_explore), which prunes, "
                         "caches, and reports what this loop would "
                         "re-enumerate ad hoc"))
@@ -95,6 +107,5 @@ class CrashLoopOutsideExploreRule(Rule):
                 yield self.diag(unit, call, (
                     "FaultPlan constructed inside a loop: arming one "
                     "plan per iteration is a hand-rolled crash "
-                    "enumeration — use repro.explore (or the "
-                    "oracle/campaign samplers) so the sweep is pruned "
-                    "and cached"))
+                    "enumeration — use repro.explore so the sweep is "
+                    "pruned and cached"))

@@ -6,8 +6,9 @@ run, an oracle case, or a crash-engine probe or case) completely:
 variant, workload, trace length, seed, full system configuration, and —
 for oracle and explore cells — the case plan.
 :func:`~repro.exec.pool.run_sweep` fans the cells out over a
-``multiprocessing`` worker pool and returns results in spec order, so
-parallel and serial executions are bitwise identical.
+:class:`~repro.exec.workers.WorkerCrew` — the same crash-tolerant
+worker processes the sweep service runs on — and returns results in
+spec order, so parallel and serial executions are bitwise identical.
 
 Completed cells persist in a :class:`~repro.exec.cache.ResultCache`
 keyed by a stable SHA-256 of the spec plus a code-version tag
@@ -24,7 +25,6 @@ from repro.exec.cache import (
     CacheBackend,
     LocalDirBackend,
     MemoryBackend,
-    RemoteBackend,
     ResultCache,
 )
 from repro.exec.configio import config_from_dict, config_to_dict
@@ -45,7 +45,6 @@ __all__ = [
     "CellSpec",
     "LocalDirBackend",
     "MemoryBackend",
-    "RemoteBackend",
     "ResultCache",
     "SweepReport",
     "WorkerCrew",

@@ -1,4 +1,4 @@
-"""The sweep executor: worker-pool fan-out with deterministic results.
+"""The sweep executor: worker-crew fan-out with deterministic results.
 
 Each cell is executed by :func:`execute_cell`, a pure function of its
 :class:`~repro.exec.spec.CellSpec` — the worker rebuilds the system
@@ -14,16 +14,17 @@ equal byte for byte.
 """
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, ReproError
 from repro.exec.cache import CacheBackend
 from repro.exec.configio import config_from_dict
 from repro.exec.spec import CellSpec, cell_key
+from repro.exec.workers import RETRY_LIMIT, WorkerCrew
 
 
 def execute_cell(spec: CellSpec) -> dict[str, Any]:
@@ -89,17 +90,6 @@ def _trace_for(spec: CellSpec):
 
     return get_profile(spec.workload).generate(
         seed=spec.seed, n=spec.accesses, footprint=spec.footprint_blocks)
-
-
-def _worker(item: tuple[int, CellSpec]) -> tuple[int, dict[str, Any], float]:
-    """Pool entry point: ``(index, payload, elapsed_seconds)``."""
-    index, spec = item
-    # simlint: disable-next=SL102 -- orchestration timing, not simulated time
-    start = time.perf_counter()
-    payload = execute_cell(spec)
-    # simlint: disable-next=SL102 -- orchestration timing, not simulated time
-    elapsed = time.perf_counter() - start
-    return index, payload, elapsed
 
 
 @dataclass
@@ -168,15 +158,18 @@ def run_sweep(specs: list[CellSpec], jobs: int = 1,
               ) -> SweepReport:
     """Execute a sweep; results come back in spec order.
 
-    ``jobs`` > 1 fans the uncached cells out over a process pool; the
-    parent never runs simulations itself in that mode, so an armed
-    fault plan in a worker can never leak across cells.  With ``jobs``
-    <= 1 everything runs in-process (no pool, no pickling) — handy under
-    pytest and on single-core runners.
+    ``jobs`` > 1 fans the uncached cells out over a
+    :class:`~repro.exec.workers.WorkerCrew`; the parent never runs
+    simulations itself in that mode, so an armed fault plan in a worker
+    can never leak across cells.  A worker that dies mid-cell (SIGKILL,
+    OOM) is respawned and its cell rerun; a cell that raises fails the
+    sweep with a :class:`~repro.common.errors.ReproError` naming it.
+    With ``jobs`` <= 1 everything runs in-process (no workers, no
+    pickling) — handy under pytest and on single-core runners.
 
     ``service`` routes the whole sweep to a running ``repro serve``
     instance (the value is its socket path) instead of executing
-    locally: the service owns the worker pool and the result cache, so
+    locally: the service owns the workers and the result cache, so
     ``jobs`` and ``cache`` are ignored in that mode.  The assembled
     report is byte-identical either way (pinned by tests/test_serve.py).
 
@@ -227,14 +220,70 @@ def run_sweep(specs: list[CellSpec], jobs: int = 1,
 
     representatives = [indices[0] for indices in pending.values()]
     if representatives and jobs > 1:
-        with multiprocessing.Pool(min(jobs, len(representatives))) as pool:
-            results = pool.imap_unordered(
-                _worker, [(i, specs[i]) for i in representatives])
-            for index, payload, elapsed in results:
-                settle(index, payload, elapsed)
+        _run_on_crew(specs, representatives, jobs, settle)
     else:
         for index in representatives:
-            _, payload, elapsed = _worker((index, specs[index]))
-            settle(index, payload, elapsed)
+            # simlint: disable-next=SL102 -- orchestration timing, not simulated time
+            start = time.perf_counter()
+            payload = execute_cell(specs[index])
+            # simlint: disable-next=SL102 -- orchestration timing, not simulated time
+            settle(index, payload, time.perf_counter() - start)
 
     return SweepReport([o for o in outcomes if o is not None])
+
+
+def _run_on_crew(specs: list[CellSpec], indices: list[int], jobs: int,
+                 settle: Callable[[int, dict[str, Any], float], None]
+                 ) -> None:
+    """Run ``specs[i]`` for every ``i`` in ``indices`` on a worker crew.
+
+    Cells go one at a time to idle workers, FIFO.  A cell whose worker
+    died is requeued on a fresh worker, up to :data:`RETRY_LIMIT` times;
+    a cell that raised fails the sweep (it would raise again).
+    """
+    todo = deque(indices)
+    unsettled = set(indices)
+    deaths: dict[int, int] = {}
+    crew = WorkerCrew(min(jobs, len(indices)))
+
+    def feed() -> None:
+        for worker_id in crew.idle_workers():
+            # a requeued cell may have been settled since by a result
+            # its dying worker sent just before the kill
+            while todo and todo[0] not in unsettled:
+                todo.popleft()
+            if not todo:
+                return
+            index = todo.popleft()
+            crew.dispatch(worker_id, index, specs[index].to_json())
+
+    crew.start()
+    try:
+        feed()
+        while unsettled:
+            item = crew.result()
+            for _worker_id, lost in crew.reap_dead():
+                if lost is None or lost not in unsettled:
+                    continue
+                deaths[lost] = deaths.get(lost, 0) + 1
+                if deaths[lost] > RETRY_LIMIT:
+                    raise ReproError(
+                        f"cell {lost}: worker died {deaths[lost]} times "
+                        f"running it; retry limit {RETRY_LIMIT} "
+                        "exhausted")
+                todo.append(lost)
+            # refill the workers before settling, so none waits on the
+            # parent's decode of a finished cell
+            feed()
+            if item is None:
+                continue
+            _worker_id, index, ok, payload, elapsed = item
+            if index not in unsettled:
+                continue
+            if not ok:
+                raise ReproError(f"cell {index} failed in a sweep worker: "
+                                 f"{payload.get('error')}")
+            unsettled.discard(index)
+            settle(index, payload, elapsed)
+    finally:
+        crew.stop()

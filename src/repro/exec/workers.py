@@ -1,17 +1,15 @@
-"""Crash-tolerant worker processes for the sweep service.
+"""Crash-tolerant worker processes: the one process pool.
 
-:func:`~repro.exec.pool.run_sweep`'s ``multiprocessing.Pool`` is the
-right tool for a batch that is submitted once and joined once, but the
-sweep *service* (:mod:`repro.serve`) needs what a pool cannot give it:
-dispatch of one cell at a time to a named worker, detection of a worker
-that died mid-cell (so the cell can be retried elsewhere), and respawn
-without disturbing its siblings.  :class:`WorkerCrew` provides exactly
-that — N long-lived worker processes, each with a private inbox queue,
-all reporting to one shared result queue.
+Every parallel sweep runs here — a local ``run_sweep(jobs=N)`` and the
+sweep service (:mod:`repro.serve`) alike.  :class:`WorkerCrew` is N
+long-lived worker processes, each with a private inbox queue, all
+reporting to one shared result queue.  Its caller dispatches one cell
+at a time to a named worker, detects a worker that died mid-cell (so
+the cell can be retried elsewhere), and respawns it without disturbing
+its siblings.
 
 This module lives in ``repro.exec`` on purpose: process fan-out is
-quarantined here by simlint SL501, and the crew preserves the same
-determinism contract as the pool — a worker computes
+quarantined here by simlint SL501.  A worker computes
 :func:`~repro.exec.pool.execute_cell` of a frozen spec and nothing
 else, so *which* worker runs a cell (or how many times a cell is
 retried after a crash) can never reach a payload byte.
@@ -36,6 +34,10 @@ from repro.common.errors import ConfigError
 
 #: queue poll granularity; only bounds shutdown latency, never results
 _POLL_S = 0.05
+
+#: re-runs of a cell whose worker died before the cell fails; shared by
+#: local sweeps and the sweep service (a cell that raises is never rerun)
+RETRY_LIMIT = 3
 
 
 def _crew_worker(worker_id: int, inbox: "multiprocessing.Queue[Any]",
@@ -105,7 +107,7 @@ class WorkerCrew:
         inbox: "multiprocessing.Queue[Any]" = multiprocessing.Queue()
         process = multiprocessing.Process(
             target=_crew_worker, args=(worker_id, inbox, self._results),
-            daemon=True, name=f"repro-serve-worker-{worker_id}")
+            daemon=True, name=f"repro-worker-{worker_id}")
         process.start()
         self._workers[worker_id] = _Handle(process, inbox)
 

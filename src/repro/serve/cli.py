@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import sys
 
+from repro.exec.workers import RETRY_LIMIT
 from repro.serve.protocol import DEFAULT_SOCKET
 
 
@@ -29,9 +30,7 @@ def add_serve_args(sub) -> None:
                        help="shared content-addressed result cache")
     serve.add_argument("--no-cache", action="store_true",
                        help="serve without a cache (always simulate)")
-    serve.add_argument("--shards", type=int, default=8,
-                       help="work-queue shard count")
-    serve.add_argument("--retry-limit", type=int, default=3,
+    serve.add_argument("--retry-limit", type=int, default=RETRY_LIMIT,
                        help="max re-runs of a cell whose worker died")
     serve.add_argument("--backoff", type=float, default=0.05,
                        help="linear requeue backoff per retry (seconds)")
@@ -68,7 +67,7 @@ def run_serve(args) -> int:
     workers = args.workers or (os.cpu_count() or 1)
     service = SweepService(
         args.socket, workers=workers, cache=cache,
-        shards=args.shards, retry_limit=args.retry_limit,
+        retry_limit=args.retry_limit,
         backoff_s=args.backoff, cell_timeout_s=args.cell_timeout)
 
     async def _main() -> int:

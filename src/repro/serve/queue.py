@@ -1,29 +1,23 @@
-"""Sharded work queue and the in-flight deduplication table.
+"""Service tasks and the in-flight deduplication table.
 
 The service's unit of work is a *task*: one unique cell key, the
 canonical spec that produces it, and the list of **waiters** — every
 (request, index) position, across all connected clients, that wants the
-payload.  Two structures manage tasks between "submitted" and "done":
+payload.  :class:`InFlightTable` maps key -> task while a cell is
+queued or running.  A second submission of a key that is already in
+flight never creates new work; it appends a waiter, and the one
+computation fans out to everyone when it lands.  This is the global
+half of the dedup story (the local half, within one ``run_sweep``
+batch, lives in :mod:`repro.exec.pool`).  Pending tasks wait in the
+service's FIFO queue.
 
-* :class:`InFlightTable` — key -> task while a cell is queued or
-  running.  A second submission of a key that is already in flight
-  never creates new work; it appends a waiter, and the one computation
-  fans out to everyone when it lands.  This is the global half of the
-  dedup story (the local half, within one ``run_sweep`` batch, lives in
-  :mod:`repro.exec.pool`).
-* :class:`ShardedQueue` — pending tasks, sharded by the leading bytes
-  of the (uniformly distributed) sha256 cell key.  Shards are the unit
-  a future multi-host scheduler would partition across pullers; today's
-  single-host dispatcher drains them round-robin so no shard starves.
-
-Neither structure can affect result bytes: results are assembled by
-request index on the client, so shard count, pull order, and dedup
-fan-out order are all invisible to the report (the byte-identity test
-in ``tests/test_serve.py`` pins this).
+Neither the table nor the queue can affect result bytes: results are
+assembled by request index on the client, so pull order and dedup
+fan-out order are invisible to the report (the byte-identity test in
+``tests/test_serve.py`` pins this).
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -48,43 +42,6 @@ class Task:
     spec_json: dict[str, Any]
     waiters: list[Waiter] = field(default_factory=list)
     retries: int = 0
-
-
-class ShardedQueue:
-    """Pending tasks in ``n_shards`` FIFO shards, drained round-robin."""
-
-    def __init__(self, n_shards: int = 8) -> None:
-        if n_shards <= 0:
-            raise ConfigError("shard count must be positive")
-        self.n_shards = n_shards
-        self._shards: list[deque[Task]] = [deque()
-                                           for _ in range(n_shards)]
-        self._cursor = 0
-
-    def shard_of(self, key: str) -> int:
-        """Shard index for a cell key (stable, content-derived)."""
-        return int(key[:8], 16) % self.n_shards
-
-    def push(self, task: Task) -> None:
-        self._shards[self.shard_of(task.key)].append(task)
-
-    def pop(self) -> Task | None:
-        """Next task, scanning shards round-robin from the cursor."""
-        for offset in range(self.n_shards):
-            shard = (self._cursor + offset) % self.n_shards
-            if self._shards[shard]:
-                self._cursor = (shard + 1) % self.n_shards
-                return self._shards[shard].popleft()
-        return None
-
-    def depth(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def depths(self) -> list[int]:
-        return [len(shard) for shard in self._shards]
-
-    def __bool__(self) -> bool:
-        return any(self._shards)
 
 
 class InFlightTable:

@@ -5,7 +5,7 @@ asyncio server on a local unix socket accepts
 :class:`~repro.exec.spec.CellSpec` batches (sweeps, fault campaigns,
 oracle suites, crash-space explorations — anything
 :func:`~repro.exec.pool.execute_cell` can run), funnels unique cells
-through a sharded work queue to N worker processes, and streams results
+through a FIFO work queue to N worker processes, and streams results
 back per request.  The pieces:
 
 * **cache front** — every submitted cell is first looked up in the
@@ -38,13 +38,14 @@ from __future__ import annotations
 
 import asyncio
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.errors import ConfigError
 from repro.exec.cache import CacheBackend
 from repro.exec.spec import CellSpec, cell_key
-from repro.exec.workers import WorkerCrew
+from repro.exec.workers import RETRY_LIMIT, WorkerCrew
 from repro.obs import MetricRegistry
 from repro.serve.protocol import (
     DEFAULT_SOCKET,
@@ -57,7 +58,7 @@ from repro.serve.protocol import (
     error_frame,
     result_frame,
 )
-from repro.serve.queue import InFlightTable, ShardedQueue, Task, Waiter
+from repro.serve.queue import InFlightTable, Task, Waiter
 
 __all__ = ["DEFAULT_SOCKET", "SweepService"]
 
@@ -87,8 +88,7 @@ class SweepService:
     def __init__(self, socket_path: str | os.PathLike,
                  workers: int = 2,
                  cache: CacheBackend | None = None,
-                 shards: int = 8,
-                 retry_limit: int = 3,
+                 retry_limit: int = RETRY_LIMIT,
                  backoff_s: float = 0.05,
                  cell_timeout_s: float | None = None) -> None:
         if retry_limit < 0:
@@ -99,7 +99,7 @@ class SweepService:
         self.backoff_s = backoff_s
         self.cell_timeout_s = cell_timeout_s
         self.crew = WorkerCrew(workers)
-        self.queue = ShardedQueue(shards)
+        self.queue: deque[Task] = deque()
         self.inflight = InFlightTable()
         self.metrics = MetricRegistry()
         self._requests: dict[int, _Request] = {}
@@ -170,9 +170,9 @@ class SweepService:
 
     def _dispatch_idle(self, loop: asyncio.AbstractEventLoop) -> None:
         for worker_id in self.crew.idle_workers():
-            task = self.queue.pop()
-            if task is None:
+            if not self.queue:
                 break
+            task = self.queue.popleft()
             self.crew.dispatch(worker_id, task.task_id, task.spec_json)
             self._assigned_at[task.task_id] = loop.time()
 
@@ -197,7 +197,7 @@ class SweepService:
             # linear backoff: the queue re-accepts the task later, so a
             # crash loop cannot monopolize the workers
             loop.call_later(self.backoff_s * task.retries,
-                            self.queue.push, task)
+                            self.queue.append, task)
 
     def _enforce_timeouts(self, loop: asyncio.AbstractEventLoop) -> None:
         if self.cell_timeout_s is None:
@@ -212,7 +212,7 @@ class SweepService:
                 self.crew.kill(worker_id)  # reaped + retried next tick
 
     def _refresh_gauges(self) -> None:
-        self.metrics.gauge("serve.queue.depth").set(self.queue.depth())
+        self.metrics.gauge("serve.queue.depth").set(len(self.queue))
         self.metrics.gauge("serve.inflight").set(len(self.inflight))
         submitted = self.metrics.counter("serve.cells.submitted").value
         cached = self.metrics.counter("serve.cells.cached").value
@@ -339,8 +339,7 @@ class SweepService:
         return {
             "op": "stats",
             "draining": self._draining,
-            "queue_depth": self.queue.depth(),
-            "shard_depths": self.queue.depths(),
+            "queue_depth": len(self.queue),
             "inflight": len(self.inflight),
             "workers": [{"id": worker_id, "pid": pids[worker_id],
                          "busy": busy[worker_id]}
@@ -398,4 +397,4 @@ class SweepService:
             if self.inflight.join(key, waiter) is None:
                 task = self.inflight.open(key, spec.kind, spec.to_json())
                 task.waiters.append(waiter)
-                self.queue.push(task)
+                self.queue.append(task)

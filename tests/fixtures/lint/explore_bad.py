@@ -22,6 +22,6 @@ def sweep_until_quiet(system, run):
         k += 1
 
 
-def replay_fires(plan):
-    for point in plan.fire_log:
+def replay_fires(probe):
+    for point, _, _ in probe.fires:
         print(point)

@@ -23,3 +23,6 @@ def unrelated_loops(points):
     plans = [{"mode": "case", "crash_after": 3}]
     for plan in plans:
         print(plan["crash_after"])
+    fires = [3, 5]   # a local list, not a probe's fires
+    for fire in fires:
+        print(fire)

@@ -4,11 +4,16 @@ These are the acceptance properties of the orchestrator: cell results
 must be a pure function of the cell spec, so neither the worker count
 nor the position of a cell inside a sweep may leak into its value.
 """
+import contextlib
 import json
+import os
+import signal
 
 import pytest
 
+import repro.exec.pool as pool
 from repro.common.config import small_config
+from repro.common.errors import ConfigError, ReproError
 from repro.exec import (
     CellSpec,
     ResultCache,
@@ -149,6 +154,76 @@ class TestProgress:
         assert all(t == 4 for _, t, _ in seen)
         assert sorted(s.workload for _, _, s in seen) \
             == sorted(s.workload for s in matrix())
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail (instead of hanging forever) if the block overruns."""
+    def expire(signum, frame):
+        raise TimeoutError(f"sweep still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def killing(marker=None):
+    """An ``execute_cell`` that SIGKILLs its worker process.
+
+    With a ``marker`` path only the first call dies (the file makes the
+    claim atomic across workers); without one every call dies.
+    """
+    real = pool.execute_cell
+
+    def execute_cell(spec):
+        if marker is not None:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return real(spec)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    return execute_cell
+
+
+class TestWorkerFailures:
+    """A killed worker is rerun; a raising cell fails the sweep by name."""
+
+    def test_killed_worker_cell_is_rerun_byte_identically(
+            self, tmp_path, monkeypatch):
+        specs = matrix()
+        serial = fingerprints(run_sweep(specs, jobs=1))
+        # patched before the workers fork, so one of them dies mid-cell
+        monkeypatch.setattr(pool, "execute_cell",
+                            killing(tmp_path / "killed"))
+        with deadline(30):
+            parallel = run_sweep(specs, jobs=2)
+        assert (tmp_path / "killed").exists(), "no worker was killed"
+        assert fingerprints(parallel) == serial
+        assert parallel.executed == len(specs)
+
+    def test_worker_that_always_dies_exhausts_the_retry_limit(
+            self, monkeypatch):
+        monkeypatch.setattr(pool, "execute_cell", killing())
+        with deadline(30), pytest.raises(ReproError,
+                                         match="cell 0: worker died"):
+            run_sweep(matrix()[:1], jobs=2)
+
+    def test_raising_cell_fails_the_sweep_and_names_the_cell(self):
+        # explore cells without a config raise deterministically
+        bad = CellSpec("explore", "steins", "pers_hash", 60, 256, 7,
+                       check=False, fault={"mode": "probe"})
+        specs = [matrix()[0], bad]
+        with pytest.raises(ConfigError, match="explicit config"):
+            run_sweep(specs, jobs=1)
+        with deadline(30), pytest.raises(ReproError, match="cell 1") as err:
+            run_sweep(specs, jobs=2)
+        assert "ConfigError: explore cells need an explicit config" \
+            in str(err.value)
 
 
 class TestSeedStreams:

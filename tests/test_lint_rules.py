@@ -236,7 +236,7 @@ class TestExploreRule:
             ("SL801", 6),   # for over INJECTION_POINTS
             ("SL801", 12),  # FaultPlan inside a for body
             ("SL801", 20),  # FaultPlan inside a while body
-            ("SL801", 26),  # for over plan.fire_log
+            ("SL801", 26),  # for over probe.fires
         ]
         assert result.exit_code() == 1
 

@@ -36,7 +36,7 @@ def trace():
 
 
 # -------------------------------------------------------------- planning
-def test_probe_fire_log_orders_runtime_fires(cfg, trace):
+def test_probe_fires_order_runtime_fires(cfg, trace):
     log = [p for p, _, _ in run_probe("steins", cfg, trace).fires]
     assert log, "a write-heavy trace must fire injection points"
     assert "controller.write" in log

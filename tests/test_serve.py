@@ -30,7 +30,7 @@ from repro.serve.protocol import (
     encode_frame,
     submit_frame,
 )
-from repro.serve.queue import InFlightTable, ShardedQueue, Task, Waiter
+from repro.serve.queue import InFlightTable, Waiter
 from repro.serve.service import SweepService
 
 CFG = config_to_dict(small_config(metadata_cache_bytes=2048))
@@ -123,23 +123,15 @@ class TestProtocol:
 
 
 class TestQueue:
-    def task(self, n, key=None):
-        return Task(n, key or f"{n:02x}" + "0" * 62, "sim", {})
-
-    def test_round_robin_never_starves_a_shard(self):
-        q = ShardedQueue(4)
-        for i in range(8):
-            q.push(self.task(i))
-        assert q.depth() == 8
-        popped = [q.pop().task_id for _ in range(8)]
-        assert sorted(popped) == list(range(8))
-        assert q.pop() is None and not q
-
-    def test_shard_is_content_derived(self):
-        q = ShardedQueue(8)
-        key = "ab" * 32
-        assert q.shard_of(key) == q.shard_of(key)
-        assert 0 <= q.shard_of(key) < 8
+    def test_queue_is_fifo(self, serve):
+        # one worker runs the queue in order: cells finish as submitted
+        handle = serve(workers=1)
+        specs = [spec.to_json() for seed in (1, 2)
+                 for spec in matrix(accesses=60, seed=seed)]
+        arrived: list[int] = []
+        ServiceClient(handle.service.socket_path).submit(
+            specs, on_frame=lambda frame: arrived.append(frame["index"]))
+        assert arrived == list(range(len(specs)))
 
     def test_inflight_dedups_by_key(self):
         table = InFlightTable()
