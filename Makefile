@@ -116,9 +116,10 @@ bench-ab:
 		$(foreach c,$(BENCH_AB_CLAIM),--claim $(c)) -- $(BENCH_AB_RUN)
 
 # differential conformance suite: every scheme against the reference
-# model — clean runs, a crash at every injection point the scheme
-# fires, tampers (must be loud), and seeded mutants (must be caught);
-# exits non-zero on any silent divergence
+# model — clean runs, crashes at the first, middle and last fire of
+# each injection point plus crash-during-recovery doses (a sample, not
+# explore-smoke's full enumeration), tampers (must be loud), and seeded
+# mutants (must be caught); exits non-zero on any silent divergence
 oracle-smoke:
 	$(PYTHON) -m repro oracle --all-schemes --seed 1 --jobs 2
 

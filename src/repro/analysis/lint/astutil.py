@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -29,13 +28,6 @@ def receiver_is_self(node: ast.AST) -> bool:
         return True
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "super")
-
-
-def walk_functions(tree: ast.Module) -> Iterator[
-        ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def annotation_mentions(node: ast.AST | None, name: str) -> bool:

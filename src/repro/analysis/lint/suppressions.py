@@ -54,9 +54,6 @@ class SuppressionIndex:
         return any(d.covers_line(line) and (d.rules & wanted)
                    for d in self.directives)
 
-    def missing_reasons(self) -> list[Directive]:
-        return [d for d in self.directives if not d.reason]
-
 
 def parse_suppressions(source: str) -> SuppressionIndex:
     """Extract every simlint directive from ``source``."""

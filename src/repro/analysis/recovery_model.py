@@ -15,8 +15,10 @@ directly from each scheme's recovery algorithm:
   counter block is regenerated from the per-block counter echoes) —
   intermediate nodes still cost ~11; leaves dominate the cache mix.
 
-The functional recovery in this repository counts its actual reads, and
-``tests/test_recovery_model.py`` cross-checks the two against each other.
+The functional recovery in this repository counts its actual reads
+(:class:`~repro.baselines.report.RecoveryReport`).  ``tests/test_analysis.py``
+unit-tests this model; no test compares it with the functional recovery
+yet (ROADMAP item 2).
 """
 from __future__ import annotations
 

@@ -42,10 +42,6 @@ class StorageBreakdown:
     def tree_bytes(self) -> int:
         return self.leaf_bytes + self.intermediate_bytes
 
-    @property
-    def total_nvm_bytes(self) -> int:
-        return self.tree_bytes + self.extra_nvm_bytes
-
     def as_dict(self) -> dict[str, object]:
         return {
             "scheme": self.scheme,

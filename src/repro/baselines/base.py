@@ -16,13 +16,17 @@ differ only in the hooks:
   transitions (Steins records; STAR bitmap),
 * ``_on_leaf_incremented``  — data-write counter bumps (Steins LInc0),
 * ``_pre_read``             — work required before reads are allowed
-  (Steins drains its NV parent buffer, Sec. III-E).
+  (Steins drains its NV parent buffer, Sec. III-E),
+* ``_child_seal_counter``   — the counter a persisted child was sealed
+  under, which :meth:`SecureMemoryController.rebuild_inner` restores
+  into its parent (Steins: the child's gensum; STAR: its echo).
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
 
+from repro.baselines.report import RecoveryReport
 from repro.common.config import CounterMode, SystemConfig, UpdateScheme
 from repro.common.errors import ConfigError, RecoveryError, TamperDetectedError
 from repro.common.units import ns_from_ps
@@ -201,6 +205,12 @@ class SecureMemoryController:
 
     def _pre_read(self) -> None:
         """Invoked before any read operation is served."""
+
+    def _child_seal_counter(self, child: SITNode, snap: tuple) -> int:
+        """The counter a persisted child was sealed under, which is its
+        parent's slot: generated-counter schemes seal a node under its
+        own gensum (Sec. III-B)."""
+        return child.gensum()
 
     # -------------------------------------------------------- data path
     def write_data(self, block_addr: int, plaintext: int) -> None:
@@ -645,6 +655,67 @@ class SecureMemoryController:
         """Recovery completed: the controller accepts operations again."""
         self._crashed = False
 
+    def rebuild_leaf(self, leaf_index: int,
+                     report: RecoveryReport) -> SITNode:
+        """Regenerate a leaf from the counter echoes its covered data
+        blocks carry (Sec. II-D), each trusted only once the block's
+        HMAC verifies under it.  A split leaf takes each minor from the
+        echo's low six bits and the largest echoed major; a general leaf
+        takes each echo whole.  Charges one read per covered block and
+        one hash per written one."""
+        engine, peek = self.engine, self.device.peek
+        split = self._leaf_split
+        counters = [0] * self.geometry.leaf_coverage
+        major = 0
+        for slot, addr in enumerate(self.geometry.leaf_data_blocks(
+                leaf_index)):
+            value = peek(Region.DATA, addr)
+            report.read()
+            if value is None:
+                continue
+            _, cipher, hmac, echo = value
+            plaintext = cme.decrypt_block(engine, addr, echo, cipher)
+            report.hash()
+            if hmac != cme.data_hmac(engine, addr, echo, plaintext):
+                raise TamperDetectedError(
+                    f"data block {addr} failed HMAC verification during "
+                    f"the {self.name} leaf rebuild")
+            if split:
+                counters[slot] = echo & 63
+                major = max(major, echo >> 6)
+            else:
+                counters[slot] = echo
+        block: GeneralCounterBlock | SplitCounterBlock = (
+            SplitCounterBlock(major, counters, self._overflow_policy)
+            if split else GeneralCounterBlock(counters))
+        return SITNode(0, leaf_index, block)
+
+    def rebuild_inner(self, level: int, index: int,
+                      report: RecoveryReport) -> SITNode:
+        """Regenerate an inner node from its persisted children: each
+        slot takes the counter its child was sealed under
+        (:meth:`_child_seal_counter`), trusted only once the child's
+        HMAC verifies under it; a never-persisted child leaves 0.
+        Charges one read per child and one hash per persisted one."""
+        g = self.geometry
+        block = GeneralCounterBlock()
+        for child_level, child_index in g.children(level, index):
+            snap = self.device.peek(
+                Region.TREE, g.node_offset(child_level, child_index))
+            report.read()
+            if snap is None:
+                continue
+            child = SITNode.from_snapshot(snap)
+            counter = self._child_seal_counter(child, snap)
+            report.hash()
+            if not child.hmac_matches(self.engine, counter):
+                raise TamperDetectedError(
+                    f"child ({child_level},{child_index}) failed HMAC "
+                    f"verification during the {self.name} rebuild")
+            block.set_counter(g.parent_slot(child_level, child_index),
+                              counter)
+        return SITNode(level, index, block)
+
     # ---------------------------------------------------- oracle hooks
     def oracle_snapshot(self) -> dict[str, object]:
         """Everything the differential oracle (:mod:`repro.oracle`)
@@ -680,9 +751,6 @@ class SecureMemoryController:
         return {}
 
     # ------------------------------------------------------- inspection
-    def cached_dirty_offsets(self) -> set[int]:
-        return {off for off, _ in self.metacache.dirty_entries()}
-
     def tree_state_fingerprint(self) -> dict[int, tuple]:
         """Persisted TREE region as {offset: snapshot} for golden checks."""
         return dict(self.device.populated(Region.TREE))

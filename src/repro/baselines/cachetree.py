@@ -81,9 +81,6 @@ class CacheTree:
         """Interior levels above the leaves (the paper's "4-level")."""
         return len(self._levels) - 1 + 1  # interior combines + root slot
 
-    def leaf_count(self) -> int:
-        return len(self._levels[0])
-
     def crash(self) -> None:
         """Drop the volatile interior; the NV root survives."""
         root = self._root.value

@@ -1,43 +1,34 @@
 """Shared base for *generated-counter* (gensum) schemes.
 
 SCUE (Huang & Hua, HPCA'23), Phoenix (arXiv:1911.01922) and SecPM
-(arXiv:1901.00620) all rest on the same structural property: a parent
-counter slot holds the *sum* of its child node's counters rather than a
-self-incrementing version number.  That makes the whole tree a pure
-function of its leaves — any subset of it can be regenerated bottom-up
-by summation, which is what their recovery protocols exploit.
-
-This base factors the property out of the individual schemes:
+(arXiv:1901.00620) all seal a node under the *sum* of its counters and
+store that sum in the parent's slot, instead of a self-incrementing
+version number.  The whole tree is then a pure function of its leaves,
+which is what their recovery protocols exploit.  This base holds:
 
 * the gensum flush protocol (``_flush_dirty_node``): seal under the
-  node's own generated sum, persist, then apply the sum to the parent's
-  slot (fetching the parent on the write path when it misses, as in WB);
+  node's own sum, persist, then apply the sum to the parent's slot
+  (fetching the parent on the write path when it misses, as in WB);
 * the in-progress-apply register (``_pending_applies``) that keeps the
-  fetch walk's verification consistent while a child's new sum is being
-  propagated;
-* leaf reconstruction from the data region's counter echoes
-  (``_rebuild_leaf`` / ``_verify_data_echo``), and
-* the bottom-up re-summation sweep that re-seals and re-persists a
-  rebuilt forest and lands its totals in the root register
-  (``_resum_rebuilt``).
+  fetch walk's verification consistent while a child's new sum
+  propagates;
+* ``_rebuild_forest``: rebuild a set of leaves (by default from their
+  data echoes, :meth:`SecureMemoryController.rebuild_leaf`), check the
+  leaf sum against a durable register
+  (:func:`~repro.baselines.report.check_sum`), then re-sum, re-seal and
+  re-persist the forest bottom-up into the root register.
 
-Subclasses differ only in *which* durable register anchors the replay
-check (SCUE: one grand total; Phoenix: one per top-level subtree; SecPM:
-one total plus a leaf write-through persist path) and in how much of the
-tree their ``recover()`` rebuilds.
+Subclasses choose the register that anchors the replay check (SCUE: one
+grand total; Phoenix: one per top-level subtree; SecPM: one total) and
+the leaves to rebuild (SCUE: every populated one; Phoenix: those of
+stale subtrees; SecPM: its write-through leaves, read from NVM).
 """
 from __future__ import annotations
 
 from repro.baselines.base import SecureMemoryController
-from repro.baselines.report import RecoveryReport
+from repro.baselines.report import RecoveryReport, check_sum
 from repro.common.config import SystemConfig
-from repro.common.errors import TamperDetectedError
-from repro.counters import (
-    GeneralCounterBlock,
-    OverflowPolicy,
-    SplitCounterBlock,
-)
-from repro.crypto import cme
+from repro.counters import GeneralCounterBlock, OverflowPolicy
 from repro.faults.registry import POINT_RECOVERY, fire
 from repro.integrity.node import SITNode
 from repro.nvm.device import NVMDevice
@@ -119,52 +110,38 @@ class GeneratedCounterController(SecureMemoryController):
     def _crash_volatile_state(self) -> None:
         self._pending_applies.clear()
 
-    # ----------------------------------------------- recovery primitives
-    def _rebuild_leaf(self, leaf_index: int,
-                      report: RecoveryReport) -> SITNode:
-        """Regenerate one leaf from its covered blocks' counter echoes
-        (each verified against the block's HMAC before it is trusted)."""
+    # --------------------------------------------------------- recovery
+    def _persisted_leaves(self) -> set[int]:
+        """Every leaf with a line in NVM."""
         g = self.geometry
-        if self._leaf_split:
-            major = 0
-            minors = [0] * g.leaf_coverage
-            for addr in g.leaf_data_blocks(leaf_index):
-                value = self.device.peek(Region.DATA, addr)
-                report.read()
-                if value is None:
-                    continue
-                self._verify_data_echo(addr, value, report)
-                echo = value[3]
-                minors[g.leaf_slot_for_block(addr)] = echo & 63
-                major = max(major, echo >> 6)
-            block: GeneralCounterBlock | SplitCounterBlock = \
-                SplitCounterBlock(major, minors, self._overflow_policy)
-        else:
-            block = GeneralCounterBlock()
-            for addr in g.leaf_data_blocks(leaf_index):
-                value = self.device.peek(Region.DATA, addr)
-                report.read()
-                if value is None:
-                    continue
-                self._verify_data_echo(addr, value, report)
-                block.set_counter(g.leaf_slot_for_block(addr), value[3])
-        return SITNode(0, leaf_index, block)
+        leaves: set[int] = set()
+        for offset, _ in self.device.populated(Region.TREE):
+            level, index = g.offset_to_node(offset)
+            if level == 0:
+                leaves.add(index)
+        return leaves
 
-    def _verify_data_echo(self, addr: int, value: tuple,
-                          report: RecoveryReport) -> None:
-        _, cipher, hmac, echo = value
-        plaintext = cme.decrypt_block(self.engine, addr, echo, cipher)
-        report.hash()
-        if hmac != cme.data_hmac(self.engine, addr, echo, plaintext):
-            raise TamperDetectedError(
-                f"data block {addr} failed verification during the "
-                f"{self.name} rebuild")
+    def _populated_leaves(self) -> set[int]:
+        """Every leaf that covers a written data block or was persisted:
+        without dirty tracking, the leaves a full rebuild must visit."""
+        leaves = self._persisted_leaves()
+        leaves.update(self.geometry.leaf_for_block(addr)
+                      for addr, _ in self.device.populated(Region.DATA))
+        return leaves
 
-    def _resum_rebuilt(self, leaves: dict[int, SITNode],
-                       report: RecoveryReport) -> None:
-        """Re-sum a rebuilt leaf forest bottom-up, re-persisting every
-        node sealed under its regenerated counter, and land the top
-        sums in the root register.
+    def _forest_leaf(self, leaf_index: int,
+                     report: RecoveryReport) -> SITNode:
+        """One leaf of :meth:`_rebuild_forest`: rebuilt from the data
+        echoes unless the scheme keeps its leaves durable."""
+        return self.rebuild_leaf(leaf_index, report)
+
+    def _rebuild_forest(self, leaves: set[int], stored: int, what: str,
+                        report: RecoveryReport) -> None:
+        """Rebuild ``leaves``, check their counter sum against the
+        durable register ``what`` holding ``stored`` (replay
+        detection), then re-sum the forest bottom-up, re-persisting
+        every node sealed under its regenerated counter, and land the
+        top sums in the root register.
 
         The rebuilt snapshots are pure functions of the untouched data
         region (or of already-persisted leaves), so a crash anywhere in
@@ -172,8 +149,17 @@ class GeneratedCounterController(SecureMemoryController):
         are written only after every node below them is durable, which
         is what makes mid-recovery crashes restartable.
         """
+        current: dict[int, SITNode] = {}
+        total = 0
+        for leaf_index in sorted(leaves):
+            fire(POINT_RECOVERY)
+            node = self._forest_leaf(leaf_index, report)
+            current[leaf_index] = node
+            total += node.gensum()
+            report.nodes_recovered += 1
+        check_sum(what, total, stored)
+
         g = self.geometry
-        current = dict(leaves)
         for level in range(g.num_levels):
             fire(POINT_RECOVERY)
             for index, node in current.items():

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.common.errors import ReplayDetectedError, TamperDetectedError
+
 #: paper Sec. IV-D: "reading and verifying metadata from NVM consume 100ns"
 READ_VERIFY_NS: float = 100.0
 
@@ -96,3 +98,18 @@ class RecoveryReport:
                 f"undeclared recovery detail keys {sorted(unknown)} in "
                 "serialized report; declare them in KNOWN_KEYS")
         return report
+
+
+def check_sum(what: str, total: int, stored: int) -> None:
+    """Compare a counter sum recomputed during recovery with the durable
+    register ``what`` (named with its scheme) that accumulated it at
+    runtime.  Counters only grow, so replaying old data or nodes can
+    only lower the recomputed sum: a low sum is a replay, a high one
+    forged state."""
+    if total < stored:
+        raise ReplayDetectedError(
+            f"{what} mismatch: recomputed {total} < stored {stored} — "
+            "replayed state detected")
+    if total > stored:
+        raise TamperDetectedError(
+            f"{what} mismatch: recomputed {total} > stored {stored}")

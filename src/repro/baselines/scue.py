@@ -28,14 +28,12 @@ from __future__ import annotations
 from repro.baselines.generated import GeneratedCounterController
 from repro.baselines.report import RecoveryReport
 from repro.common.config import SystemConfig
-from repro.common.errors import RecoveryError, ReplayDetectedError, \
-    TamperDetectedError
+from repro.common.errors import RecoveryError
 from repro.counters.base import IncrementResult
 from repro.faults.registry import POINT_RECOVERY, fire
 from repro.integrity.node import SITNode
 from repro.nvm.adr import NonVolatileRegister
 from repro.nvm.device import NVMDevice
-from repro.nvm.layout import Region
 
 
 from typing import TYPE_CHECKING
@@ -71,48 +69,16 @@ class SCUEController(GeneratedCounterController):
 
     # --------------------------------------------------------- recovery
     def recover(self) -> RecoveryReport:
-        """Rebuild the entire tree from the data region (Sec. II-D)."""
+        """Rebuild the entire tree from the data region (Sec. II-D):
+        SCUE has no dirty tracking, so every populated leaf is rebuilt,
+        checked against ``Recovery_root`` and re-persisted with the
+        whole tree above it — SCUE's recovery bill."""
         if not self._crashed:
             raise RecoveryError("recover() called without a crash")
         fire(POINT_RECOVERY)
         report = RecoveryReport(self.name)
-        g = self.geometry
-
-        # 1. find every leaf that covers any written data block — SCUE
-        #    has no dirty tracking, so all of them must be rebuilt
-        leaves: set[int] = set()
-        for addr, _ in self.device.populated(Region.DATA):
-            leaves.add(g.leaf_for_block(addr))
-        for offset, _ in self.device.populated(Region.TREE):
-            level, index = g.offset_to_node(offset)
-            if level == 0:
-                leaves.add(index)
-
-        # 2. rebuild each leaf from its covered blocks' counter echoes
-        rebuilt: dict[int, SITNode] = {}
-        total = 0
-        for leaf_index in sorted(leaves):
-            fire(POINT_RECOVERY)
-            node = self._rebuild_leaf(leaf_index, report)
-            rebuilt[leaf_index] = node
-            total += node.gensum()
-            report.nodes_recovered += 1
-
-        # 3. the Recovery_root check: a replayed data block lowers the
-        #    recomputed sum below the stored register value
-        if total != self.recovery_root.value:
-            if total < self.recovery_root.value:
-                raise ReplayDetectedError(
-                    f"Recovery_root mismatch: recomputed {total} < stored "
-                    f"{self.recovery_root.value} — replayed data detected")
-            raise TamperDetectedError(
-                f"Recovery_root mismatch: recomputed {total} > stored "
-                f"{self.recovery_root.value}")
-
-        # 4. re-sum the intermediate levels bottom-up, re-persisting every
-        #    rebuilt node sealed under its regenerated counter — writing
-        #    the *whole tree* back is part of SCUE's recovery bill
-        self._resum_rebuilt(rebuilt, report)
-
+        self._rebuild_forest(self._populated_leaves(),
+                             self.recovery_root.value,
+                             "scue Recovery_root", report)
         self.mark_recovered()
         return report

@@ -27,8 +27,6 @@ from repro.baselines.cachetree import CacheTree
 from repro.baselines.report import RecoveryReport
 from repro.common.config import SystemConfig
 from repro.common.errors import RecoveryError, TamperDetectedError
-from repro.counters import GeneralCounterBlock, SplitCounterBlock
-from repro.crypto import cme
 from repro.faults.registry import POINT_RECOVERY, fire
 from repro.integrity.node import SITNode
 from repro.nvm.device import NVMDevice
@@ -239,7 +237,8 @@ class STARController(SecureMemoryController):
         recovered: dict[int, SITNode] = {}
         for offset in sorted(offsets):
             level, index = self.geometry.offset_to_node(offset)
-            node = self._rebuild_node(level, index, report)
+            node = (self.rebuild_leaf(index, report) if level == 0
+                    else self.rebuild_inner(level, index, report))
             recovered[offset] = node
             report.nodes_recovered += 1
 
@@ -267,68 +266,11 @@ class STARController(SecureMemoryController):
             self.force_install(offset, node)
         return report
 
-    def _rebuild_node(self, level: int, index: int,
-                      report: RecoveryReport) -> SITNode:
-        """Regenerate a lost node's counters from its children's echoes."""
-        g = self.geometry
-        if level == 0:
-            return self._rebuild_leaf(index, report)
-        block = GeneralCounterBlock()
-        for child_level, child_index in g.children(level, index):
-            snap = self.device.peek(
-                Region.TREE, g.node_offset(child_level, child_index))
-            report.read()
-            slot = g.parent_slot(child_level, child_index)
-            if snap is None:
-                continue  # never-persisted child: counter stays 0
-            echo = SITNode.snapshot_echo(snap)
-            if echo is None:
-                raise TamperDetectedError(
-                    f"STAR child ({child_level},{child_index}) lacks a "
-                    "parent-counter echo")
-            child = SITNode.from_snapshot(snap)
-            report.hash()
-            if not child.hmac_matches(self.engine, echo):
-                raise TamperDetectedError(
-                    f"STAR child HMAC mismatch at ({child_level},"
-                    f"{child_index})")
-            block.set_counter(slot, echo)
-        return SITNode(level, index, block)
-
-    def _rebuild_leaf(self, index: int, report: RecoveryReport) -> SITNode:
-        """Leaf counters come from the covered data blocks' echoes."""
-        g = self.geometry
-        if self._leaf_split:
-            major = 0
-            minors = [0] * g.leaf_coverage
-            for addr in g.leaf_data_blocks(index):
-                value = self.device.peek(Region.DATA, addr)
-                report.read()
-                if value is None:
-                    continue
-                self._verify_data_echo(addr, value, report)
-                echo = value[3]
-                slot = g.leaf_slot_for_block(addr)
-                minors[slot] = echo & 63
-                major = max(major, echo >> 6)
-            block: GeneralCounterBlock | SplitCounterBlock = \
-                SplitCounterBlock(major, minors, self._overflow_policy)
-        else:
-            block = GeneralCounterBlock()
-            for addr in g.leaf_data_blocks(index):
-                value = self.device.peek(Region.DATA, addr)
-                report.read()
-                if value is None:
-                    continue
-                self._verify_data_echo(addr, value, report)
-                block.set_counter(g.leaf_slot_for_block(addr), value[3])
-        return SITNode(0, index, block)
-
-    def _verify_data_echo(self, addr: int, value: tuple,
-                          report: RecoveryReport) -> None:
-        _, cipher, hmac, echo = value
-        plaintext = cme.decrypt_block(self.engine, addr, echo, cipher)
-        report.hash()
-        if hmac != cme.data_hmac(self.engine, addr, echo, plaintext):
+    def _child_seal_counter(self, child: SITNode, snap: tuple) -> int:
+        """A STAR child was sealed under the parent counter it echoes."""
+        echo = SITNode.snapshot_echo(snap)
+        if echo is None:
             raise TamperDetectedError(
-                f"data HMAC mismatch for block {addr} during recovery")
+                f"star child ({child.level},{child.index}) lacks a "
+                "parent-counter echo")
+        return echo

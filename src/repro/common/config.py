@@ -282,10 +282,6 @@ class SystemConfig:
     def hash_latency_ns(self) -> float:
         return self.security.hash_cycles / self.clock_ghz
 
-    @property
-    def aes_latency_ns(self) -> float:
-        return self.security.aes_cycles / self.clock_ghz
-
     def with_counter_mode(self, mode: CounterMode) -> "SystemConfig":
         """Return a copy configured for the given leaf counter mode."""
         return replace(self, security=replace(self.security,

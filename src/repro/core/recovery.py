@@ -43,14 +43,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.baselines.report import RecoveryReport
-from repro.common.errors import (
-    RecoveryError,
-    ReplayDetectedError,
-    TamperDetectedError,
-)
-from repro.counters import GeneralCounterBlock, SplitCounterBlock
-from repro.crypto import cme
+from repro.baselines.report import RecoveryReport, check_sum
+from repro.common.errors import RecoveryError, TamperDetectedError
+from repro.core import osiris
 from repro.faults.registry import POINT_RECOVERY, atomic, fire
 from repro.integrity.node import SITNode, make_empty_node
 from repro.nvm.layout import Region
@@ -109,15 +104,8 @@ class SteinsRecovery:
             if c.tracer.enabled:
                 c.tracer.emit(EV_RECOVERY_STEP, step="recover_level",
                               level=level, count=len(by_level[level]))
-            if computed[level] != expected[level]:
-                if computed[level] < expected[level]:
-                    raise ReplayDetectedError(
-                        f"L_{level}Inc mismatch: computed "
-                        f"{computed[level]} < stored {expected[level]} — "
-                        "replayed child nodes detected")
-                raise TamperDetectedError(
-                    f"L_{level}Inc mismatch: computed {computed[level]} > "
-                    f"stored {expected[level]}")
+            check_sum(f"steins L_{level}Inc", computed[level],
+                      expected[level])
             fire(POINT_RECOVERY)
 
         self._reinstall(expected)
@@ -177,87 +165,32 @@ class SteinsRecovery:
 
     # --------------------------------------------------------- levels
     def _recover_level(self, level: int, level_offsets: set[int]) -> int:
-        """Recover one level's nodes; returns the computed increment."""
+        """Recover one level's nodes; returns the computed increment.
+
+        Inner nodes are regenerated from their persisted children, which
+        self-verify under their own gensum (Sec. III-B); leaves from the
+        covered data blocks' counter echoes (the major lives in the data
+        HMAC entry, Sec. II-D), or by Osiris trial decryption when that
+        strategy is configured."""
+        c, report = self.c, self.report
+        by_trial = c.cfg.security.leaf_recovery == "osiris"
         total = 0
         for offset in sorted(level_offsets):
             _, index = self.g.offset_to_node(offset)
-            recovered = (self._rebuild_from_children(index)
-                         if level == 0
-                         else self._rebuild_from_tree(level, index))
+            if level:
+                recovered = c.rebuild_inner(level, index, report)
+            elif by_trial:
+                recovered = osiris.rebuild_leaf(
+                    c.engine, self.g, c.device, index,
+                    self._read_stale(0, index),
+                    c.cfg.security.osiris_stop_loss, report)
+            else:
+                recovered = c.rebuild_leaf(index, report)
             stale = self._read_stale(level, index)
             total += recovered.gensum() - stale.gensum()
             self._recovered[offset] = recovered
-            self.report.nodes_recovered += 1
+            report.nodes_recovered += 1
         return total
-
-    def _rebuild_from_tree(self, level: int, index: int) -> SITNode:
-        """Regenerate an intermediate node: counter_i = gensum(child_i)."""
-        c, g = self.c, self.g
-        block = GeneralCounterBlock()
-        for child_level, child_index in g.children(level, index):
-            child_offset = g.node_offset(child_level, child_index)
-            snap = c.device.peek(Region.TREE, child_offset)
-            self.report.read()
-            if snap is None:
-                continue  # never persisted: counter stays 0
-            child = SITNode.from_snapshot(snap)
-            counter = child.gensum()
-            # children self-verify: Steins seals a node under its own
-            # generated counter (Sec. III-B) — tampering is caught here
-            self.report.hash()
-            if not child.hmac_matches(c.engine, counter):
-                raise TamperDetectedError(
-                    f"child ({child_level},{child_index}) failed HMAC "
-                    "verification under its regenerated counter")
-            block.set_counter(g.parent_slot(child_level, child_index),
-                              counter)
-        return SITNode(level, index, block)
-
-    def _rebuild_from_children(self, leaf_index: int) -> SITNode:
-        """Regenerate a leaf from the covered data blocks' counter echoes
-        (the major lives in the data HMAC entry, Sec. II-D), or via
-        Osiris trial decryption when that strategy is configured."""
-        c, g = self.c, self.g
-        if c.cfg.security.leaf_recovery == "osiris":
-            from repro.core import osiris
-
-            stale = self._read_stale(0, leaf_index)
-            return osiris.rebuild_leaf(
-                c.engine, g, c.device, leaf_index, stale,
-                c.cfg.security.osiris_stop_loss, self.report)
-        if c.cfg.security.leaf_coverage == 64:
-            major = 0
-            minors = [0] * g.leaf_coverage
-            for addr in g.leaf_data_blocks(leaf_index):
-                value = c.device.peek(Region.DATA, addr)
-                self.report.read()
-                if value is None:
-                    continue
-                self._verify_data_block(addr, value)
-                echo = value[3]
-                minors[g.leaf_slot_for_block(addr)] = echo & 63
-                major = max(major, echo >> 6)
-            block: GeneralCounterBlock | SplitCounterBlock = \
-                SplitCounterBlock(major, minors, c.overflow_policy)
-        else:
-            block = GeneralCounterBlock()
-            for addr in g.leaf_data_blocks(leaf_index):
-                value = c.device.peek(Region.DATA, addr)
-                self.report.read()
-                if value is None:
-                    continue
-                self._verify_data_block(addr, value)
-                block.set_counter(g.leaf_slot_for_block(addr), value[3])
-        return SITNode(0, leaf_index, block)
-
-    def _verify_data_block(self, addr: int, value: tuple) -> None:
-        _, cipher, hmac, echo = value
-        plaintext = cme.decrypt_block(self.c.engine, addr, echo, cipher)
-        self.report.hash()
-        if hmac != cme.data_hmac(self.c.engine, addr, echo, plaintext):
-            raise TamperDetectedError(
-                f"data block {addr} failed HMAC verification during "
-                "leaf recovery")
 
     # ---------------------------------------------------- stale reads
     def _read_stale(self, level: int, index: int) -> SITNode:

@@ -12,7 +12,7 @@ entire recovery problem the paper solves.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.common.config import CacheConfig
 from repro.common.errors import ConfigError
@@ -211,7 +211,3 @@ class MetadataCache:
             s.clear()
         self._free_ways = [list(range(self.ways - 1, -1, -1))
                            for _ in range(self.num_sets)]
-
-    def for_each(self, fn: Callable[[int, SITNode, bool], None]) -> None:
-        for offset, node, dirty in self.entries():
-            fn(offset, node, dirty)

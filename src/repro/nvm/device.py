@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.common.constants import OFFSET_EMPTY
-from repro.common.errors import LayoutError, TamperDetectedError
+from repro.common.errors import TamperDetectedError
 from repro.faults.registry import ResidualBudget
 from repro.faults.torn import WORDS_PER_LINE, TornLine, tear_value
 from repro.nvm.layout import MemoryLayout, Region
@@ -262,9 +262,6 @@ class NVMDevice:
         """Restore a snapshot taken with :meth:`clone_store` (tests)."""
         self._store = dict(snapshot)
 
-    def reset_stats(self) -> None:
-        self.stats = DeviceStats()
-
     # ------------------------------------------------------------ sizing
     def __len__(self) -> int:
         return len(self._store)
@@ -273,10 +270,3 @@ class NVMDevice:
         """Populated lines x 64 B (lazy materialization means untouched
         lines occupy nothing in the model)."""
         return len(self._store) * 64
-
-    def validate_index(self, region: Region, index: int) -> None:
-        """Public range check used by controllers before issuing access."""
-        try:
-            self.layout.check(region, index)
-        except LayoutError:
-            raise

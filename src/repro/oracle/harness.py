@@ -66,10 +66,6 @@ class Divergence:
     expected: str
     got: str
 
-    def describe(self) -> str:
-        return (f"{self.kind} at {self.where}: expected {self.expected}, "
-                f"got {self.got}")
-
     def to_json(self) -> dict[str, str]:
         return {"kind": self.kind, "where": self.where,
                 "expected": self.expected, "got": self.got}

@@ -35,14 +35,12 @@ from __future__ import annotations
 from repro.baselines.generated import GeneratedCounterController
 from repro.baselines.report import RecoveryReport
 from repro.common.config import SystemConfig
-from repro.common.errors import RecoveryError, ReplayDetectedError, \
-    TamperDetectedError
+from repro.common.errors import RecoveryError
 from repro.counters.base import IncrementResult
 from repro.faults.registry import POINT_RECOVERY, fire
 from repro.integrity.node import SITNode
 from repro.nvm.adr import NonVolatileRegister
 from repro.nvm.device import NVMDevice
-from repro.nvm.layout import Region
 
 
 from typing import TYPE_CHECKING
@@ -89,54 +87,25 @@ class PhoenixController(GeneratedCounterController):
             raise RecoveryError("recover() called without a crash")
         fire(POINT_RECOVERY)
         report = RecoveryReport(self.name)
-        g = self.geometry
         counts = self.subtree_counts.value
 
-        # 1. triage: root slot == register slot proves the subtree had
-        #    no unpropagated update at the crash — skip it untouched.
-        #    (The root slot only ever lags the register, and recovery
-        #    closes the gap last, so a mid-recovery crash re-runs with
-        #    the same triage for every unfinished subtree.)
-        stale = [t for t in range(len(counts))
-                 if self.root.counter(t) != counts[t]]
-
-        # 2. collect the populated leaves of each stale subtree
-        per_subtree: dict[int, set[int]] = {t: set() for t in stale}
-        stale_set = set(stale)
-        for addr, _ in self.device.populated(Region.DATA):
-            leaf = g.leaf_for_block(addr)
-            top = leaf // self._leaves_per_top
-            if top in stale_set:
-                per_subtree[top].add(leaf)
-        for offset, _ in self.device.populated(Region.TREE):
-            level, index = g.offset_to_node(offset)
-            if level == 0:
-                top = index // self._leaves_per_top
-                if top in stale_set:
-                    per_subtree[top].add(index)
-
-        # 3. rebuild each stale subtree from its data blocks' counter
-        #    echoes, check its register (replay detection), then re-sum
-        #    and re-persist the subtree bottom-up
-        for top in stale:
-            rebuilt: dict[int, SITNode] = {}
-            total = 0
-            for leaf_index in sorted(per_subtree[top]):
-                fire(POINT_RECOVERY)
-                node = self._rebuild_leaf(leaf_index, report)
-                rebuilt[leaf_index] = node
-                total += node.gensum()
-                report.nodes_recovered += 1
-            if total != counts[top]:
-                if total < counts[top]:
-                    raise ReplayDetectedError(
-                        f"subtree {top} register mismatch: recomputed "
-                        f"{total} < stored {counts[top]} — replayed data "
-                        "detected")
-                raise TamperDetectedError(
-                    f"subtree {top} register mismatch: recomputed "
-                    f"{total} > stored {counts[top]}")
-            self._resum_rebuilt(rebuilt, report)
+        # triage: root slot == register slot proves the subtree had no
+        # unpropagated update at the crash — skip it untouched.  (The
+        # root slot only ever lags the register, and recovery closes the
+        # gap last, so a mid-recovery crash re-runs with the same triage
+        # for every unfinished subtree.)  Each stale subtree is rebuilt
+        # from its data echoes, checked against its register and
+        # re-persisted bottom-up.
+        stale: dict[int, set[int]] = {
+            t: set() for t in range(len(counts))
+            if self.root.counter(t) != counts[t]}
+        for leaf in self._populated_leaves():
+            leaves = stale.get(leaf // self._leaves_per_top)
+            if leaves is not None:
+                leaves.add(leaf)
+        for top, leaves in stale.items():
+            self._rebuild_forest(leaves, counts[top],
+                                 f"phoenix subtree {top} register", report)
 
         self.mark_recovered()
         return report

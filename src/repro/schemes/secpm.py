@@ -33,8 +33,7 @@ from __future__ import annotations
 from repro.baselines.generated import GeneratedCounterController
 from repro.baselines.report import RecoveryReport
 from repro.common.config import SystemConfig
-from repro.common.errors import RecoveryError, ReplayDetectedError, \
-    TamperDetectedError
+from repro.common.errors import RecoveryError, TamperDetectedError
 from repro.counters.base import IncrementResult
 from repro.faults.registry import POINT_RECOVERY, fire
 from repro.integrity.node import SITNode
@@ -94,53 +93,29 @@ class SecPMController(GeneratedCounterController):
 
     # --------------------------------------------------------- recovery
     def recover(self) -> RecoveryReport:
-        """Regenerate the upper tree from the always-durable leaves."""
+        """Regenerate the upper tree from the always-durable leaves: the
+        write-through makes the persisted leaf lines authoritative, so
+        the data region is never read here."""
         if not self._crashed:
             raise RecoveryError("recover() called without a crash")
         fire(POINT_RECOVERY)
         report = RecoveryReport(self.name)
-        g = self.geometry
-
-        # 1. scan persisted leaf lines only — the write-through makes
-        #    them authoritative, so the data region is never read here
-        leaf_offsets: set[int] = set()
-        for offset, _ in self.device.populated(Region.TREE):
-            level, _index = g.offset_to_node(offset)
-            if level == 0:
-                leaf_offsets.add(offset)
-
-        rebuilt: dict[int, SITNode] = {}
-        total = 0
-        for offset in sorted(leaf_offsets):
-            fire(POINT_RECOVERY)
-            snap = self.device.peek(Region.TREE, offset)
-            report.read()
-            if snap is None:
-                continue
-            node = SITNode.from_snapshot(snap)
-            report.hash()
-            if not node.hmac_matches(self.engine, node.gensum()):
-                raise TamperDetectedError(
-                    f"leaf at offset {offset} failed self-verification "
-                    "during the SecPM leaf scan")
-            _level, index = g.offset_to_node(offset)
-            rebuilt[index] = node
-            total += node.gensum()
-            report.nodes_recovered += 1
-
-        # 2. the persist_root check: a replayed (stale) leaf line lowers
-        #    the recomputed sum below the stored register value
-        if total != self.persist_root.value:
-            if total < self.persist_root.value:
-                raise ReplayDetectedError(
-                    f"persist_root mismatch: recomputed {total} < stored "
-                    f"{self.persist_root.value} — replayed leaf detected")
-            raise TamperDetectedError(
-                f"persist_root mismatch: recomputed {total} > stored "
-                f"{self.persist_root.value}")
-
-        # 3. regenerate + re-persist the upper levels by summation
-        self._resum_rebuilt(rebuilt, report)
-
+        self._rebuild_forest(self._persisted_leaves(),
+                             self.persist_root.value,
+                             "secpm persist_root", report)
         self.mark_recovered()
         return report
+
+    def _forest_leaf(self, leaf_index: int,
+                     report: RecoveryReport) -> SITNode:
+        """A persisted leaf, verified against its own generated sum."""
+        snap = self.device.peek(Region.TREE,
+                                self.geometry.node_offset(0, leaf_index))
+        report.read()
+        node = SITNode.from_snapshot(snap)
+        report.hash()
+        if not node.hmac_matches(self.engine, node.gensum()):
+            raise TamperDetectedError(
+                f"leaf {leaf_index} failed self-verification during the "
+                "secpm leaf scan")
+        return node

@@ -22,7 +22,6 @@ class GoldenState:
 
     dirty_nodes: dict[int, tuple] = field(default_factory=dict)
     root_counters: tuple[int, ...] = ()
-    persisted_data: dict[int, int] = field(default_factory=dict)
 
 
 def capture_golden(system: SecureNVMSystem) -> GoldenState:
@@ -31,7 +30,6 @@ def capture_golden(system: SecureNVMSystem) -> GoldenState:
     for offset, node in system.controller.metacache.dirty_entries():
         golden.dirty_nodes[offset] = node.snapshot()
     golden.root_counters = system.controller.root.snapshot()
-    golden.persisted_data = dict(system.persisted)
     return golden
 
 

@@ -1,7 +1,9 @@
-"""RecoveryReport accounting and RunResult statistics helpers."""
+"""RecoveryReport accounting, the recovery register-sum check, and
+RunResult statistics helpers."""
 import pytest
 
-from repro.baselines.report import READ_VERIFY_NS, RecoveryReport
+from repro.baselines.report import READ_VERIFY_NS, RecoveryReport, check_sum
+from repro.common.errors import ReplayDetectedError, TamperDetectedError
 from repro.sim.stats import RunResult, geometric_mean
 
 
@@ -35,6 +37,19 @@ class TestRecoveryReport:
         report = RecoveryReport("asit")
         with pytest.raises(ValueError, match="undeclared"):
             report.bump("record_lnies")
+
+
+@pytest.mark.parametrize("total,raised", [
+    (41, None),                   # sums agree: nothing lost or forged
+    (40, ReplayDetectedError),    # replayed state lowers the sum
+    (42, TamperDetectedError),    # a sum above the register is forged
+])
+def test_check_sum(total, raised):
+    if raised is None:
+        check_sum("scue Recovery_root", total, 41)
+        return
+    with pytest.raises(raised, match="scue Recovery_root mismatch"):
+        check_sum("scue Recovery_root", total, 41)
 
 
 class TestRunResultStats:

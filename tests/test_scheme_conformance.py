@@ -14,10 +14,15 @@ met the controller-boundary contract:
   which iterates the same registry);
 * a simulation cell is deterministic — two independent runs of the
   scheme's first registered variant are byte-identical;
+* every recoverable variant's recovery is pinned: the report of a
+  crash+recover on the golden-stats grid, and the exception a tampered
+  data block raises, equal ``fixtures/golden_recovery.json``;
 * the registry itself enforces the registration contract (the
   ``TestRegistrationContract`` half below).
 """
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +33,7 @@ from tests.conftest import drive, scaled
 from repro.baselines.base import SecureMemoryController
 from repro.baselines.wb import WBController
 from repro.common.config import CounterMode, small_config
-from repro.common.errors import ConfigError, CrashInjected
+from repro.common.errors import ConfigError, CrashInjected, ReproError
 from repro.explore.planner import first_middle_last_plans
 from repro.explore.runner import run_clean, run_probe
 from repro.faults.registry import (
@@ -37,6 +42,7 @@ from repro.faults.registry import (
     FaultPlan,
     armed,
 )
+from repro.nvm.layout import Region
 from repro.oracle.harness import TAMPER_KINDS, run_tamper_case
 from repro.oracle.mutants import MUTANTS
 from repro.oracle.sweep import run_oracle_cell
@@ -53,7 +59,7 @@ from repro.schemes import (
 )
 from repro.schemes import registry as registry_module
 from repro.sim.crash import capture_golden, check_recovered
-from repro.sim.runner import VARIANTS, RunSpec, run_cell
+from repro.sim.runner import VARIANTS, RunSpec, make_system, run_cell
 from repro.sim.system import SCHEMES, SecureNVMSystem
 from repro.workloads import get_profile
 
@@ -229,6 +235,91 @@ def test_cell_is_deterministic(scheme, cfg):
     one = json.dumps(run_cell(spec, cfg).to_json(), sort_keys=True)
     two = json.dumps(run_cell(spec, cfg).to_json(), sort_keys=True)
     assert one == two
+
+
+# ------------------------------------------------- golden recovery pin
+GOLDEN_RECOVERY_PATH = Path(__file__).resolve().parent / "fixtures" / \
+    "golden_recovery.json"
+
+#: the golden-stats grid (``tests/test_golden_stats.py``)
+_RECOVERY_GRID = dict(seed=99, n=3000, footprint=2048)
+_RECOVERY_WORKLOADS = ("mcf_r", "pers_hash")
+#: every recoverable variant on the grid, plus Steins' Osiris leaves
+RECOVERY_CELLS = [
+    (variant, workload, "echo")
+    for variant in sorted(v for v, (scheme, _) in VARIANTS.items()
+                          if scheme in RECOVERABLE)
+    for workload in _RECOVERY_WORKLOADS
+] + [("steins-gc", "mcf_r", "osiris")]
+
+
+def recovery_cell_key(variant: str, workload: str,
+                      leaf_recovery: str) -> str:
+    key = f"{variant}/{workload}"
+    return key if leaf_recovery == "echo" else f"{key}/{leaf_recovery}"
+
+
+def _crashed_grid_system(variant, workload, leaf_recovery):
+    """Run one grid cell, crash it; also return the offsets that were
+    dirty in the metadata cache at the crash."""
+    cfg = small_config()
+    cfg = replace(cfg, security=replace(cfg.security,
+                                        leaf_recovery=leaf_recovery))
+    system = make_system(variant, cfg)
+    profile = get_profile(workload)
+    system.run_stream(profile.generate(**_RECOVERY_GRID),
+                      flush_writes=profile.persistent)
+    dirty = {off for off, _ in system.controller.metacache.dirty_entries()}
+    system.crash()
+    return system, dirty
+
+
+def golden_recovery_entry(variant: str, workload: str,
+                          leaf_recovery: str) -> dict:
+    """The pinned outcome of one cell: the report of a clean recovery,
+    and the exception class (``None``: recovery succeeded) when one
+    persisted data block is tampered before recovering.
+
+    The tampered block is the lowest-addressed persisted one under a
+    leaf that was dirty at the crash (echo-rebuilding schemes read it),
+    else the lowest-addressed persisted block.
+    """
+    system, _ = _crashed_grid_system(variant, workload, leaf_recovery)
+    report = system.recover()
+
+    system, dirty = _crashed_grid_system(variant, workload, leaf_recovery)
+    g = system.controller.geometry
+    blocks = sorted(addr for addr, _ in system.device.populated(Region.DATA))
+    target = next((addr for addr in blocks
+                   if g.node_offset(0, g.leaf_for_block(addr)) in dirty),
+                  blocks[0])
+    tag, cipher, hmac, echo = system.device.peek(Region.DATA, target)
+    system.device.poke(Region.DATA, target, (tag, cipher ^ 1, hmac, echo))
+    try:
+        system.recover()
+        raised = None
+    except ReproError as exc:
+        raised = type(exc).__name__
+    return {"report": report.to_json(), "tamper": raised}
+
+
+def test_golden_recovery_covers_every_recoverable_variant():
+    golden = json.loads(GOLDEN_RECOVERY_PATH.read_text())
+    assert set(golden) == {recovery_cell_key(*cell)
+                           for cell in RECOVERY_CELLS}
+
+
+@pytest.mark.parametrize("variant,workload,leaf_recovery", [
+    pytest.param(*cell, id=recovery_cell_key(*cell))
+    for cell in RECOVERY_CELLS])
+def test_recovery_matches_golden(variant, workload, leaf_recovery):
+    """Recovery reads, hashes, writes and nodes, and the tamper
+    verdict, are byte-identical to the pinned fixture."""
+    golden = json.loads(GOLDEN_RECOVERY_PATH.read_text())
+    got = golden_recovery_entry(variant, workload, leaf_recovery)
+    key = recovery_cell_key(variant, workload, leaf_recovery)
+    assert json.dumps(got, sort_keys=True) == \
+        json.dumps(golden[key], sort_keys=True)
 
 
 # ------------------------------------------- the registration contract
