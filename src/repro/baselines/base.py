@@ -17,6 +17,9 @@ differ only in the hooks:
 * ``_on_leaf_incremented``  — data-write counter bumps (Steins LInc0),
 * ``_pre_read``             — work required before reads are allowed
   (Steins drains its NV parent buffer, Sec. III-E),
+* ``_pending_parent``       — a parent update that has not landed in the
+  parent yet, which the fetch walk verifies against instead (Steins' NV
+  buffer; the in-progress applies of the generated-counter schemes),
 * ``_child_seal_counter``   — the counter a persisted child was sealed
   under, which :meth:`SecureMemoryController.rebuild_inner` restores
   into its parent (Steins: the child's gensum; STAR: its echo).
@@ -136,6 +139,16 @@ class SecureMemoryController:
     #: STAR's echoes and Steins' generated counters both require lazy
     supports_eager_updates = True
 
+    #: (secret key, cryptographic engine?) -> {(level, index, split leaf):
+    #: sealed HMAC of the canonical empty node}, shared by every
+    #: controller over that key: the seal is a pure function of exactly
+    #: these inputs, so re-fetches of untouched tree regions skip the
+    #: digest in every cell of a sweep (bit-identical by construction)
+    _SHARED_EMPTY_HMACS: dict[tuple[int, bool],
+                              dict[tuple[int, int, bool], int]] = {}
+    #: entries per shared memo before a wholesale (deterministic) clear
+    _EMPTY_HMAC_CAP = 1 << 16
+
     def __init__(self, cfg: SystemConfig, device: NVMDevice,
                  clock: "MemClock") -> None:
         # eviction/flush chains are recursive across levels and sets;
@@ -178,10 +191,15 @@ class SecureMemoryController:
         self._num_blocks = cfg.num_data_blocks
         self._level_offs = tuple(
             g.node_offset(lv, 0) for lv in range(g.num_levels))
-        #: (level, index) -> sealed all-zero HMAC; the canonical empty
-        #: node is deterministic per identity, so re-fetches of untouched
-        #: tree regions skip the digest (bit-identical by construction)
-        self._empty_hmacs: dict[tuple[int, int], int] = {}
+        sec = cfg.security
+        memo_key = (sec.secret_key, sec.cryptographic_hashes)
+        memos = self._SHARED_EMPTY_HMACS
+        memo = memos.get(memo_key)
+        if memo is None:
+            if len(memos) >= 64:  # bound the distinct keys kept
+                memos.clear()
+            memo = memos[memo_key] = {}
+        self._empty_hmacs = memo
 
     # ------------------------------------------------------------ hooks
     def _leaf_overflow_policy(self) -> OverflowPolicy:
@@ -335,83 +353,148 @@ class SecureMemoryController:
 
     # ----------------------------------------------------- node fetches
     def _ensure_node(self, level: int, index: int) -> SITNode:
-        """Return the cached node, fetching + verifying on a miss.
-
-        The verification walk recurses to the first cached ancestor (or
-        the root register), exactly as described in Sec. II-C.
-        """
-        offset = self._level_offs[level] + index
-        node = self.metacache.lookup(offset)
+        """Return the cached node, fetching + verifying on a miss."""
+        node = self.metacache.lookup(self._level_offs[level] + index)
         if node is not None:
             self.clock.sram_op()
             return node
-        if self.uses_inflight_fetch:
-            inflight = self._inflight.get(offset)
-            if inflight is not None:
+        return self._fetch(level, index)
+
+    def _fetch(self, level: int, index: int) -> SITNode:
+        """The verification walk of Sec. II-C for a node that missed.
+
+        One loop climbs to the first ancestor that can vouch for its
+        child: a cached node, a mid-flush victim, a pending parent update
+        (:meth:`_pending_parent`) or the root register.  A second loop
+        descends, fetching, verifying and installing each level.  The
+        metadata cache counts one hit or miss per logical access: one
+        lookup per ancestor on the way up, one per parent re-capture on
+        the way down.
+        """
+        offs = self._level_offs
+        offset = offs[level] + index
+        inflight = self._inflight if self.uses_inflight_fetch else None
+        if inflight:
+            node = inflight.get(offset)
+            if node is not None:
                 # mid-flush victim: its live object is the authoritative
                 # copy (self-incrementing schemes persist only at the end
                 # of the flush)
-                return inflight
-        # Walk the ancestor chain into the cache.  The walk itself can
-        # trigger eviction-flush chains that fetch, update, and even
-        # re-persist this very node, so its return value may be stale:
-        # the counter used for verification is re-captured below, after
-        # the node is read, when the (now-cached) chain is quiescent.
-        self._parent_counter(level, index)
-        node = self.metacache.peek(offset)
-        if node is not None:
-            # an eviction chain installed (and possibly updated) it
-            return node
-        snap = self.clock.nvm_read(Region.TREE, offset)
-        if snap is None:
-            node = self._empty_node(level, index)
-        else:
-            node = SITNode.from_snapshot(snap)
-            if node.is_leaf and hasattr(node.block, "policy"):
-                node.block.policy = self._overflow_policy
-        parent_counter = self._parent_counter(level, index)
-        self.clock.hash_op()
-        verify_node(self.engine, node, parent_counter)
-        self.stats.metadata_fetches += 1
-        if self.tracer.enabled:
-            self.tracer.emit(EV_SIT_WALK, level=level, index=index,
-                             offset=offset)
-        self._install(offset, node, dirty=False, refresh_on_flush=True)
-        cached = self.metacache.peek(offset)
-        return cached if cached is not None else node
+                return node
+        metacache, clock = self.metacache, self.clock
+        pending = self._pending_parent
+        top, arity = self._top_level, self._arity
+        path = [(level, index, offset)]
+        while level != top and pending(level, index) is None:
+            level += 1
+            index //= arity
+            offset = offs[level] + index
+            if metacache.lookup(offset) is not None:
+                clock.sram_op()
+                break
+            if inflight and offset in inflight:
+                break
+            path.append((level, index, offset))
+        node = None
+        for level, index, offset in reversed(path):
+            if node is not None:
+                # installing the level above can run eviction-flush
+                # chains that fetch, update and re-persist this node
+                cached = metacache.peek(offset)
+                if cached is not None:
+                    node = cached
+                    continue
+            snap = clock.nvm_read(Region.TREE, offset)
+            node = (self._empty_node(level, index) if snap is None
+                    else self._node_from_snapshot(snap))
+            # The parent counter is captured here, after the read and
+            # not during the climb: installing the levels above can run
+            # flush chains that bump the parent's slot, re-persist this
+            # node or replace the parent object, and the seal in NVM
+            # matches only the parent's current slot.  (This is
+            # _parent_counter inlined: it runs once per fetched node.)
+            parent_counter = pending(level, index)
+            if parent_counter is None:
+                if level == top:
+                    parent_counter = self.root.counter(index)
+                else:
+                    pindex = index // arity
+                    parent = metacache.lookup(offs[level + 1] + pindex)
+                    if parent is None:
+                        parent = self._fetch(level + 1, pindex)
+                    else:
+                        clock.sram_op()
+                    parent_counter = parent.block.counter(
+                        index - pindex * arity)
+            clock.hash_op()
+            if snap is not None or parent_counter:
+                # a never-persisted node carries the seal under counter
+                # 0 that _empty_node just took: only a non-zero parent
+                # counter can fail it
+                verify_node(self.engine, node, parent_counter)
+            self.stats.metadata_fetches += 1
+            if self.tracer.enabled:
+                self.tracer.emit(EV_SIT_WALK, level=level, index=index,
+                                 offset=offset)
+            node = self._install(offset, node, dirty=False,
+                                 refresh_on_flush=True)
+        return node
+
+    def _node_from_snapshot(self, snap: tuple) -> SITNode:
+        """A persisted node as a cached working copy; a split leaf takes
+        the controller's overflow policy."""
+        node = SITNode.from_snapshot(snap)
+        if node.is_leaf and hasattr(node.block, "policy"):
+            node.block.policy = self._overflow_policy
+        return node
 
     def _empty_node(self, level: int, index: int) -> SITNode:
         """Canonical all-zero node for (level, index), seal memoized.
 
         Identical in content to :func:`make_empty_node`; the sealed HMAC
-        is deterministic per node identity, so it is computed once and
-        reused across the many re-fetches of untouched tree regions.
+        is deterministic per (key, engine kind, identity, layout), so it
+        is computed once per process and reused by every controller over
+        the same key across the many re-fetches of untouched regions.
         """
-        if level == 0 and self._leaf_split:
+        split = level == 0 and self._leaf_split
+        if split:
             block: GeneralCounterBlock | SplitCounterBlock = \
                 SplitCounterBlock(policy=self._overflow_policy)
         else:
             block = GeneralCounterBlock()
+        memo = self._empty_hmacs
+        key = (level, index, split)
+        hm = memo.get(key)
+        if hm is not None:
+            return SITNode(level, index, block, hm)
         node = SITNode(level, index, block)
-        hm = self._empty_hmacs.get((level, index))
-        if hm is None:
-            node.seal(self.engine, parent_counter=0)
-            self._empty_hmacs[(level, index)] = node.hmac
-        else:
-            node.hmac = hm
+        node.seal(self.engine, parent_counter=0)
+        if len(memo) >= self._EMPTY_HMAC_CAP:
+            memo.clear()
+        memo[key] = node.hmac
         return node
 
+    def _pending_parent(self, level: int, index: int) -> int | None:
+        """A parent update for (level, index) that has not landed in the
+        parent yet and supersedes its slot; schemes that propagate
+        counters after the persist override this."""
+        return None
+
     def _parent_counter(self, level: int, index: int) -> int:
-        """Counter covering (level, index) from its parent or the root."""
+        """Counter covering (level, index): a pending parent update, the
+        root register, or the parent node's slot (fetched on a miss)."""
+        pending = self._pending_parent(level, index)
+        if pending is not None:
+            return pending
         if level == self._top_level:
             return self.root.counter(index)
-        arity = self._arity
-        return self._ensure_node(level + 1, index // arity) \
-            .counter(index % arity)
+        pindex, slot = divmod(index, self._arity)
+        return self._ensure_node(level + 1, pindex).counter(slot)
 
     def _install(self, offset: int, node: SITNode, dirty: bool,
-                 refresh_on_flush: bool = False) -> None:
-        """Insert a node, flushing dirty victims first.
+                 refresh_on_flush: bool = False) -> SITNode:
+        """Insert a node that is not cached, flushing dirty victims
+        first; returns the copy that ends up cached.
 
         ``refresh_on_flush`` guards against a fetch/insert race: the
         eviction chain below can re-fetch, update, evict, and re-persist
@@ -429,26 +512,22 @@ class SecureMemoryController:
           and any counter it gains there is persisted by the very flush
           in progress, because the flush seals and writes only after its
           parent walk completes;
-        * recursive ancestor fetches may install ``offset`` themselves;
-          the recursively installed copy is authoritative (it may already
-          have absorbed counter updates) and this insert is dropped.
+        * a flush's recursive ancestor fetches may install ``offset``
+          themselves; the recursively installed copy is authoritative (it
+          may already have absorbed counter updates) and this insert is
+          dropped.  Only a flush can do that: both callers have just
+          found ``offset`` uncached, so it is checked after each flush.
         """
         flushed_any = False
         while True:
-            if self.metacache.contains(offset):
-                if dirty:
-                    self._mark_dirty(offset, self.metacache.peek(offset))
-                return
             victim = self.metacache.victim_candidate(offset)
             if victim is None or not victim[2]:
                 if flushed_any and refresh_on_flush:
                     snap = self.device.peek(Region.TREE, offset)
                     if snap is not None:
-                        node = SITNode.from_snapshot(snap)
-                        if node.is_leaf and hasattr(node.block, "policy"):
-                            node.block.policy = self._overflow_policy
+                        node = self._node_from_snapshot(snap)
                 self.metacache.insert(offset, node, dirty)
-                return
+                return node
             voff, vnode, _ = victim
             fire("controller.evict")
             self.metacache.remove(voff)
@@ -468,6 +547,11 @@ class SecureMemoryController:
                     self._inflight[voff] = outer_inflight
             self._on_dirty_to_clean(voff, vnode, evicted=True)
             flushed_any = True
+            if self.metacache.contains(offset):
+                cached = self.metacache.peek(offset)
+                if dirty:
+                    self._mark_dirty(offset, cached)
+                return cached
 
     def _mark_dirty(self, offset: int, node: SITNode) -> None:
         if self.metacache.mark_dirty(offset):

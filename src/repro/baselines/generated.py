@@ -101,11 +101,8 @@ class GeneratedCounterController(SecureMemoryController):
             if self.metacache.contains(poff):
                 self._mark_dirty(poff, pnode)
 
-    def _parent_counter(self, level: int, index: int) -> int:
-        in_progress = self._pending_applies.get((level, index))
-        if in_progress is not None:
-            return in_progress
-        return super()._parent_counter(level, index)
+    def _pending_parent(self, level: int, index: int) -> int | None:
+        return self._pending_applies.get((level, index))
 
     def _crash_volatile_state(self) -> None:
         self._pending_applies.clear()

@@ -125,7 +125,7 @@ class SteinsController(SecureMemoryController):
     # Note on reads: the paper drains the NV buffer before each read so
     # verification never has to consult it.  We model the equivalent
     # hardware shortcut — an 8-entry CAM lookup during verification
-    # (see ``_parent_counter``) — and drain only when the buffer fills,
+    # (see ``_pending_parent``) — and drain only when the buffer fills,
     # which is cost-equivalent (the same parent fetches happen, off the
     # data-read critical path) and keeps the LInc accounting identical:
     # a crash with pending entries is replayed by recovery either way.
@@ -232,7 +232,7 @@ class SteinsController(SecureMemoryController):
         """Apply all pending parent updates (Fig. 7 steps 4-7).
 
         Entries are applied oldest-first and popped only *after* being
-        applied, so verification (`_parent_counter`) can always see the
+        applied, so verification (`_pending_parent`) can always see the
         newest pending counter for a child.  Evictions triggered by the
         parent fetches may append new entries mid-drain; they are drained
         too.
@@ -275,10 +275,9 @@ class SteinsController(SecureMemoryController):
             self._draining = False
 
     # ------------------------------------------------------ verification
-    def _parent_counter(self, level: int, index: int) -> int:
-        """Like the base walk, but a pending update for this child —
-        in-progress (register) or deferred (NV buffer) — supersedes the
-        stale parent copy.
+    def _pending_parent(self, level: int, index: int) -> int | None:
+        """A pending update for this child — in-progress (register) or
+        deferred (NV buffer) — supersedes the stale parent copy.
 
         Both sources can hold a counter at once: a drain applying an old
         deferred entry latches it in the register while a newer eviction
@@ -292,7 +291,7 @@ class SteinsController(SecureMemoryController):
             if in_progress is not None or pending is not None:
                 return max(v for v in (in_progress, pending)
                            if v is not None)
-        return super()._parent_counter(level, index)
+        return None
 
     def _oracle_extra_state(self) -> dict[str, object]:
         # the per-level increment trust bases and any parked parent

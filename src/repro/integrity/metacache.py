@@ -57,9 +57,10 @@ class MetadataCache:
         logical access.
         """
         s = self._sets[offset % self.num_sets]
-        try:
-            entry = s.pop(offset)
-        except KeyError:
+        # a default instead of a caught KeyError: the miss is the fetch
+        # walk's common case, and raising costs more than the lookup
+        entry = s.pop(offset, None)
+        if entry is None:
             self.stats.misses += 1
             if self.tracer.enabled:
                 self.tracer.emit(EV_MC_MISS, offset=offset)

@@ -7,7 +7,7 @@ parent counter of every top-level node.
 
 Verification (Sec. II-C): when a node is fetched from NVM, its HMAC is
 recomputed with the *parent's* counter for it as input; a mismatch means
-tampering or replay.  The recursive fetch-and-verify walk is implemented
+tampering or replay.  The fetch-and-verify walk itself is implemented
 by the controllers; the pure checks live here so they can be unit-tested
 and property-tested in isolation.
 """

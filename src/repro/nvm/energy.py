@@ -43,33 +43,13 @@ class EnergyBreakdown:
 
 
 class EnergyMeter:
-    """Mutable accumulator the controllers charge operations to."""
+    """The energy configuration and the :class:`EnergyBreakdown` that
+    :class:`~repro.sim.clock.MemClock` charges every operation to."""
 
     def __init__(self, cfg: EnergyConfig) -> None:
         self.cfg = cfg
         self.breakdown = EnergyBreakdown()
 
-    def nvm_read(self, n: int = 1) -> None:
-        self.breakdown.nvm_reads += n
-
-    def nvm_write(self, n: int = 1) -> None:
-        self.breakdown.nvm_writes += n
-
-    def hash(self, n: int = 1) -> None:
-        self.breakdown.hashes += n
-
-    def aes(self, n: int = 1) -> None:
-        self.breakdown.aes_ops += n
-
-    def alu(self, n: int = 1) -> None:
-        self.breakdown.alu_ops += n
-
-    def sram(self, n: int = 1) -> None:
-        self.breakdown.sram_accesses += n
-
     @property
     def total_nj(self) -> float:
         return self.breakdown.total_nj(self.cfg)
-
-    def reset(self) -> None:
-        self.breakdown = EnergyBreakdown()

@@ -16,8 +16,10 @@ proven byte-identical to the per-access one):
   data read, Sec. II-B).
 
 Energy is charged on the same calls so no operation can be timed but not
-metered (or vice versa).  Nanosecond floats appear only on the
-``now_ns`` reporting property and in trace emissions.
+metered (or vice versa): each call adds its op count straight to the
+meter's :class:`~repro.nvm.energy.EnergyBreakdown`, and joules are
+derived from those counts only when reported.  Nanosecond floats appear
+only on the ``now_ns`` reporting property and in trace emissions.
 """
 from __future__ import annotations
 
@@ -44,6 +46,8 @@ class MemClock:
         self.cfg = cfg
         self.device = device
         self.meter = meter
+        #: the meter's op counters, charged in place (one hop per op)
+        self._energy = meter.breakdown
         self.timing = NVMTimingModel(cfg.nvm)
         self.now_ps = 0
         self.tracer = tracer
@@ -79,7 +83,7 @@ class MemClock:
         issued = self.now_ps
         done = self.timing.read(issued, self._row_of(region, index))
         self.now_ps = done
-        self.meter.nvm_read()
+        self._energy.nvm_reads += 1
         tr = self.tracer
         if tr.enabled:
             self._trace_read(tr, region, index, issued, done)
@@ -95,7 +99,7 @@ class MemClock:
         """
         issued = self.now_ps
         done = self.timing.read(issued, self._row_of(region, index))
-        self.meter.nvm_read()
+        self._energy.nvm_reads += 1
         tr = self.tracer
         if tr.enabled:
             self._trace_read(tr, region, index, issued, done)
@@ -110,7 +114,7 @@ class MemClock:
         stall_until, done = self.timing.write(
             issued, self._row_of(region, index))
         self.now_ps = stall_until
-        self.meter.nvm_write()
+        self._energy.nvm_writes += 1
         self.device.write(region, index, value)
         tr = self.tracer
         if tr.enabled:
@@ -148,25 +152,25 @@ class MemClock:
     def hash_op(self, n: int = 1, on_critical_path: bool = True) -> None:
         """n HMAC computations.  Serial when on the critical path; a
         pipelined off-path hash still costs energy but no stall."""
-        self.meter.hash(n)
+        self._energy.hashes += n
         if on_critical_path and n:
             self.now_ps += n * self._hash_ps
 
     def aes_op(self, n: int = 1, on_critical_path: bool = True) -> None:
-        self.meter.aes(n)
+        self._energy.aes_ops += n
         if on_critical_path and n:
             self.now_ps += n * self._aes_ps
 
     def alu_op(self, n: int = 1, cycles_each: int = 1,
                on_critical_path: bool = True) -> None:
         """Cheap linear-function work (Steins' counter generation)."""
-        self.meter.alu(n)
+        self._energy.alu_ops += n
         if on_critical_path and n:
             self.now_ps += n * cycles_each * self._cycle_ps
 
     def sram_op(self, n: int = 1) -> None:
         """On-controller SRAM/register traffic: energy only, no stall."""
-        self.meter.sram(n)
+        self._energy.sram_accesses += n
 
     # ----------------------------------------------------------- admin
     def drain_writes(self) -> None:
@@ -174,7 +178,3 @@ class MemClock:
         done = self.timing.drain_all()
         if done > self.now_ps:
             self.now_ps = done
-
-    def reset(self) -> None:
-        self.timing.reset()
-        self.now_ps = 0

@@ -4,12 +4,15 @@ Every attack class the threat model admits must be *detected* — by HMAC
 verification (tampering) or by the monotonic trust bases (replay):
 LIncs for Steins, the cache-trees for ASIT/STAR.
 """
+from dataclasses import replace
+
 import pytest
 
 from repro.attacks import AttackInjector
 from repro.baselines.asit import ASITController
+from repro.baselines.base import SecureMemoryController
 from repro.baselines.star import STARController
-from repro.common.config import CounterMode
+from repro.common.config import CounterMode, small_config
 from repro.common.errors import (
     ConfigError,
     IntegrityError,
@@ -17,7 +20,13 @@ from repro.common.errors import (
     TamperDetectedError,
 )
 from repro.common.rng import make_rng
+from repro.integrity.sit import verify_node
+from repro.nvm.device import NVMDevice
+from repro.nvm.energy import EnergyMeter
 from repro.nvm.layout import Region
+from repro.sim.clock import MemClock
+from repro.sim.runner import VARIANTS
+from repro.sim.system import SCHEMES, make_layout
 from tests.test_controller_base import make_rig
 from tests.test_steins_controller import steins_rig
 
@@ -26,6 +35,17 @@ def populate(controller, n=200, span=1600, seed=41):
     rng = make_rng(seed, "attack-wl")
     for addr in rng.integers(0, span, n):
         controller.write_data(int(addr), int(addr) * 3)
+
+
+def variant_rig(variant, cache_bytes=2048, secret_key=None):
+    scheme, mode = VARIANTS[variant]
+    cfg = small_config(mode, metadata_cache_bytes=cache_bytes)
+    if secret_key is not None:
+        cfg = replace(cfg, security=replace(cfg.security,
+                                            secret_key=secret_key))
+    device = NVMDevice(make_layout(cfg))
+    clock = MemClock(cfg, device, EnergyMeter(cfg.energy))
+    return SCHEMES[scheme](cfg, device, clock), device
 
 
 class TestRuntimeAttacks:
@@ -84,6 +104,72 @@ class TestRuntimeAttacks:
         injector.replay(Region.TREE, leaf_offset)
         with pytest.raises(TamperDetectedError):
             controller._ensure_node(0, 0)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+class TestNeverPersistedNodes:
+    """The fetch walk takes a never-persisted node's seal from a memo
+    shared by every controller over the same key, and checks it only
+    under a non-zero parent counter.  Neither shortcut may let an attack
+    or a foreign key through."""
+
+    def test_deleted_node_detected(self, variant):
+        """Deleting a persisted node makes it read as never written: the
+        canonical empty node then meets a non-zero parent counter.  The
+        fetch is of the node itself, so no data HMAC check can stand in
+        for the node's own."""
+        controller, device = variant_rig(variant)
+        populate(controller)
+        controller.flush_all()
+        g = controller.geometry
+        offset = min(off for off, _ in device.populated(Region.TREE)
+                     if g.offset_to_node(off)[0] == 0)
+        level, index = g.offset_to_node(offset)
+        controller.metacache.clear()
+        assert controller._parent_counter(level, index) != 0
+        controller.metacache.clear()
+        device.poke(Region.TREE, offset, None)
+        with pytest.raises(TamperDetectedError):
+            controller._ensure_node(level, index)
+
+    def test_seals_do_not_cross_keys(self, variant):
+        a, device_a = variant_rig(variant, secret_key=0xA11CE)
+        b, device_b = variant_rig(variant, secret_key=0xB0B)
+        for level, index in ((0, 5), (1, 3), (2, 0)):
+            sealed_a = a._empty_node(level, index)
+            sealed_b = b._empty_node(level, index)
+            verify_node(b.engine, sealed_b, 0)
+            with pytest.raises(TamperDetectedError):
+                verify_node(b.engine, sealed_a, 0)
+        # the same run under both keys; then B's NVM gets A's copy of a
+        # persisted leaf, the only difference being the key it carries
+        for controller in (a, b):
+            populate(controller)
+            controller.flush_all()
+            controller.metacache.clear()
+        g = b.geometry
+        offset = min(off for off, _ in device_b.populated(Region.TREE)
+                     if g.offset_to_node(off)[0] == 0)
+        device_b.poke(Region.TREE, offset,
+                      device_a.peek(Region.TREE, offset))
+        with pytest.raises(TamperDetectedError):
+            b.read_data(g.offset_to_node(offset)[1] * g.leaf_coverage)
+
+    def test_shared_memo_stays_within_cap(self, variant, monkeypatch):
+        monkeypatch.setattr(SecureMemoryController, "_SHARED_EMPTY_HMACS",
+                            {})
+        monkeypatch.setattr(SecureMemoryController, "_EMPTY_HMAC_CAP", 16)
+        controller, _ = variant_rig(variant)
+        memos = SecureMemoryController._SHARED_EMPTY_HMACS
+        (memo,) = memos.values()
+        stride = controller.geometry.leaf_coverage * 8
+        for addr in range(0, 200 * stride, stride):
+            assert controller.read_data(addr) == 0
+            assert len(memo) <= 16
+        assert controller.stats.metadata_fetches > 2 * 16
+        for key in range(100):
+            variant_rig(variant, secret_key=key)
+            assert len(memos) <= 64
 
 
 class TestRecoveryAttacksSteins:

@@ -103,14 +103,6 @@ def test_drain_writes(rig):
     assert clock.now_ps > 0
 
 
-def test_reset(rig):
-    clock, _, _ = rig
-    clock.nvm_read(Region.DATA, 0)
-    clock.reset()
-    assert clock.now_ps == 0
-    assert clock.timing.stats.read_count == 0
-
-
 def test_row_mapping_regions_do_not_alias(rig):
     clock, _, _ = rig
     # same index in different regions must map to different rows when

@@ -14,7 +14,7 @@ from repro.baselines.asit import ASITController
 from repro.baselines.star import STARController
 from repro.baselines.wb import WBController
 from repro.common.config import UpdateScheme, small_config
-from repro.common.errors import RecoveryError
+from repro.common.errors import RecoveryError, TamperDetectedError
 from repro.common.rng import make_rng
 from repro.core.controller import SteinsController
 from repro.nvm.device import NVMDevice
@@ -90,6 +90,27 @@ def test_eager_flush_and_refetch_verifies():
     controller.metacache.clear()
     for addr in written:
         assert controller.read_data(addr) == 5
+
+
+@pytest.mark.xfail(strict=True, raises=TamperDetectedError, reason=(
+    "known gap: the eager branch update can flush a lower branch node "
+    "before its parent's slot is bumped"))
+def test_eager_branch_survives_two_way_cache():
+    """Known gap.  On a 4-set, 2-way metadata cache every node on block
+    0's branch maps to one set.  The branch update bumps the leaf's
+    parent, then fetches the grandparent; that install evicts and
+    flushes the level-1 node, sealed under the grandparent's not yet
+    bumped slot.  The next fetch of the level-1 node fails verification
+    under the bumped slot.  A fix changes eager simulated behaviour, so
+    it is a change of its own; this test then passes."""
+    cfg = small_config().with_metadata_cache(8 * 64, ways=2)
+    cfg = replace(cfg, security=replace(
+        cfg.security, update_scheme=UpdateScheme.EAGER))
+    device = NVMDevice(make_layout(cfg))
+    controller = WBController(
+        cfg, device, MemClock(cfg, device, EnergyMeter(cfg.energy)))
+    controller.write_data(0, 1)
+    assert controller.read_data(0) == 1
 
 
 def test_eager_costs_more_than_lazy():

@@ -1,22 +1,34 @@
 """Energy meter and the ADR / non-volatile register primitives."""
 import pytest
 
-from repro.common.config import EnergyConfig
+from repro.common.config import EnergyConfig, small_config
 from repro.common.errors import ConfigError
 from repro.nvm.adr import ADRDomain, NonVolatileRegister
+from repro.nvm.device import NVMDevice
 from repro.nvm.energy import EnergyMeter
+from repro.nvm.layout import Region, build_layout
+from repro.sim.clock import MemClock
+
+
+def metered_clock():
+    meter = EnergyMeter(EnergyConfig())
+    device = NVMDevice(build_layout(1024, 256, 64))
+    return MemClock(small_config(), device, meter), meter
 
 
 def test_energy_accumulates_by_op():
-    meter = EnergyMeter(EnergyConfig())
-    meter.nvm_read(2)
-    meter.nvm_write()
-    meter.hash(3)
-    meter.aes()
-    meter.alu(10)
-    meter.sram(4)
+    """Every op is charged through the clock, straight to the counters."""
+    clock, meter = metered_clock()
+    clock.nvm_read(Region.DATA, 0)
+    clock.nvm_read_overlapped(Region.DATA, 1)
+    clock.nvm_write(Region.DATA, 2, 7)
+    clock.hash_op(3)
+    clock.aes_op()
+    clock.alu_op(10)
+    clock.sram_op(4)
     b = meter.breakdown
-    assert b.nvm_reads == 2 and b.nvm_writes == 1 and b.hashes == 3
+    assert b.as_dict() == {"nvm_reads": 2, "nvm_writes": 1, "hashes": 3,
+                           "aes_ops": 1, "alu_ops": 10, "sram_accesses": 4}
     cfg = meter.cfg
     expected = (2 * cfg.nvm_read_nj + cfg.nvm_write_nj + 3 * cfg.hash_nj
                 + cfg.aes_nj + 10 * cfg.alu_nj + 4 * cfg.sram_access_nj)
@@ -28,16 +40,9 @@ def test_energy_write_dominates_read():
     assert cfg.nvm_write_nj > cfg.nvm_read_nj > cfg.hash_nj
 
 
-def test_energy_reset():
-    meter = EnergyMeter(EnergyConfig())
-    meter.nvm_write(5)
-    meter.reset()
-    assert meter.total_nj == 0.0
-
-
 def test_energy_as_dict():
-    meter = EnergyMeter(EnergyConfig())
-    meter.hash()
+    clock, meter = metered_clock()
+    clock.hash_op()
     assert meter.breakdown.as_dict()["hashes"] == 1
 
 
