@@ -92,15 +92,13 @@ class ASITController(SecureMemoryController):
             raise RecoveryError("recover() called without a crash")
         fire(POINT_RECOVERY)
         report = RecoveryReport(self.name)
-        entries: dict[int, tuple | None] = {}
-        leaf_hashes: list[int] = []
-        for slot in range(self.num_slots):
-            snap = self.device.peek(Region.SHADOW, slot)
-            report.read()
-            entries[slot] = snap
-            node = SITNode.from_snapshot(snap) if snap is not None else None
-            leaf_hashes.append(self._shadow_leaf_hash(slot, node))
-            report.hash()
+        snaps = self.device.peek_lines(Region.SHADOW, 0, self.num_slots)
+        report.read(len(snaps))
+        nodes = [SITNode.from_snapshot(snap) if snap is not None else None
+                 for snap in snaps]
+        leaf_hashes = [self._shadow_leaf_hash(slot, node)
+                       for slot, node in enumerate(nodes)]
+        report.hash(len(nodes))
         # Verification against the non-volatile cache-tree root: raises
         # TamperDetectedError if the shadow table was modified.
         self.cache_tree.rebuild_and_verify(leaf_hashes)
@@ -112,10 +110,9 @@ class ASITController(SecureMemoryController):
         # The winning slot rides along so the node can be pinned back to
         # the cache line its shadow entry already covers.
         best: dict[tuple[int, int], tuple[SITNode, int]] = {}
-        for slot, snap in entries.items():
-            if snap is None:
+        for slot, node in enumerate(nodes):
+            if node is None:
                 continue
-            node = SITNode.from_snapshot(snap)
             key = (node.level, node.index)
             prev = best.get(key)
             if prev is None or node.gensum() > prev[0].gensum():

@@ -747,16 +747,18 @@ class SecureMemoryController:
         echo's low six bits and the largest echoed major; a general leaf
         takes each echo whole.  Charges one read per covered block and
         one hash per written one."""
-        engine, peek = self.engine, self.device.peek
+        engine = self.engine
         split = self._leaf_split
         counters = [0] * self.geometry.leaf_coverage
         major = 0
-        for slot, addr in enumerate(self.geometry.leaf_data_blocks(
-                leaf_index)):
-            value = peek(Region.DATA, addr)
-            report.read()
+        blocks = self.geometry.leaf_data_blocks(leaf_index)
+        values = self.device.peek_lines(Region.DATA, blocks.start,
+                                        blocks.stop)
+        report.read(len(values))
+        for slot, value in enumerate(values):
             if value is None:
                 continue
+            addr = blocks.start + slot
             _, cipher, hmac, echo = value
             plaintext = cme.decrypt_block(engine, addr, echo, cipher)
             report.hash()
@@ -781,12 +783,12 @@ class SecureMemoryController:
         (:meth:`_child_seal_counter`), trusted only once the child's
         HMAC verifies under it; a never-persisted child leaves 0.
         Charges one read per child and one hash per persisted one."""
-        g = self.geometry
+        kids = self.geometry.child_range(level, index)
+        base = self._level_offs[level - 1] + kids.start
+        snaps = self.device.peek_lines(Region.TREE, base, base + len(kids))
+        report.read(len(snaps))
         block = GeneralCounterBlock()
-        for child_level, child_index in g.children(level, index):
-            snap = self.device.peek(
-                Region.TREE, g.node_offset(child_level, child_index))
-            report.read()
+        for slot, snap in enumerate(snaps):
             if snap is None:
                 continue
             child = SITNode.from_snapshot(snap)
@@ -794,10 +796,9 @@ class SecureMemoryController:
             report.hash()
             if not child.hmac_matches(self.engine, counter):
                 raise TamperDetectedError(
-                    f"child ({child_level},{child_index}) failed HMAC "
+                    f"child ({level - 1},{kids.start + slot}) failed HMAC "
                     f"verification during the {self.name} rebuild")
-            block.set_counter(g.parent_slot(child_level, child_index),
-                              counter)
+            block.set_counter(slot, counter)
         return SITNode(level, index, block)
 
     # ---------------------------------------------------- oracle hooks

@@ -110,19 +110,17 @@ class GeneratedCounterController(SecureMemoryController):
     # --------------------------------------------------------- recovery
     def _persisted_leaves(self) -> set[int]:
         """Every leaf with a line in NVM."""
-        g = self.geometry
-        leaves: set[int] = set()
-        for offset, _ in self.device.populated(Region.TREE):
-            level, index = g.offset_to_node(offset)
-            if level == 0:
-                leaves.add(index)
-        return leaves
+        # leaves are the first level, so a leaf's offset is its index
+        num_leaves = self.geometry.level_sizes[0]
+        return {offset for offset, _ in self.device.populated(Region.TREE)
+                if offset < num_leaves}
 
     def _populated_leaves(self) -> set[int]:
         """Every leaf that covers a written data block or was persisted:
         without dirty tracking, the leaves a full rebuild must visit."""
         leaves = self._persisted_leaves()
-        leaves.update(self.geometry.leaf_for_block(addr)
+        coverage = self.geometry.leaf_coverage
+        leaves.update(addr // coverage
                       for addr, _ in self.device.populated(Region.DATA))
         return leaves
 
@@ -157,25 +155,28 @@ class GeneratedCounterController(SecureMemoryController):
         check_sum(what, total, stored)
 
         g = self.geometry
+        engine, poke = self.engine, self.device.poke
         for level in range(g.num_levels):
             fire(POINT_RECOVERY)
+            base = g.node_offset(level, 0)
+            sums: dict[int, int] = {}
             for index, node in current.items():
-                node.seal(self.engine, node.gensum())
-                report.hash()
-                self.device.poke(Region.TREE, g.node_offset(level, index),
-                                 node.snapshot())
-                report.write()
+                sums[index] = generated = node.gensum()
+                node.seal(engine, generated)
+                poke(Region.TREE, base + index, node.snapshot())
+            report.hash(len(sums))
+            report.write(len(sums))
             if level == g.top_level:
-                for index, node in current.items():
-                    self.root.set_counter(index, node.gensum())
+                for index, generated in sums.items():
+                    self.root.set_counter(index, generated)
                 return
             parents: dict[int, SITNode] = {}
-            for index, node in current.items():
-                parent_index = index // g.arity
+            for index, generated in sums.items():
+                parent_index, slot = divmod(index, g.arity)
                 parent = parents.get(parent_index)
                 if parent is None:
                     parent = SITNode(level + 1, parent_index,
                                      GeneralCounterBlock())
                     parents[parent_index] = parent
-                parent.block.set_counter(index % g.arity, node.gensum())
+                parent.block.set_counter(slot, generated)
             current = parents

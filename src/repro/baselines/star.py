@@ -246,8 +246,8 @@ class STARController(SecureMemoryController):
         # rebuild the cache-tree against the NV root.
         by_set: dict[int, list[tuple[int, SITNode]]] = {}
         for offset, node in recovered.items():
-            by_set.setdefault(offset % self.num_sets, []).append(
-                (offset, node))
+            by_set.setdefault(self.metacache.set_index(offset),
+                              []).append((offset, node))
         leaf_hashes = [self._set_mac(by_set.get(s, []))
                        for s in range(self.num_sets)]
         report.hash(self.num_sets)

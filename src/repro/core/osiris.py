@@ -68,13 +68,13 @@ def rebuild_leaf(engine: HashEngine, geometry: TreeGeometry,
     and its counter found within the stop-loss window.
     """
     block = GeneralCounterBlock()
-    for addr in geometry.leaf_data_blocks(leaf_index):
-        value = device.peek(Region.DATA, addr)
-        report.read()
-        slot = geometry.leaf_slot_for_block(addr)
+    blocks = geometry.leaf_data_blocks(leaf_index)
+    values = device.peek_lines(Region.DATA, blocks.start, blocks.stop)
+    report.read(len(values))
+    for slot, value in enumerate(values):
         if value is None:
             continue  # never written: counter stays 0
-        stale_counter = stale_leaf.counter(slot)
         block.set_counter(slot, recover_counter(
-            engine, addr, value, stale_counter, stop_loss, report))
+            engine, blocks.start + slot, value, stale_leaf.counter(slot),
+            stop_loss, report))
     return SITNode(0, leaf_index, block)

@@ -69,6 +69,9 @@ class SteinsRecovery:
         self._stale: dict[int, SITNode] = {}
         #: the record map {cache slot: offset} read in step 1
         self._records: dict[int, int] = {}
+        #: offset of each level's first node
+        self._level_base = tuple(self.g.node_offset(level, 0)
+                                 for level in range(self.g.num_levels))
 
     # ------------------------------------------------------------- run
     def run(self) -> RecoveryReport:
@@ -175,8 +178,9 @@ class SteinsRecovery:
         c, report = self.c, self.report
         by_trial = c.cfg.security.leaf_recovery == "osiris"
         total = 0
+        base = self._level_base[level]
         for offset in sorted(level_offsets):
-            _, index = self.g.offset_to_node(offset)
+            index = offset - base
             if level:
                 recovered = c.rebuild_inner(level, index, report)
             elif by_trial:
@@ -198,7 +202,7 @@ class SteinsRecovery:
         2/7): its parent's counter slot holds exactly the gensum of this
         stale copy, and the parent is either already recovered, clean in
         NVM (verified recursively), or the root register."""
-        offset = self.g.node_offset(level, index)
+        offset = self._level_base[level] + index
         cached = self._stale.get(offset)
         if cached is not None:
             return cached
@@ -219,17 +223,14 @@ class SteinsRecovery:
         return node
 
     def _stale_parent_counter(self, level: int, index: int) -> int:
-        g = self.g
-        slot = g.parent_slot(level, index)
-        parent = g.parent(level, index)
-        if parent is None:
-            return self.c.root.counter(slot)
-        parent_offset = g.node_offset(*parent)
-        recovered = self._recovered.get(parent_offset)
+        if level == self.g.top_level:
+            return self.c.root.counter(index)
+        pindex, slot = divmod(index, self.g.arity)
+        recovered = self._recovered.get(self._level_base[level + 1] + pindex)
         if recovered is not None:
             # the recovered parent's slot is gensum(stale child) exactly
             return recovered.counter(slot)
-        return self._read_stale(*parent).counter(slot)
+        return self._read_stale(level + 1, pindex).counter(slot)
 
     # -------------------------------------------------------- install
     def _reinstall(self, verified_lincs: list[int]) -> None:
@@ -259,7 +260,7 @@ class SteinsRecovery:
         live: dict[int, SITNode] = {}
         for offset, node in self._recovered.items():
             stale = self._stale[offset]
-            if node.block.to_packed() != stale.block.to_packed():
+            if node.block != stale.block:
                 live[offset] = node
 
         slot_for: dict[int, int] = {}

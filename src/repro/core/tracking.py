@@ -157,17 +157,15 @@ class OffsetRecordTracker:
         to its recovery report.  Reads bypass the (cleared) ADR cache.
         """
         records: dict[int, int] = {}
-        lines_read = 0
-        for line_idx in range(self.num_record_lines):
-            stored = device.peek(Region.RECORDS, line_idx)
-            lines_read += 1
+        lines = device.peek_lines(Region.RECORDS, 0, self.num_record_lines)
+        for line_idx, stored in enumerate(lines):
             if stored is None:
                 continue
             for entry, offset in enumerate(stored):
                 if offset != OFFSET_EMPTY:
                     records[line_idx * OFFSETS_PER_RECORD_LINE + entry] = \
                         offset
-        return records, lines_read
+        return records, len(lines)
 
     def read_all_offsets(self, device: NVMDevice) -> tuple[set[int], int]:
         """Recovery scan: every recorded offset, deduplicated."""

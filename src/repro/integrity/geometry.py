@@ -101,12 +101,16 @@ class TreeGeometry:
 
     def children(self, level: int, index: int) -> list[NodeId]:
         """Tree-node children of an intermediate node (level >= 1)."""
+        return [(level - 1, i) for i in self.child_range(level, index)]
+
+    def child_range(self, level: int, index: int) -> range:
+        """Indices (at ``level - 1``) of an intermediate node's
+        children; a child's position in the range is its parent slot."""
         self.check_node(level, index)
         if level == 0:
             raise ConfigError("leaves have data blocks, not node children")
         lo = index * self.arity
-        hi = min(lo + self.arity, self.level_sizes[level - 1])
-        return [(level - 1, i) for i in range(lo, hi)]
+        return range(lo, min(lo + self.arity, self.level_sizes[level - 1]))
 
     def leaf_data_blocks(self, leaf_index: int) -> range:
         """Data-block addresses covered by leaf ``leaf_index``."""

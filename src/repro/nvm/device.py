@@ -62,6 +62,13 @@ class DeviceStats:
         return out
 
 
+def _torn(region: Region, index: int, line: TornLine) -> TamperDetectedError:
+    """The error of reading a torn line."""
+    return TamperDetectedError(
+        f"torn line at {region.value}[{index}]: only "
+        f"{line.words_written}/{WORDS_PER_LINE} words persisted")
+
+
 class NVMDevice:
     """Persistent line-granular object store with access statistics."""
 
@@ -96,9 +103,7 @@ class NVMDevice:
         self.stats.reads[region] += 1
         value = self._store.get((region, index), default)
         if isinstance(value, TornLine):
-            raise TamperDetectedError(
-                f"torn line at {region.value}[{index}]: only "
-                f"{value.words_written}/{WORDS_PER_LINE} words persisted")
+            raise _torn(region, index, value)
         return value
 
     def write(self, region: Region, index: int, value: Any) -> None:
@@ -141,10 +146,31 @@ class NVMDevice:
             self.layout.check(region, index)
         value = self._store.get((region, index), default)
         if isinstance(value, TornLine):
-            raise TamperDetectedError(
-                f"torn line at {region.value}[{index}]: only "
-                f"{value.words_written}/{WORDS_PER_LINE} words persisted")
+            raise _torn(region, index, value)
         return value
+
+    def peek_lines(self, region: Region, lo: int, hi: int) -> list[Any]:
+        """``[peek(region, i) for i in range(lo, hi)]`` with one range
+        check and one torn-line scan: the batched read of recovery,
+        which rebuilds a node from a contiguous run of lines.
+
+        A range reaching outside the region raises ``peek``'s
+        ``LayoutError`` for its first bad index; otherwise the first torn
+        line raises ``peek``'s ``TamperDetectedError``."""
+        if lo >= hi:
+            return []
+        limit = self._limit.get(region)
+        if limit is None or lo < 0:
+            self.layout.check(region, lo)
+        elif hi > limit:
+            self.layout.check(region, max(lo, limit))
+        get = self._store.get
+        values = [get((region, i)) for i in range(lo, hi)]
+        if TornLine in map(type, values):
+            for i, value in enumerate(values, lo):
+                if isinstance(value, TornLine):
+                    raise _torn(region, i, value)
+        return values
 
     def poke(self, region: Region, index: int, value: Any) -> None:
         """Write without statistics — attack injection / test setup only."""

@@ -39,6 +39,9 @@ def test_parent_child_inverse():
                 assert g.parent(*child) == (level, index)
                 slot = g.parent_slot(*child)
                 assert g.children(level, index)[slot] == child
+            # a child's position in its range is its parent slot
+            for slot, child in enumerate(g.child_range(level, index)):
+                assert g.parent_slot(level - 1, child) == slot
 
 
 def test_top_level_parent_is_root():

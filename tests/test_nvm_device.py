@@ -1,7 +1,8 @@
 """NVM device model: persistence, statistics, immutability, regions."""
 import pytest
 
-from repro.common.errors import LayoutError
+from repro.common.errors import LayoutError, TamperDetectedError
+from repro.faults.torn import TornLine
 from repro.nvm.device import NVMDevice
 from repro.nvm.layout import Region, build_layout
 
@@ -43,6 +44,46 @@ def test_peek_poke_bypass_stats(device):
     assert device.peek(Region.DATA, 3) == 99
     assert device.stats.total_writes == 0
     assert device.stats.total_reads == 0
+
+
+def test_peek_lines_equals_per_line_peeks(device):
+    for region in Region:
+        limit = device.layout.region_lines(region)
+        for i in range(0, limit, 3):
+            device.poke(region, i, (region.value, i))
+    device.poke(Region.DATA, 1, 7)
+    for region in Region:
+        limit = device.layout.region_lines(region)
+        for lo, hi in [(0, limit), (0, 1), (1, min(9, limit)),
+                       (limit - 1, limit), (2, 2), (5, 1)]:
+            assert device.peek_lines(region, lo, hi) == \
+                [device.peek(region, i) for i in range(lo, hi)]
+    assert device.stats.total_reads == 0
+
+
+def test_peek_lines_range_checked_like_peek(device):
+    limit = device.layout.region_lines(Region.TREE)
+    for lo, hi, bad in [(-1, 4, -1), (limit - 2, limit + 1, limit),
+                        (limit, limit + 3, limit),
+                        (limit + 5, limit + 6, limit + 5)]:
+        with pytest.raises(LayoutError) as per_line:
+            device.peek(Region.TREE, bad)
+        with pytest.raises(LayoutError) as batched:
+            device.peek_lines(Region.TREE, lo, hi)
+        assert str(batched.value) == str(per_line.value)
+
+
+def test_peek_lines_names_first_torn_line(device):
+    device.poke(Region.DATA, 10, ("data", 1, 2, 3))
+    device.poke(Region.DATA, 12, TornLine(old=None, new=5, words_written=3))
+    device.poke(Region.DATA, 14, TornLine(old=None, new=6, words_written=1))
+    with pytest.raises(TamperDetectedError) as per_line:
+        device.peek(Region.DATA, 12)
+    with pytest.raises(TamperDetectedError) as batched:
+        device.peek_lines(Region.DATA, 8, 16)
+    assert str(batched.value) == str(per_line.value)
+    assert "data[12]" in str(batched.value)
+    assert device.peek_lines(Region.DATA, 8, 12)[2] == ("data", 1, 2, 3)
 
 
 def test_out_of_range_rejected(device):

@@ -6,8 +6,9 @@ from repro.baselines.asit import ASITController
 from repro.baselines.report import RecoveryReport
 from repro.baselines.star import MultiLayerBitmap, STARController
 from repro.common.config import CounterMode, small_config
-from repro.common.errors import RecoveryError
+from repro.common.errors import RecoveryError, TamperDetectedError
 from repro.common.rng import make_rng
+from repro.faults.torn import TornLine
 from repro.integrity.node import SITNode
 from repro.nvm.layout import Region
 from repro.sim.runner import make_system
@@ -265,3 +266,82 @@ def test_rebuild_leaf_matches_persisted_leaf(variant):
         blocks = g.leaf_data_blocks(index)
         assert report.nvm_reads == len(blocks)
         assert report.hashes == len(written.intersection(blocks))
+
+
+# ------------------------------------------- loud failures, batched reads
+def crashed_with_dirty(variant):
+    """``variant`` on a 16-line metadata cache after scattered writes,
+    which dirty inner nodes, then writes to a few leaves; crashed.  Also
+    the offsets that were dirty in the metadata cache at the crash."""
+    system = make_system(variant,
+                         small_config().with_metadata_cache(16 * 64, ways=4))
+    rng = make_rng(41, "loud-recovery", variant)
+    c = system.controller
+    for i, addr in enumerate([*rng.integers(0, 1 << 20, 100),
+                              *rng.integers(0, 256, 100)]):
+        c.write_data(int(addr), i)
+    dirty = {off for off, _ in c.metacache.dirty_entries()}
+    system.crash()
+    return system, dirty
+
+
+def rebuilt_leaf_blocks(system, dirty) -> range:
+    """The data blocks of a leaf the recovery rebuilds (dirty at the
+    crash) that covers at least two written blocks."""
+    g = system.controller.geometry
+    for offset in sorted(dirty):
+        level, index = g.offset_to_node(offset)
+        blocks = g.leaf_data_blocks(index) if level == 0 else range(0)
+        if sum(system.device.peek(Region.DATA, addr) is not None
+               for addr in blocks) >= 2:
+            return blocks
+    raise AssertionError("no dirty leaf covers two written blocks")
+
+
+@pytest.mark.parametrize("variant", ["steins-gc", "steins-sc", "scue",
+                                     "star"])
+def test_tampered_block_inside_rebuilt_leaf_is_loud(variant):
+    system, dirty = crashed_with_dirty(variant)
+    blocks = rebuilt_leaf_blocks(system, dirty)
+    # the last written block of the leaf: the lines before it verify
+    target = max(addr for addr in blocks
+                 if system.device.peek(Region.DATA, addr) is not None)
+    tag, cipher, hmac, echo = system.device.peek(Region.DATA, target)
+    system.device.poke(Region.DATA, target, (tag, cipher ^ 1, hmac, echo))
+    with pytest.raises(TamperDetectedError,
+                       match=rf"data block {target} failed HMAC"):
+        system.recover()
+
+
+@pytest.mark.parametrize("variant", ["steins-gc", "steins-sc", "scue",
+                                     "star"])
+def test_torn_line_inside_rebuilt_leaf_is_loud(variant):
+    system, dirty = crashed_with_dirty(variant)
+    blocks = rebuilt_leaf_blocks(system, dirty)
+    target = blocks[len(blocks) // 2]
+    system.device.poke(Region.DATA, target, TornLine(
+        old=None, new=system.device.peek(Region.DATA, target),
+        words_written=4))
+    with pytest.raises(TamperDetectedError,
+                       match=rf"torn line at data\[{target}\]"):
+        system.recover()
+
+
+@pytest.mark.parametrize("variant", ["steins-gc", "steins-sc", "star"])
+def test_tampered_child_of_rebuilt_inner_node_is_loud(variant):
+    system, dirty = crashed_with_dirty(variant)
+    g = system.controller.geometry
+    child = next(
+        (level - 1, i)
+        for level, index in sorted(g.offset_to_node(off) for off in dirty)
+        if level > 0
+        for i in g.child_range(level, index)
+        if system.device.peek(Region.TREE, g.node_offset(level - 1, i))
+        is not None)
+    offset = g.node_offset(*child)
+    snap = system.device.peek(Region.TREE, offset)
+    system.device.poke(Region.TREE, offset,
+                       snap[:4] + (snap[4] ^ 1,) + snap[5:])
+    with pytest.raises(TamperDetectedError,
+                       match=rf"child \({child[0]},{child[1]}\) failed HMAC"):
+        system.recover()
