@@ -1,13 +1,14 @@
 """Differential-oracle conformance hygiene.
 
-Every scheme controller is replayed against the executable reference
-model (``repro.oracle``), and the harness snapshots durable controller
-state through one uniform hook: ``oracle_snapshot`` on the base class,
-which delegates the scheme-specific part to ``_oracle_extra_state``.
-A new controller subclass that does not override the hook silently
-reports *no* scheme-specific durable state — its NV registers, buffers,
-or shadow structures drop out of the crash/recovery diff and the oracle
-passes vacuously for exactly the state the new scheme added:
+Every scheme controller is crash-tested on the crash engine
+(``repro.explore``), whose durable-state digest reads the
+scheme-specific durable state through one uniform hook:
+``oracle_extra_state`` on the base class, which delegates to
+``_oracle_extra_state``.  A new controller subclass that does not
+override the hook silently reports *no* scheme-specific durable state —
+its NV registers, buffers, or shadow structures drop out of the digest,
+and the explorer merges crash points that differ in exactly the state
+the new scheme added:
 
 * SL701 ``scheme-bypasses-oracle-hooks`` (ERROR) — a ``*Controller``
   subclass that does not define ``_oracle_extra_state`` in its own

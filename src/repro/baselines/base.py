@@ -803,30 +803,29 @@ class SecureMemoryController:
 
     # ---------------------------------------------------- oracle hooks
     def oracle_snapshot(self) -> dict[str, object]:
-        """Everything the differential oracle (:mod:`repro.oracle`)
-        compares across a crash/recovery cycle, scheme-independently:
+        """The pre-crash state the post-recovery check
+        (:func:`repro.sim.crash.recovery_divergences`) compares against,
+        scheme-independently:
 
         * ``root``  — the on-chip root counters (must never regress),
         * ``tree``  — the persisted TREE region (nodes must not vanish),
-        * ``dirty`` — dirty cached nodes (recovery must restore them),
-        * ``extra`` — the scheme's own durable structures, declared via
-          :meth:`_oracle_extra_state` (simlint SL701 requires every
-          controller subclass to define it).
+        * ``dirty`` — dirty cached nodes (recovery must restore them).
         """
         return {
             "root": self.root.snapshot(),
             "tree": self.tree_state_fingerprint(),
             "dirty": {off: node.snapshot()
                       for off, node in self.metacache.dirty_entries()},
-            "extra": self.oracle_extra_state(),
         }
 
     def oracle_extra_state(self) -> dict[str, object]:
-        """The ``extra`` of :meth:`oracle_snapshot` alone."""
+        """The scheme's own durable structures (registers, shadow
+        tables), declared via :meth:`_oracle_extra_state`; the crash
+        engine's durable-state digest folds them in."""
         return self._oracle_extra_state()
 
     def _oracle_extra_state(self) -> dict[str, object]:
-        """Scheme-specific durable state for :meth:`oracle_snapshot`.
+        """Scheme-specific durable state for :meth:`oracle_extra_state`.
 
         Subclasses must define this explicitly — an empty dict is a
         valid answer, but it has to be a *stated* answer, so a new

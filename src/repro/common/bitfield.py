@@ -1,15 +1,13 @@
 """Bit-level packing helpers for 64-byte metadata lines.
 
 SIT nodes, split counter blocks, and offset record lines all have exact
-bit-field layouts that must round-trip to/from 64-byte NVM lines.  The
-helpers here operate on arbitrary-width little-endian fields packed into a
-single Python int, which keeps the hot path allocation-free.
+bit-field layouts packed into 64-byte NVM lines.  The helpers here
+operate on arbitrary-width little-endian fields packed into a single
+Python int, which keeps the hot path allocation-free.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-
-from repro.common.constants import CACHE_LINE_BITS, CACHE_LINE_BYTES
+from collections.abc import Sequence
 
 
 def pack_fields(widths: Sequence[int], values: Sequence[int]) -> int:
@@ -45,27 +43,8 @@ def unpack_fields(widths: Sequence[int], packed: int) -> list[int]:
     return values
 
 
-def int_to_line(value: int) -> bytes:
-    """Serialize a packed int to a 64-byte little-endian line."""
-    if not 0 <= value < (1 << CACHE_LINE_BITS):
-        raise ValueError("value does not fit in a 64-byte line")
-    return value.to_bytes(CACHE_LINE_BYTES, "little")
-
-
-def line_to_int(line: bytes) -> int:
-    """Deserialize a 64-byte line back to a packed int."""
-    if len(line) != CACHE_LINE_BYTES:
-        raise ValueError(f"expected {CACHE_LINE_BYTES} bytes, got {len(line)}")
-    return int.from_bytes(line, "little")
-
-
 def mask(width: int) -> int:
     """All-ones mask of ``width`` bits."""
     if width < 0:
         raise ValueError(f"width must be non-negative, got {width}")
     return (1 << width) - 1
-
-
-def popcount_iter(values: Iterable[int]) -> int:
-    """Total set-bit count over an iterable of ints (bitmap accounting)."""
-    return sum(v.bit_count() for v in values)

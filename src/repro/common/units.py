@@ -1,4 +1,4 @@
-"""Unit helpers: time (cycles <-> picoseconds <-> nanoseconds) and sizes.
+"""Unit helpers: time (picoseconds <-> nanoseconds) and sizes.
 
 The paper's Table I uses a 2 GHz core clock and nanosecond NVM timings.
 Simulated time is accounted in **integer picoseconds**: every latency the
@@ -16,7 +16,6 @@ MB: int = 1024 * KB
 GB: int = 1024 * MB
 TB: int = 1024 * GB
 
-NS_PER_S: float = 1e9
 #: integer picoseconds per nanosecond — the simulated-time base unit
 PS_PER_NS: int = 1000
 
@@ -36,25 +35,6 @@ def ps_from_ns(ns: float) -> int:
 def ns_from_ps(ps: int) -> float:
     """Reporting-boundary conversion of exact picoseconds to ns floats."""
     return ps / PS_PER_NS
-
-
-def cycles_to_ns(cycles: float, clock_ghz: float) -> float:
-    """Convert a cycle count at ``clock_ghz`` GHz to nanoseconds."""
-    if clock_ghz <= 0:
-        raise ValueError(f"clock must be positive, got {clock_ghz}")
-    return cycles / clock_ghz
-
-
-def ns_to_cycles(ns: float, clock_ghz: float) -> float:
-    """Convert nanoseconds to cycles at ``clock_ghz`` GHz."""
-    if clock_ghz <= 0:
-        raise ValueError(f"clock must be positive, got {clock_ghz}")
-    return ns * clock_ghz
-
-
-def ns_to_seconds(ns: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return ns / NS_PER_S
 
 
 def pretty_size(num_bytes: int) -> str:

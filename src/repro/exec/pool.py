@@ -47,16 +47,11 @@ def execute_cell(spec: CellSpec) -> dict[str, Any]:
     if cfg is None:
         raise ConfigError(f"{spec.kind} cells need an explicit config")
     if spec.kind == "oracle":
-        from repro.explore.runner import ExploreCaseResult
         from repro.oracle.sweep import run_oracle_cell
 
-        result = run_oracle_cell(spec.variant, spec.workload,
-                                 spec.fault or {}, cfg, _trace_for(spec))
-        # clean and crash cells run on the crash engine: their payload
-        # is keyed like an explore case, so it names its own type
-        if isinstance(result, ExploreCaseResult):
-            return {"case": result.to_json()}
-        return {"result": result.to_json()}
+        result = run_oracle_cell(spec.variant, spec.fault or {}, cfg,
+                                 _trace_for(spec))
+        return {"case": result.to_json()}
     if spec.kind == "explore":
         from repro.explore.runner import run_explore_cell
 
@@ -66,23 +61,30 @@ def execute_cell(spec: CellSpec) -> dict[str, Any]:
 
 
 def decode_payload(spec: CellSpec, payload: dict[str, Any]) -> Any:
-    """Turn a cached/executed payload back into the cell's value."""
+    """Turn a cached/executed payload back into the cell's value.
+
+    A payload names its type by its envelope key (``"result"`` for
+    sim cells, ``"case"`` for oracle cells, ``"probe"`` or ``"case"``
+    for explore cells).  One with none of its kind's keys raises
+    :class:`ConfigError` (an incompatible writer shares the cache).
+    """
+    decoders: dict[str, Callable[[Any], Any]]
     if spec.kind == "sim":
         from repro.sim.stats import RunResult
 
-        return RunResult.from_json(payload["result"])
-    if spec.kind not in ("oracle", "explore"):
-        raise ConfigError(f"unknown cell kind {spec.kind!r}")
-    from repro.explore.runner import ExploreCaseResult, ExploreProbe
-    from repro.oracle.harness import OracleCaseResult
+        decoders = {"result": RunResult.from_json}
+    else:  # a CellSpec's kind is validated: "oracle" or "explore"
+        from repro.explore.runner import ExploreCaseResult, ExploreProbe
 
-    # crash-engine payloads name their type ("probe" or "case"); the
-    # oracle's tamper and mutant cells keep "result"
-    if "probe" in payload:
-        return ExploreProbe.from_json(payload["probe"])
-    if "case" in payload:
-        return ExploreCaseResult.from_json(payload["case"])
-    return OracleCaseResult.from_json(payload["result"])
+        decoders = {"case": ExploreCaseResult.from_json}
+        if spec.kind == "explore":
+            decoders["probe"] = ExploreProbe.from_json
+    for key, decode in decoders.items():
+        if key in payload:
+            return decode(payload[key])
+    raise ConfigError(
+        f"malformed {spec.kind!r} payload: expected one of "
+        f"{sorted(decoders)}, got keys {sorted(payload)}")
 
 
 def _trace_for(spec: CellSpec):

@@ -38,10 +38,14 @@ from repro.common.errors import ConfigError
 #: Schema 3: one crash engine.  The "probe" and "fault" kinds are gone,
 #: oracle clean/crash payloads are ``ExploreCaseResult``s under "case",
 #: and the tightened post-recovery check can change a crash verdict.
+#: Schema 4: one case result.  Oracle tamper and mutant payloads are
+#: ``ExploreCaseResult``s under "case" too (their old "result" envelope
+#: no longer decodes), and the one post-recovery check now flags a root
+#: arity mismatch, which can change a crash verdict.
 #: A bump only changes keys *computed from now on* — older entries sit
 #: at their old addresses, never looked up and never invalidated
 #: retroactively.
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 
 #: the cell kinds the executor knows how to run
 KINDS = ("sim", "oracle", "explore")
@@ -57,9 +61,8 @@ class CellSpec:
     ``kind`` selects the worker routine:
 
     * ``"sim"``    — one (variant, workload) figure cell -> ``RunResult``
-    * ``"oracle"`` — one differential-oracle case: clean and crash
-      cells -> ``ExploreCaseResult`` (run on the crash engine), tamper
-      and mutant cells -> ``OracleCaseResult``
+    * ``"oracle"`` — one differential-oracle case (clean, crash,
+      tamper or mutant) -> ``ExploreCaseResult``
     * ``"explore"`` — one unit of the crash engine (digest probe or
       crash candidate, including every fault-campaign probe and case)
       -> ``ExploreProbe`` / ``ExploreCaseResult``

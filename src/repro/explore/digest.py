@@ -9,7 +9,7 @@ on everything that can influence the world after the power fails:
   non-volatile extras, and the ADR-resident record-line cache that the
   residual-power flush persists),
 * the dirty-cached-node snapshot, which is volatile but feeds the
-  post-recovery golden check (``DifferentialRun.check_recovery``
+  post-recovery check (:func:`repro.sim.crash.recovery_divergences`
   compares the recovered state against it), and
 * the resume position in the trace (compared by the planner, not hashed
   here: two fires in different accesses replay different suffixes).

@@ -35,7 +35,7 @@ post-crash corruption has no state to corrupt at this crash point.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.common.config import SystemConfig
@@ -47,7 +47,7 @@ from repro.common.errors import (
 )
 from repro.explore.digest import DurableDigest
 from repro.faults.registry import FaultPlan, armed
-from repro.oracle.harness import DifferentialRun
+from repro.oracle.harness import DifferentialRun, ExploreCaseResult
 from repro.oracle.model import OracleViolation
 from repro.oracle.mutants import MUTANTS
 from repro.workloads.trace import TraceArrays
@@ -69,44 +69,6 @@ class ExploreProbe:
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "ExploreProbe":
         return cls(fires=tuple((p, int(i), d) for p, i, d in data["fires"]))
-
-
-@dataclass
-class ExploreCaseResult:
-    """What one explored candidate produced."""
-
-    outcome: str
-    crash_point: str = ""
-    crash_index: int = -1          #: access index of the first crash
-    recovery_crashed: bool = False
-    second_crash_point: str = ""
-    second_crash_index: int = -1
-    #: ``recovery.step`` fires of the first recovery (uninterrupted
-    #: cells report the full span the planner doses crashes over)
-    recovery_fires: int = 0
-    #: runtime fires of the resumed trace segment (the double-crash
-    #: planner's span)
-    resumed_fires: int = 0
-    divergences: list[dict[str, str]] = field(default_factory=list)
-    detail: str = ""
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "outcome": self.outcome,
-            "crash_point": self.crash_point,
-            "crash_index": self.crash_index,
-            "recovery_crashed": self.recovery_crashed,
-            "second_crash_point": self.second_crash_point,
-            "second_crash_index": self.second_crash_index,
-            "recovery_fires": self.recovery_fires,
-            "resumed_fires": self.resumed_fires,
-            "divergences": self.divergences,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ExploreCaseResult":
-        return cls(**data)
 
 
 def _mutant_ctx(dr: DifferentialRun, name: str | None):

@@ -74,10 +74,6 @@ class ADRDomain:
     def __contains__(self, name: str) -> bool:
         return name in self._slots
 
-    @property
-    def used_bytes(self) -> int:
-        return sum(self._sizes.values())
-
     # ----------------------------------------------------------- crash
     def flush_on_crash(self, budget: ResidualBudget | None = None) -> None:
         """Run every registered flush callback (residual-power flush).

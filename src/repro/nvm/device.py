@@ -183,9 +183,6 @@ class NVMDevice:
             if reg is region:
                 yield idx, value
 
-    def populated_count(self, region: Region) -> int:
-        return sum(1 for _ in self.populated(region))
-
     def lines(self) -> dict[tuple[Region, int], Any]:
         """Every populated line keyed ``(region, index)``, torn lines
         included: a copy, and a snapshot since values are immutable."""
@@ -291,8 +288,3 @@ class NVMDevice:
     # ------------------------------------------------------------ sizing
     def __len__(self) -> int:
         return len(self._store)
-
-    def occupancy_bytes(self) -> int:
-        """Populated lines x 64 B (lazy materialization means untouched
-        lines occupy nothing in the model)."""
-        return len(self._store) * 64

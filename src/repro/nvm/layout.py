@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.common.constants import CACHE_LINE_BYTES, OFFSETS_PER_RECORD_LINE
+from repro.common.constants import OFFSETS_PER_RECORD_LINE
 from repro.common.errors import LayoutError
 
 
@@ -91,9 +91,6 @@ class MemoryLayout:
                 f"index {index} out of range for region {region.value} "
                 f"(limit {limit})")
 
-    def region_bytes(self, region: Region) -> int:
-        return self.region_lines(region) * CACHE_LINE_BYTES
-
     def region_base(self, region: Region) -> int:
         """Base line address of ``region`` in the flat device space.
 
@@ -105,11 +102,6 @@ class MemoryLayout:
             return self._bases[region]
         except KeyError:
             raise LayoutError(f"unknown region {region!r}") from None
-
-    def global_line(self, region: Region, index: int) -> int:
-        """Flat line address of (region, index)."""
-        self.check(region, index)
-        return self._bases[region] + index
 
 
 def build_layout(data_lines: int, tree_lines: int,

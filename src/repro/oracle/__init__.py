@@ -21,7 +21,7 @@ from repro.oracle.harness import (
     TAMPER_KINDS,
     DifferentialRun,
     Divergence,
-    OracleCaseResult,
+    ExploreCaseResult,
     run_tamper_case,
 )
 from repro.oracle.model import OracleViolation, ReferenceModel
@@ -37,7 +37,7 @@ __all__ = [
     "TAMPER_KINDS",
     "DifferentialRun",
     "Divergence",
-    "OracleCaseResult",
+    "ExploreCaseResult",
     "OracleViolation",
     "ReferenceModel",
     "MUTANTS",

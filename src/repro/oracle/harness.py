@@ -6,13 +6,14 @@ controller boundary — the API every scheme implements identically — and
 diffs three things:
 
 * every read's returned plaintext against the model,
-* the end-state digest (full read-back of every written block through
-  the secure path) against the model's digest,
+* the end state (full read-back of every written block through the
+  secure path) against the model,
 * the post-recovery secure state against the pre-crash
-  ``oracle_snapshot()`` (root never regresses, persisted nodes never
-  vanish, every pre-crash dirty node is back in the metadata cache
-  dirty and dominating its snapshot, or — once evicted — durably
-  superseded in NVM).
+  ``oracle_snapshot()``, through the one post-recovery check
+  :func:`repro.sim.crash.recovery_divergences` (root never regresses,
+  persisted nodes never vanish, every pre-crash dirty node is back in
+  the metadata cache dirty and dominating its snapshot, or — once
+  evicted — durably superseded in NVM).
 
 Unlike the inline check in :class:`repro.sim.system.SecureNVMSystem`
 (which shares the simulator's view of the cache hierarchy), the harness
@@ -37,8 +38,6 @@ bug.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -48,7 +47,7 @@ from repro.common.errors import IntegrityError, RecoveryError
 from repro.common.rng import mix64
 from repro.nvm.layout import Region
 from repro.oracle.model import OracleViolation, ReferenceModel
-from repro.sim.crash import counters_dominate
+from repro.sim.crash import Divergence, recovery_divergences
 from repro.sim.system import SecureNVMSystem
 from repro.workloads.trace import TraceArrays
 
@@ -57,63 +56,43 @@ TAMPER_KINDS = ("data-bits", "data-mac", "data-replay", "tree-counter",
                 "tree-replay")
 
 
-@dataclass(frozen=True)
-class Divergence:
-    """One observed disagreement between a scheme and the model."""
-
-    kind: str       #: read / readback / counter / root-regress / ...
-    where: str      #: block address, tree offset, or root slot
-    expected: str
-    got: str
-
-    def to_json(self) -> dict[str, str]:
-        return {"kind": self.kind, "where": self.where,
-                "expected": self.expected, "got": self.got}
-
-    @classmethod
-    def from_json(cls, data: dict[str, str]) -> "Divergence":
-        return cls(**data)
-
-
 @dataclass
-class OracleCaseResult:
-    """What one differential case produced."""
+class ExploreCaseResult:
+    """What one case produced: every crash-engine case and every
+    oracle cell (clean, crash, tamper, mutant) reports one of these."""
 
-    scheme: str
-    workload: str
     outcome: str
     crash_point: str = ""
-    crash_index: int = -1
+    crash_index: int = -1          #: access index of the first crash
     recovery_crashed: bool = False
-    reads_checked: int = 0
-    blocks_checked: int = 0
-    digest: str = ""
-    divergences: list[Divergence] = field(default_factory=list)
+    second_crash_point: str = ""
+    second_crash_index: int = -1
+    #: ``recovery.step`` fires of the first recovery (uninterrupted
+    #: cells report the full span the planner doses crashes over)
+    recovery_fires: int = 0
+    #: runtime fires of the resumed trace segment (the double-crash
+    #: planner's span)
+    resumed_fires: int = 0
+    divergences: list[dict[str, str]] = field(default_factory=list)
     detail: str = ""
-
-    @property
-    def silent_divergence(self) -> bool:
-        """The failure class the oracle exists to catch."""
-        return self.outcome == "diverged"
 
     def to_json(self) -> dict[str, Any]:
         return {
-            "scheme": self.scheme, "workload": self.workload,
-            "outcome": self.outcome, "crash_point": self.crash_point,
+            "outcome": self.outcome,
+            "crash_point": self.crash_point,
             "crash_index": self.crash_index,
             "recovery_crashed": self.recovery_crashed,
-            "reads_checked": self.reads_checked,
-            "blocks_checked": self.blocks_checked,
-            "digest": self.digest,
-            "divergences": [d.to_json() for d in self.divergences],
+            "second_crash_point": self.second_crash_point,
+            "second_crash_index": self.second_crash_index,
+            "recovery_fires": self.recovery_fires,
+            "resumed_fires": self.resumed_fires,
+            "divergences": self.divergences,
             "detail": self.detail,
         }
 
     @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "OracleCaseResult":
-        data = dict(data)
-        divs = [Divergence.from_json(d) for d in data.pop("divergences")]
-        return cls(divergences=divs, **data)
+    def from_json(cls, data: dict[str, Any]) -> "ExploreCaseResult":
+        return cls(**data)
 
 
 class DifferentialRun:
@@ -125,8 +104,6 @@ class DifferentialRun:
         self.system = SecureNVMSystem(scheme, cfg, check=False)
         self.model = ReferenceModel()
         self.divergences: list[Divergence] = []
-        self.reads = 0
-        self.blocks_checked = 0
         self._versions: dict[int, int] = {}
         self._check_counters = check_counters
 
@@ -165,7 +142,6 @@ class DifferentialRun:
         if got != expected:
             self.divergences.append(Divergence(
                 "read", f"block {addr}", str(expected), str(got)))
-        self.reads += 1
 
     def step(self, trace: TraceArrays, i: int) -> None:
         self.system.advance(int(trace.gap_cycles[i]))
@@ -189,65 +165,20 @@ class DifferentialRun:
         return pre
 
     def check_recovery(self, pre: dict[str, Any]) -> None:
-        """Diff the recovered secure state against the pre-crash
-        snapshot: monotone root, no lost persisted nodes, every dirty
-        node restored dirty (or, once evicted, durably superseded)."""
-        c = self.controller
-        for slot, (before, now) in enumerate(zip(pre["root"],
-                                                 c.root.snapshot())):
-            if now < before:
-                self.divergences.append(Divergence(
-                    "root-regress", f"root slot {slot}", f">= {before}",
-                    str(now)))
-        tree_now = c.tree_state_fingerprint()
-        for off in pre["tree"]:
-            if off not in tree_now:
-                self.divergences.append(Divergence(
-                    "tree-lost", f"offset {off}",
-                    "persisted node survives recovery", "missing"))
-        for off, snap in pre["dirty"].items():
-            # a cached copy is the live one: a clean or regressed copy
-            # is lost state even when NVM holds a newer line; only an
-            # evicted node is judged by its persisted copy
-            node = c.metacache.peek(off)
-            persisted = tree_now.get(off)
-            if node is not None:
-                ok = c.metacache.is_dirty(off) and \
-                    counters_dominate(node.snapshot(), snap)
-            else:
-                ok = persisted is not None and \
-                    counters_dominate(persisted, snap)
-            if not ok:
-                self.divergences.append(Divergence(
-                    "node-lost" if node is None and persisted is None
-                    else "node-regress", f"offset {off}",
-                    f"dominates pre-crash {snap}",
-                    f"cached={None if node is None else node.snapshot()} "
-                    f"persisted={persisted}"))
+        """Record every divergence of the recovered secure state from
+        the pre-crash snapshot (:func:`repro.sim.crash.recovery_divergences`)."""
+        self.divergences.extend(recovery_divergences(self.controller, pre))
 
     # -------------------------------------------------------- end state
-    def verify_end_state(self) -> str:
-        """Read every model block back through the secure path; returns
-        the system-side digest (equal to the model's iff no divergence)."""
-        got: dict[int, int] = {}
+    def verify_end_state(self) -> None:
+        """Read every model block back through the secure path and
+        diff it against the model."""
         for addr in sorted(self.model.blocks):
             value = self.controller.read_data(addr)
-            got[addr] = value
             if value != self.model.read(addr):
                 self.divergences.append(Divergence(
                     "readback", f"block {addr}",
                     str(self.model.read(addr)), str(value)))
-            self.blocks_checked += 1
-        blob = json.dumps([[a, v] for a, v in sorted(got.items())],
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def result(self, outcome: str, **kw: Any) -> OracleCaseResult:
-        return OracleCaseResult(
-            scheme=self.system.scheme, workload=kw.pop("workload", ""),
-            outcome=outcome, reads_checked=self.reads,
-            blocks_checked=self.blocks_checked,
-            divergences=list(self.divergences), **kw)
 
 
 # ---------------------------------------------------------- tamper runs
@@ -275,9 +206,8 @@ def _straddling_target(trace: TraceArrays, half: int) -> int:
     return both[0]
 
 
-def run_tamper_case(kind: str, scheme: str, workload: str,
-                    trace: TraceArrays, cfg: SystemConfig,
-                    ) -> OracleCaseResult:
+def run_tamper_case(kind: str, scheme: str, trace: TraceArrays,
+                    cfg: SystemConfig) -> ExploreCaseResult:
     """Stage one attack between crash and recovery (or against stored
     data) and require a loud outcome.
 
@@ -345,15 +275,13 @@ def run_tamper_case(kind: str, scheme: str, workload: str,
         dr.verify_end_state()
     # the detection error is the *expected* terminal outcome here
     # simlint: disable-next=SL402 -- classified, not swallowed
-    except IntegrityError as exc:
-        return dr.result("detected", workload=workload,
-                         crash_point=kind, detail=str(exc))
-    # simlint: disable-next=SL402 -- classified, not swallowed
-    except RecoveryError as exc:
-        return dr.result("detected", workload=workload,
-                         crash_point=kind, detail=str(exc))
-    if dr.divergences:
-        return dr.result("diverged", workload=workload, crash_point=kind)
-    # nothing detected, nothing wrong: only legitimate when recovery
-    # rebuilds the attacked structure from verified data
-    return dr.result("neutralized", workload=workload, crash_point=kind)
+    except (IntegrityError, RecoveryError) as exc:
+        outcome, detail = "detected", str(exc)
+    else:
+        # nothing detected, nothing wrong: only legitimate when recovery
+        # rebuilds the attacked structure from verified data
+        outcome = "diverged" if dr.divergences else "neutralized"
+        detail = ""
+    return ExploreCaseResult(
+        outcome=outcome, crash_point=kind, detail=detail,
+        divergences=[d.to_json() for d in dr.divergences])

@@ -36,7 +36,7 @@ from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError, IntegrityError, RecoveryError
 from repro.crypto import cme
 from repro.nvm.layout import Region
-from repro.oracle.harness import DifferentialRun, OracleCaseResult
+from repro.oracle.harness import DifferentialRun, ExploreCaseResult
 from repro.oracle.model import OracleViolation
 from repro.workloads.trace import TraceArrays
 
@@ -318,9 +318,8 @@ MUTANTS: dict[str, Mutant] = {m.name: m for m in (
 )}
 
 
-def run_mutant_case(name: str, scheme: str, workload: str,
-                    trace: TraceArrays,
-                    cfg: SystemConfig) -> OracleCaseResult:
+def run_mutant_case(name: str, scheme: str, trace: TraceArrays,
+                    cfg: SystemConfig) -> ExploreCaseResult:
     """Plant one mutant and run the full differential flow over it.
 
     ``outcome != "match"`` means the oracle caught the bug — via a
@@ -355,10 +354,11 @@ def run_mutant_case(name: str, scheme: str, workload: str,
             AssertionError) as exc:
         error = exc
     if error is not None:
-        return dr.result("detected", workload=workload, crash_point=name,
-                         detail=f"{type(error).__name__}: {error}")
-    if dr.divergences:
-        return dr.result("diverged", workload=workload, crash_point=name,
-                         detail=f"oracle check: {mutant.catches}")
-    return dr.result("match", workload=workload, crash_point=name,
-                     detail="mutant escaped the oracle")
+        outcome, detail = "detected", f"{type(error).__name__}: {error}"
+    elif dr.divergences:
+        outcome, detail = "diverged", f"oracle check: {mutant.catches}"
+    else:
+        outcome, detail = "match", "mutant escaped the oracle"
+    return ExploreCaseResult(
+        outcome=outcome, crash_point=name, detail=detail,
+        divergences=[d.to_json() for d in dr.divergences])

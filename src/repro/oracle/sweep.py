@@ -17,9 +17,8 @@ content-addressed cache):
   ``match`` (the oracle's self-test).
 
 Clean and crash cells run on the crash engine
-(:func:`repro.explore.runner.run_clean` / ``run_case``) and yield an
-:class:`~repro.explore.runner.ExploreCaseResult`; tamper and mutant
-cells yield an :class:`~repro.oracle.harness.OracleCaseResult`.
+(:func:`repro.explore.runner.run_clean` / ``run_case``); every cell
+yields an :class:`~repro.oracle.harness.ExploreCaseResult`.
 
 The acceptance bar, encoded in :meth:`SuiteSummary.failures`: zero
 silent divergences anywhere, every tamper loud, every mutant caught.
@@ -27,7 +26,7 @@ silent divergences anywhere, every tamper loud, every mutant caught.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.common.config import SystemConfig, small_config
 from repro.common.errors import ConfigError
@@ -37,23 +36,19 @@ from repro.exec.pool import ProgressFn, run_sweep
 from repro.exec.spec import CellSpec
 from repro.oracle.harness import (
     TAMPER_KINDS,
-    OracleCaseResult,
+    ExploreCaseResult,
     run_tamper_case,
 )
 from repro.oracle.mutants import MUTANTS, run_mutant_case
 from repro.schemes import get_scheme, resolve_schemes
 from repro.workloads.trace import TraceArrays
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.explore.runner import ExploreCaseResult
-
 #: tamper kinds that need a crash/recover cycle to force tree refetches
 _TREE_TAMPERS = ("tree-counter", "tree-replay")
 
 
-def run_oracle_cell(scheme: str, workload: str, plan: dict[str, Any],
-                    cfg: SystemConfig, trace: TraceArrays,
-                    ) -> ExploreCaseResult | OracleCaseResult:
+def run_oracle_cell(scheme: str, plan: dict[str, Any], cfg: SystemConfig,
+                    trace: TraceArrays) -> ExploreCaseResult:
     """Executor entry point: dispatch one oracle cell by its plan."""
     # the crash engine drives a DifferentialRun, so it imports this
     # package: import it at call time, after both have initialised
@@ -65,11 +60,9 @@ def run_oracle_cell(scheme: str, workload: str, plan: dict[str, Any],
     if mode == "crash":
         return run_case(scheme, cfg, trace, plan)
     if mode == "tamper":
-        return run_tamper_case(plan["attack"], scheme, workload, trace,
-                               cfg)
+        return run_tamper_case(plan["attack"], scheme, trace, cfg)
     if mode == "mutant":
-        return run_mutant_case(plan["mutant"], scheme, workload, trace,
-                               cfg)
+        return run_mutant_case(plan["mutant"], scheme, trace, cfg)
     raise ConfigError(f"unknown oracle cell mode {plan.get('mode')!r}")
 
 
@@ -99,8 +92,7 @@ class SuiteSummary:
     cells_cached: int = 0
     cells_executed: int = 0
 
-    def add(self, spec: CellSpec,
-            result: ExploreCaseResult | OracleCaseResult,
+    def add(self, spec: CellSpec, result: ExploreCaseResult,
             cached: bool) -> None:
         plan = spec.fault or {}
         mode = plan.get("mode", "?")
@@ -110,7 +102,7 @@ class SuiteSummary:
             "scheme": spec.variant, "workload": spec.workload,
             "mode": mode, "plan": plan, "outcome": result.outcome,
             "ok": ok, "caught": caught, "detail": result.detail,
-            "divergences": result.to_json()["divergences"],
+            "divergences": result.divergences,
         })
         self.outcome_counts[result.outcome] = \
             self.outcome_counts.get(result.outcome, 0) + 1
@@ -120,8 +112,7 @@ class SuiteSummary:
             self.cells_executed += 1
 
     @staticmethod
-    def _case_ok(mode: str,
-                 result: ExploreCaseResult | OracleCaseResult) -> bool:
+    def _case_ok(mode: str, result: ExploreCaseResult) -> bool:
         if mode in ("clean", "crash"):
             # untampered: only agreement (or an honest refusal) passes
             return result.outcome in ("match", "unsupported", "no_crash")

@@ -2,7 +2,6 @@
 from repro.sim.clock import MemClock
 from repro.sim.multi import MultiControllerSystem, MultiRunResult
 from repro.sim.crash import (
-    GoldenState,
     capture_golden,
     check_recovered,
     crash_and_recover,
@@ -24,7 +23,6 @@ __all__ = [
     "GC_VARIANTS",
     "MultiControllerSystem",
     "MultiRunResult",
-    "GoldenState",
     "MemClock",
     "RunResult",
     "RunSpec",

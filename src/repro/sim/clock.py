@@ -71,9 +71,6 @@ class MemClock:
     def advance_cycles(self, cycles: int) -> None:
         self.now_ps += cycles * self._cycle_ps
 
-    def advance_ps(self, ps: int) -> None:
-        self.now_ps += ps
-
     # ------------------------------------------------------- NVM access
     def _row_of(self, region: Region, index: int) -> int:
         return (self._row_base[region] + index) // self._lines_per_row

@@ -1,36 +1,45 @@
-"""Crash orchestration and golden-state validation.
+"""Crash orchestration and the one post-recovery check.
 
-The crash manager snapshots the *architectural* metadata state right
-before pulling the plug (every dirty cached node's content, the root,
-the LIncs) and, after recovery, asserts the recovered state is
-bit-identical — the paper's correctness claim that "Steins just recovers
-the SIT nodes to the state before crashes" (Sec. III-G).
+Before pulling the plug, :func:`capture_golden` takes the controller's
+``oracle_snapshot()`` (the root, the persisted TREE region and every
+dirty cached node).  After recovery, :func:`recovery_divergences`
+diffs the recovered state against it — the paper's correctness claim
+that "Steins just recovers the SIT nodes to the state before crashes"
+(Sec. III-G).  It is the only implementation of that comparison:
+:func:`check_recovered` raises on its first divergence, and the
+differential oracle (:class:`repro.oracle.harness.DifferentialRun`)
+records all of them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
+from repro.baselines.base import SecureMemoryController
 from repro.baselines.report import RecoveryReport
 from repro.common.errors import RecoveryError
 from repro.sim.system import SecureNVMSystem
 from repro.workloads.trace import TraceArrays
 
 
-@dataclass
-class GoldenState:
-    """Pre-crash architectural metadata state."""
+@dataclass(frozen=True)
+class Divergence:
+    """One observed disagreement between a scheme and the model."""
 
-    dirty_nodes: dict[int, tuple] = field(default_factory=dict)
-    root_counters: tuple[int, ...] = ()
+    kind: str       #: read / readback / counter / root-regress / ...
+    where: str      #: block address, tree offset, or root slot
+    expected: str
+    got: str
+
+    def to_json(self) -> dict[str, str]:
+        return {"kind": self.kind, "where": self.where,
+                "expected": self.expected, "got": self.got}
 
 
-def capture_golden(system: SecureNVMSystem) -> GoldenState:
-    """Snapshot what recovery must reconstruct."""
-    golden = GoldenState()
-    for offset, node in system.controller.metacache.dirty_entries():
-        golden.dirty_nodes[offset] = node.snapshot()
-    golden.root_counters = system.controller.root.snapshot()
-    return golden
+def capture_golden(system: SecureNVMSystem) -> dict[str, Any]:
+    """Snapshot what recovery must reconstruct (the controller's
+    ``oracle_snapshot()``)."""
+    return system.controller.oracle_snapshot()
 
 
 def counters_dominate(found: tuple, golden: tuple) -> bool:
@@ -57,58 +66,72 @@ def counters_dominate(found: tuple, golden: tuple) -> bool:
     return f_gen >= g_gen
 
 
-def check_recovered(system: SecureNVMSystem, golden: GoldenState) -> None:
-    """Assert the post-recovery state matches the golden snapshot.
-
-    Every pre-crash dirty node must be back in the metadata cache,
-    marked dirty, with identical counters (the HMAC field is transient
-    for cached nodes and excluded).  Extra recovered nodes (from stale
-    records) must equal their persisted NVM copies — i.e. be harmless.
-    """
-    from repro.nvm.layout import Region
-
-    c = system.controller
-
-    def content(snap: tuple) -> tuple:
-        return (snap[1], snap[2], snap[3])  # level, index, counter block
-
-    for offset, snap in golden.dirty_nodes.items():
-        node = c.metacache.peek(offset)
+def recovery_divergences(controller: SecureMemoryController,
+                         pre: dict[str, Any]) -> list[Divergence]:
+    """Diff the recovered secure state against the pre-crash snapshot
+    ``pre``: monotone root of unchanged arity, no lost persisted nodes,
+    every dirty node restored dirty (or, once evicted, durably
+    superseded).  Extra recovered nodes are not judged."""
+    found: list[Divergence] = []
+    root_now = controller.root.snapshot()
+    if len(root_now) != len(pre["root"]):
+        # root arity is fixed by the geometry: losing (or gaining)
+        # slots is a recovery bug, not a shorter comparison
+        found.append(Divergence(
+            "root-regress", "root", f"{len(pre['root'])} slots",
+            f"{len(root_now)} slots"))
+    else:
+        # the root may advance (SCUE's full rebuild recovers cached
+        # updates the persisted root had not absorbed) but never regress
+        for slot, (before, now) in enumerate(zip(pre["root"], root_now,
+                                                 strict=True)):
+            if now < before:
+                found.append(Divergence(
+                    "root-regress", f"root slot {slot}", f">= {before}",
+                    str(now)))
+    tree_now = controller.tree_state_fingerprint()
+    for off in pre["tree"]:
+        if off not in tree_now:
+            found.append(Divergence(
+                "tree-lost", f"offset {off}",
+                "persisted node survives recovery", "missing"))
+    cache = controller.metacache
+    for off, snap in pre["dirty"].items():
+        # a cached copy is the live one: a clean or regressed copy is
+        # lost state even when NVM holds a newer line; only an evicted
+        # node is judged by its persisted copy
+        node = cache.peek(off)
+        persisted = tree_now.get(off)
         if node is not None:
-            if not c.metacache.is_dirty(offset):
-                raise RecoveryError(
-                    f"recovered node at offset {offset} not marked dirty")
-            if not counters_dominate(node.snapshot(), snap):
-                raise RecoveryError(
-                    f"recovered node at offset {offset} regressed below "
-                    f"the pre-crash state: {node.snapshot()} < {snap}")
+            ok = cache.is_dirty(off) and \
+                counters_dominate(node.snapshot(), snap)
         else:
-            # Reinstall pressure may have evicted the recovered node:
-            # its flush advances ancestors (monotone counters), so the
-            # persisted copy must dominate the golden one slot-wise.
-            persisted = system.device.peek(Region.TREE, offset)
-            if persisted is None:
-                raise RecoveryError(
-                    f"recovery lost dirty node at offset {offset}")
-            if not counters_dominate(persisted, snap):
-                raise RecoveryError(
-                    f"persisted node at offset {offset} regressed below "
-                    f"the pre-crash state: {persisted} < {snap}")
-    # The root may advance (SCUE's full rebuild recovers cached updates
-    # the persisted root had not absorbed yet) but must never regress.
-    # Root arity is fixed by the geometry, so a length mismatch is a
-    # recovery bug, not a comparison to be truncated away.
-    for slot, (now, before) in enumerate(zip(c.root.snapshot(),
-                                             golden.root_counters,
-                                             strict=True)):
-        if now < before:
-            raise RecoveryError(
-                f"root slot {slot} regressed across crash/recovery "
-                f"({before} -> {now})")
+            ok = persisted is not None and \
+                counters_dominate(persisted, snap)
+        if not ok:
+            found.append(Divergence(
+                "node-lost" if node is None and persisted is None
+                else "node-regress", f"offset {off}",
+                f"dominates pre-crash {snap}",
+                f"cached={None if node is None else node.snapshot()} "
+                f"persisted={persisted}"))
+    return found
+
+
+def check_recovered(system: SecureNVMSystem,
+                    golden: dict[str, Any]) -> None:
+    """Raise :class:`RecoveryError` naming the first divergence of the
+    recovered state from ``golden`` (a :func:`capture_golden`)."""
+    found = recovery_divergences(system.controller, golden)
+    if found:
+        d = found[0]
+        raise RecoveryError(
+            f"{d.kind} at {d.where} across crash/recovery: expected "
+            f"{d.expected}, got {d.got} ({len(found)} divergences)")
 
 
 def crash_and_recover(system: SecureNVMSystem
-                      ) -> tuple[RecoveryReport, GoldenState]:
+                      ) -> tuple[RecoveryReport, dict[str, Any]]:
     """Crash, recover, and validate the recovered state.
 
     Returns the recovery report and the golden snapshot.  Raises on any

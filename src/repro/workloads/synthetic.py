@@ -87,14 +87,3 @@ def pointer_chase(seed: int, n: int, base: int, footprint: int,
         cur = perm[cur]
         addresses[i] = base + cur
     return _finish(rng, n, addresses, write_frac, gap_mean)
-
-
-def read_modify_write(seed: int, n_pairs: int, base: int, footprint: int,
-                      gap_mean: float = 15.0) -> TraceArrays:
-    """Alternating read/write of the same random block (swap workloads)."""
-    rng = make_rng(seed, "rmw")
-    targets = base + rng.integers(0, footprint, size=n_pairs)
-    addresses = np.repeat(targets, 2)
-    is_write = np.tile(np.array([False, True]), n_pairs)
-    gaps = rng.poisson(gap_mean, size=2 * n_pairs).astype(np.int32)
-    return TraceArrays(is_write, addresses.astype(np.int64), gaps)

@@ -36,27 +36,9 @@ def test_field_order_is_low_bits_first():
     assert packed == 0xBA
 
 
-def test_line_serialization_roundtrip():
-    value = (1 << 500) | 0xDEADBEEF
-    line = bf.int_to_line(value)
-    assert len(line) == C.CACHE_LINE_BYTES
-    assert bf.line_to_int(line) == value
-
-
-def test_line_serialization_rejects_oversize():
-    with pytest.raises(ValueError):
-        bf.int_to_line(1 << 512)
-    with pytest.raises(ValueError):
-        bf.line_to_int(b"\x00" * 63)
-
-
 def test_mask():
     assert bf.mask(0) == 0
     assert bf.mask(6) == 63
     assert bf.mask(56) == C.GENERAL_COUNTER_MAX
     with pytest.raises(ValueError):
         bf.mask(-1)
-
-
-def test_popcount_iter():
-    assert bf.popcount_iter([0b1011, 0b1, 0]) == 4

@@ -27,7 +27,7 @@ def test_advance(rig):
     clock.advance_cycles(200)   # 2 GHz -> 100 ns exactly
     assert clock.now_ps == 100_000
     assert clock.now_ns == 100.0
-    clock.advance_ps(50_000)
+    clock.advance_cycles(100)
     assert clock.now_ps == 150_000
     assert clock.now_ns == 150.0
 

@@ -119,10 +119,10 @@ class TestCacheSchema:
     cache directory).
     """
 
-    def test_schema_is_three(self):
+    def test_schema_is_four(self):
         from repro.exec.spec import CACHE_SCHEMA, KINDS
 
-        assert CACHE_SCHEMA == 3
+        assert CACHE_SCHEMA == 4
         assert "explore" in KINDS
 
     @pytest.mark.parametrize("kind", ["probe", "fault"])
@@ -131,6 +131,25 @@ class TestCacheSchema:
         # schema 3
         with pytest.raises(ConfigError, match="unknown cell kind"):
             spec(kind=kind, fault={"crash_after": 3})
+
+    @pytest.mark.parametrize("kind, payload", [
+        ("sim", {}),
+        ("sim", {"case": {"outcome": "match"}}),
+        # the envelope oracle tamper and mutant cells wrote before
+        # schema 4
+        ("oracle", {"result": {"scheme": "steins", "outcome": "detected"}}),
+        ("oracle", {"probe": {"fires": []}}),
+        ("explore", {"result": {"outcome": "match"}}),
+    ])
+    def test_malformed_payload_rejected_loudly(self, kind, payload):
+        from repro.exec import decode_payload
+
+        plan = None if kind == "sim" else {"mode": "clean"}
+        keys = str(sorted(payload))
+        with pytest.raises(ConfigError) as err:
+            decode_payload(spec(kind=kind, variant="steins", fault=plan),
+                           payload)
+        assert repr(kind) in str(err.value) and keys in str(err.value)
 
     def test_key_pinned_under_explicit_version(self):
         # golden hash computed when "explore" joined KINDS: growing the

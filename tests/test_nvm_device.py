@@ -121,13 +121,11 @@ def test_populated_iteration(device):
     device.poke(Region.TREE, 7, "b")
     device.poke(Region.DATA, 1, "c")
     assert dict(device.populated(Region.TREE)) == {3: "a", 7: "b"}
-    assert device.populated_count(Region.TREE) == 2
 
 
 def test_occupancy(device):
-    assert device.occupancy_bytes() == 0
+    assert len(device) == 0
     device.poke(Region.DATA, 0, 1)
-    assert device.occupancy_bytes() == 64
     assert len(device) == 1
 
 
@@ -137,7 +135,7 @@ def test_layout_region_math():
     # 64 cache lines -> 64 records -> 4 record lines of 16 entries
     assert layout.record_lines == 4
     assert layout.data_mac_lines == 128
-    assert layout.region_bytes(Region.TREE) == 256 * 64
+    assert layout.region_lines(Region.TREE) == 256
     # flat addressing: regions do not overlap
     ends = []
     base = 0
@@ -146,11 +144,3 @@ def test_layout_region_math():
         base += layout.region_lines(region)
         ends.append(base)
     assert sorted(ends) == ends
-
-
-def test_global_line_checks_range():
-    layout = build_layout(data_lines=10, tree_lines=10,
-                          metadata_cache_lines=16)
-    assert layout.global_line(Region.DATA, 0) == 0
-    with pytest.raises(LayoutError):
-        layout.global_line(Region.DATA, 10)

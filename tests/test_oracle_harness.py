@@ -20,10 +20,10 @@ from repro.oracle.harness import (
     TAMPER_KINDS,
     DifferentialRun,
     Divergence,
-    OracleCaseResult,
     _straddling_target,
     run_tamper_case,
 )
+from repro.sim.crash import check_recovered
 from repro.workloads import get_profile
 from repro.workloads.trace import TraceArrays
 
@@ -50,19 +50,14 @@ def make_trace(ops):
 # ----------------------------------------------------------- round trips
 def test_divergence_and_case_json_roundtrip():
     div = Divergence("read", "block 3", "1", "2")
-    assert Divergence.from_json(div.to_json()) == div
     case = ExploreCaseResult(outcome="diverged",
                              crash_point="controller.write", crash_index=7,
-                             divergences=[div.to_json()])
+                             divergences=[div.to_json()], detail="x")
     blob = json.dumps(case.to_json())
-    assert ExploreCaseResult.from_json(json.loads(blob)) == case
-    result = OracleCaseResult(
-        scheme="steins", workload="pers_hash", outcome="diverged",
-        crash_point="controller.write", crash_index=9,
-        divergences=[div], detail="x")
-    decoded = OracleCaseResult.from_json(result.to_json())
-    assert decoded == result
-    assert decoded.silent_divergence
+    decoded = ExploreCaseResult.from_json(json.loads(blob))
+    assert decoded == case
+    assert decoded.divergences == [{"kind": "read", "where": "block 3",
+                                    "expected": "1", "got": "2"}]
 
 
 # ------------------------------------------------------------ clean runs
@@ -80,8 +75,12 @@ def test_clean_case_matches(scheme, cfg, trace, monkeypatch):
     assert result.outcome == "match"
     assert result.divergences == []
     (dr,) = runs
-    assert dr.reads > 0
-    assert dr.blocks_checked > 0
+    # non-vacuous: every trace read and the full end-state read-back
+    # went through the secure path
+    trace_reads = int((~trace.is_write).sum())
+    assert trace_reads > 0 and dr.model.blocks
+    assert dr.controller.stats.data_reads == \
+        trace_reads + len(dr.model.blocks)
 
 
 def test_lying_reads_diverge(cfg):
@@ -145,6 +144,96 @@ def test_recovery_check_flags_restored_node_clean_or_regressed(
     assert [d.where for d in dr.divergences] == [f"offset {off}"]
 
 
+def _regressed(snap):
+    """``snap`` with its largest general counter one lower."""
+    kind, level, index, (mode, ctrs), hmac = snap[:5]
+    low = list(ctrs)
+    low[low.index(max(low))] -= 1
+    return (kind, level, index, (mode, tuple(low)), hmac)
+
+
+def _drop_tree_line(dr, off):
+    lines = dr.system.device.clone_store()
+    del lines[(Region.TREE, off)]
+    dr.system.device.restore_store(lines)
+
+
+def _evict(dr, off, persisted):
+    """Drop the restored node from the metadata cache, leaving
+    ``persisted`` (or nothing) as its NVM copy."""
+    dr.controller.metacache.remove(off)
+    if persisted is None:
+        _drop_tree_line(dr, off)
+    else:
+        dr.system.device.poke(Region.TREE, off, persisted)
+
+
+#: crafted post-recovery states: (dr, pre, restored dirty offset) ->
+#: mutate the recovered state (or the snapshot it is judged against)
+#: in place; paired with the divergence kind it must raise, or None
+_CRAFTED = {
+    "as-recovered": (lambda dr, pre, off: None, None),
+    "dirty-comes-back-clean": (
+        lambda dr, pre, off: dr.controller.metacache.mark_clean(off),
+        "node-regress"),
+    "dirty-comes-back-regressed": (
+        lambda dr, pre, off: setattr(
+            dr.controller.metacache.peek(off), "block",
+            SITNode.from_snapshot(_regressed(pre["dirty"][off])).block),
+        "node-regress"),
+    "evicted-persisted-dominates": (
+        lambda dr, pre, off: _evict(
+            dr, off, dr.controller.metacache.peek(off).snapshot()),
+        None),
+    "evicted-persisted-regresses": (
+        lambda dr, pre, off: _evict(dr, off, _regressed(pre["dirty"][off])),
+        "node-regress"),
+    "evicted-persisted-missing": (
+        lambda dr, pre, off: _evict(dr, off, None), "node-lost"),
+    "persisted-tree-node-vanished": (
+        lambda dr, pre, off: _drop_tree_line(
+            dr, next(o for o in sorted(pre["tree"])
+                     if o not in pre["dirty"])),
+        "tree-lost"),
+    # the live root reads as a regression of a root one step ahead
+    "root-regress": (
+        lambda dr, pre, off: pre.update(
+            root=tuple(c + 1 for c in dr.controller.root.snapshot())),
+        "root-regress"),
+    # a root that gains (or loses) slots is a divergence, not a
+    # comparison truncated to the shorter root
+    "root-arity": (
+        lambda dr, pre, off: pre.update(root=tuple(pre["root"]) + (0,)),
+        "root-regress"),
+}
+
+
+@pytest.mark.parametrize("state", sorted(_CRAFTED))
+def test_both_entry_points_flag_the_same_states(state, cfg, trace):
+    """``check_recovered`` raises, naming the first divergence, on
+    exactly the post-recovery states where
+    ``DifferentialRun.check_recovery`` records one."""
+    craft, kind = _CRAFTED[state]
+    dr = DifferentialRun("steins", cfg)
+    dr.run_trace(trace)
+    pre = dr.crash()
+    off = _restored_dirty_node(dr, pre)
+    craft(dr, pre, off)
+    try:
+        check_recovered(dr.system, pre)
+        raised = None
+    except RecoveryError as exc:
+        raised = str(exc)
+    dr.check_recovery(pre)
+    if kind is None:
+        assert raised is None and dr.divergences == []
+    else:
+        assert kind in {d.kind for d in dr.divergences}
+        assert raised is not None
+        assert raised.startswith(f"{dr.divergences[0].kind} at "
+                                 f"{dr.divergences[0].where}")
+
+
 # ----------------------------------------------------------- crash cases
 def test_crash_case_recovers_and_matches(cfg, trace):
     result = run_case("steins", cfg, trace,
@@ -180,14 +269,13 @@ def test_crash_during_recovery_still_converges(cfg, trace):
 # ---------------------------------------------------------- tamper cases
 @pytest.mark.parametrize("kind", TAMPER_KINDS)
 def test_tampers_are_loud_on_steins(kind, cfg, trace):
-    result = run_tamper_case(kind, "steins", "pers_hash", trace, cfg)
+    result = run_tamper_case(kind, "steins", trace, cfg)
     assert result.outcome == "detected", result.detail
 
 
 def test_unknown_tamper_kind_rejected(cfg, trace):
     with pytest.raises(ValueError):
-        run_tamper_case("voltage-glitch", "steins", "pers_hash", trace,
-                        cfg)
+        run_tamper_case("voltage-glitch", "steins", trace, cfg)
 
 
 def test_straddling_target_needs_a_block_in_both_halves():

@@ -38,7 +38,7 @@ def test_registry_is_well_formed():
 
 @pytest.mark.parametrize("name,scheme", CASES)
 def test_every_mutant_is_caught(name, scheme, cfg, trace):
-    result = run_mutant_case(name, scheme, "pers_hash", trace, cfg)
+    result = run_mutant_case(name, scheme, trace, cfg)
     assert result.outcome != "match", (
         f"mutant {name!r} escaped the oracle on {scheme}")
 
@@ -53,5 +53,4 @@ def test_unpatched_controller_still_matches(cfg, trace):
 
 def test_unknown_mutant_rejected(cfg, trace):
     with pytest.raises(ConfigError):
-        run_mutant_case("off-by-one-everywhere", "steins", "pers_hash",
-                        trace, cfg)
+        run_mutant_case("off-by-one-everywhere", "steins", trace, cfg)

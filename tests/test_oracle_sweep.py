@@ -11,7 +11,7 @@ from repro.common.errors import ConfigError
 from repro.exec.cache import ResultCache
 from repro.explore.planner import first_middle_last_plans
 from repro.explore.runner import ExploreProbe, run_probe
-from repro.oracle.harness import OracleCaseResult
+from repro.oracle.harness import ExploreCaseResult
 from repro.oracle.mutants import MUTANTS
 from repro.oracle.sweep import (
     SuiteSummary,
@@ -89,13 +89,12 @@ def test_build_suite_covers_all_modes(cfg):
 
 def test_run_oracle_cell_rejects_unknown_mode(cfg, trace):
     with pytest.raises(ConfigError):
-        run_oracle_cell("steins", "pers_hash", {"mode": "psychic"}, cfg,
-                        trace)
+        run_oracle_cell("steins", {"mode": "psychic"}, cfg, trace)
 
 
 # --------------------------------------------------------------- tallies
 def fake(outcome):
-    return OracleCaseResult(scheme="s", workload="w", outcome=outcome)
+    return ExploreCaseResult(outcome=outcome)
 
 
 def spec_with(plan, cfg):

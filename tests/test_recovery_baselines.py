@@ -83,9 +83,9 @@ class TestCountersDominate:
         assert not counters_dominate(general, split)
 
     def test_root_arity_mismatch_raises(self):
-        # the sibling zip over root counters is strict: losing root
-        # slots across recovery is a bug, not a shorter comparison
-        from repro.sim.crash import GoldenState, check_recovered
+        # root arity is fixed by the geometry: losing root slots across
+        # recovery is a divergence, not a shorter comparison
+        from repro.sim.crash import check_recovered
 
         class FakeRoot:
             def snapshot(self):
@@ -102,11 +102,14 @@ class TestCountersDominate:
             root = FakeRoot()
             metacache = FakeCache()
 
+            def tree_state_fingerprint(self):
+                return {}
+
         class FakeSystem:
             controller = FakeController()
 
-        golden = GoldenState(root_counters=(1, 1, 1, 1))
-        with pytest.raises(ValueError):
+        golden = {"root": (1, 1, 1, 1), "tree": {}, "dirty": {}}
+        with pytest.raises(RecoveryError, match="root-regress"):
             check_recovered(FakeSystem(), golden)
 
 

@@ -129,8 +129,8 @@ def test_oracle_snapshot_declares_extra_state(scheme, cfg):
     system = SecureNVMSystem(scheme, cfg, check=True)
     system.store(3, flush=True)
     snap = system.controller.oracle_snapshot()
-    assert set(snap) == {"root", "tree", "dirty", "extra"}
-    extra = snap["extra"]
+    assert set(snap) == {"root", "tree", "dirty"}
+    extra = system.controller.oracle_extra_state()
     assert isinstance(extra, dict)
     assert all(isinstance(k, str) for k in extra)
     json.dumps(extra)  # comparable across processes => serializable
@@ -159,7 +159,7 @@ def test_targeted_crashes_conform(scheme, cfg, trace):
     probe = run_probe(scheme, cfg, trace)
     assert probe.fires, "a write-heavy trace must fire injection points"
     for plan in first_middle_last_plans(probe, recovery_doses=(1, 2)):
-        result = run_oracle_cell(scheme, "pers_hash", plan, cfg, trace)
+        result = run_oracle_cell(scheme, plan, cfg, trace)
         assert result.outcome in _HONEST, (
             f"{scheme} {plan}: {result.outcome} {result.detail}")
 
@@ -170,7 +170,7 @@ def test_targeted_crashes_conform(scheme, cfg, trace):
 def test_tampers_are_loud(scheme, kind, cfg, trace):
     if kind in _TREE_TAMPERS and not SCHEMES[scheme].supports_recovery:
         pytest.skip("tree tampers need the crash/recover cycle")
-    result = run_tamper_case(kind, scheme, "pers_hash", trace, cfg)
+    result = run_tamper_case(kind, scheme, trace, cfg)
     assert result.outcome in ("detected", "neutralized"), (
         f"{scheme} under {kind}: {result.outcome} {result.detail}")
 

@@ -4,24 +4,6 @@ import pytest
 from repro.common import units
 
 
-def test_cycles_to_ns_at_2ghz():
-    # the paper's 40-cycle hash at 2 GHz is 20 ns
-    assert units.cycles_to_ns(40, 2.0) == pytest.approx(20.0)
-
-
-def test_ns_to_cycles_roundtrip():
-    for ns in (0.5, 15.0, 300.0):
-        assert units.cycles_to_ns(
-            units.ns_to_cycles(ns, 2.0), 2.0) == pytest.approx(ns)
-
-
-def test_invalid_clock_rejected():
-    with pytest.raises(ValueError):
-        units.cycles_to_ns(10, 0)
-    with pytest.raises(ValueError):
-        units.ns_to_cycles(10, -1)
-
-
 def test_pretty_size_exact_units():
     assert units.pretty_size(256 * 1024) == "256KB"
     assert units.pretty_size(16 * units.GB) == "16GB"
@@ -43,7 +25,3 @@ def test_pretty_time_scales():
     assert units.pretty_time_ns(2_500_000.0) == "2.500ms"
     assert units.pretty_time_ns(4.4e8).endswith("ms")
     assert units.pretty_time_ns(4.4e9) == "4.400s"
-
-
-def test_ns_to_seconds():
-    assert units.ns_to_seconds(1e9) == 1.0

@@ -82,13 +82,6 @@ def test_pointer_chase_visits_distinct_blocks():
     assert len(set(t.address.tolist())) == 64  # full permutation cycle
 
 
-def test_read_modify_write_pairs():
-    t = syn.read_modify_write(1, 5, 0, 100)
-    assert len(t) == 10
-    assert list(t.is_write[:2]) == [False, True]
-    assert t.address[0] == t.address[1]
-
-
 def test_generator_validation():
     with pytest.raises(ConfigError):
         syn.sequential(1, 0, 0, 10)
