@@ -17,8 +17,7 @@ def sweep(accesses: int = 8000):
     addrs = [int(a) for a in rng.integers(0, 1 << 16, accesses)]
     rows = {}
     for n in (1, 2, 4, 6):
-        multi = MultiControllerSystem("steins", cfg, num_controllers=n,
-                                      check=False)
+        multi = MultiControllerSystem("steins", cfg, num_controllers=n)
         for addr in addrs:
             multi.store(addr, flush=True)
         r = multi.result()

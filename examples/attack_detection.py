@@ -38,13 +38,13 @@ def fresh_victim():
 def main() -> None:
     print("== runtime attacks ==")
     system, attacker = fresh_victim()
-    attacker.tamper_data_block(block_addr=int(next(iter(system.persisted))))
-    addr = next(iter(system.persisted))
+    addr = next(iter(system.model.blocks))
+    attacker.tamper_data_block(block_addr=addr)
     expect_detection("ciphertext bit-flip",
                      lambda: system.controller.read_data(addr))
 
     system, attacker = fresh_victim()
-    addr = next(iter(system.persisted))
+    addr = next(iter(system.model.blocks))
     attacker.record(Region.DATA, addr)      # snoop the bus
     system.store(addr, flush=True)          # victim writes a new version
     attacker.replay(Region.DATA, addr)      # splice the old one back

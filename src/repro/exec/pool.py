@@ -42,7 +42,7 @@ def execute_cell(spec: CellSpec) -> dict[str, Any]:
             variant=spec.variant, workload=spec.workload,
             accesses=spec.accesses,
             footprint_blocks=spec.footprint_blocks,
-            seed=spec.seed, check=spec.check), cfg)
+            seed=spec.seed), cfg)
         return {"result": result.to_json()}
     if cfg is None:
         raise ConfigError(f"{spec.kind} cells need an explicit config")

@@ -9,7 +9,7 @@ Cache-key anatomy (see also ``docs/orchestration.md``)::
 
     sha256(canonical-JSON of {
         "spec": {kind, variant, workload, accesses, footprint_blocks,
-                 seed, check, config, fault},
+                 seed, config, fault},
         "code": "<library version>/<cache schema>",
     })
 
@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from repro.common.errors import ConfigError
+from repro.common.records import Fields, strict_record
 
 #: bump when result semantics change without a library version bump
 #: (e.g. a metric definition or the trace derivation changes).
@@ -42,16 +43,25 @@ from repro.common.errors import ConfigError
 #: ``ExploreCaseResult``s under "case" too (their old "result" envelope
 #: no longer decodes), and the one post-recovery check now flags a root
 #: arity mismatch, which can change a crash verdict.
+#: Schema 5: the ``check`` field left the spec (the system's fill check
+#: is always on), so every spec encodes differently.
 #: A bump only changes keys *computed from now on* — older entries sit
 #: at their old addresses, never looked up and never invalidated
 #: retroactively.
-CACHE_SCHEMA = 4
+CACHE_SCHEMA = 5
 
 #: the cell kinds the executor knows how to run
 KINDS = ("sim", "oracle", "explore")
 
 #: kinds whose cells are parameterized by a case plan dict
 _PLAN_KINDS = ("oracle", "explore")
+
+#: the exact encoding :meth:`CellSpec.from_json` accepts
+_SPEC_FIELDS: Fields = {
+    "kind": str, "variant": str, "workload": str, "accesses": int,
+    "footprint_blocks": int, "seed": int, "config": (dict, type(None)),
+    "fault": (dict, type(None)),
+}
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,6 @@ class CellSpec:
     accesses: int
     footprint_blocks: int
     seed: int
-    check: bool = True
     config: dict[str, Any] | None = None
     fault: dict[str, Any] | None = None
 
@@ -98,21 +107,13 @@ class CellSpec:
             raise ConfigError("accesses and footprint must be positive")
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "variant": self.variant,
-            "workload": self.workload,
-            "accesses": self.accesses,
-            "footprint_blocks": self.footprint_blocks,
-            "seed": self.seed,
-            "check": self.check,
-            "config": self.config,
-            "fault": self.fault,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "CellSpec":
-        return cls(**data)
+        """Decode :meth:`to_json`'s encoding; anything else (a missing,
+        extra or mistyped key) raises :class:`ConfigError`."""
+        return cls(**strict_record(data, _SPEC_FIELDS, "cell spec"))
 
 
 def code_version_tag() -> str:

@@ -258,7 +258,7 @@ def run_explore(schemes: list[str] | None = None,
     def spec_for(scheme: str, workload: str,
                  plan: dict[str, Any]) -> CellSpec:
         return CellSpec("explore", scheme, workload, accesses, footprint,
-                        seed, check=False, config=cfg_dict, fault=plan)
+                        seed, config=cfg_dict, fault=plan)
 
     def sweep(specs: list[CellSpec]):
         report = run_sweep(specs, jobs=jobs, cache=cache,

@@ -45,6 +45,7 @@ from repro.common.errors import (
     IntegrityError,
     RecoveryError,
 )
+from repro.common.records import strict_record
 from repro.explore.digest import DurableDigest
 from repro.faults.registry import FaultPlan, armed
 from repro.oracle.harness import DifferentialRun, ExploreCaseResult
@@ -68,7 +69,17 @@ class ExploreProbe:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "ExploreProbe":
-        return cls(fires=tuple((p, int(i), d) for p, i, d in data["fires"]))
+        """Decode :meth:`to_json`'s encoding; anything else (a missing,
+        extra or mistyped key, a fire not ``[point, index, digest]``)
+        raises :class:`ConfigError`."""
+        fires = strict_record(data, {"fires": list}, "probe")["fires"]
+        for fire in fires:
+            if type(fire) is not list \
+                    or [type(x) for x in fire] != [str, int, str]:
+                raise ConfigError(
+                    f"probe fire must be [point, access index, digest], "
+                    f"got {fire!r}")
+        return cls(fires=tuple((p, i, d) for p, i, d in fires))
 
 
 def _mutant_ctx(dr: DifferentialRun, name: str | None):
@@ -226,7 +237,6 @@ def run_case(scheme: str, cfg: SystemConfig, trace: TraceArrays,
                 except CrashInjected:
                     out.recovery_crashed = True
                     dr.system.crash()
-                    dr.model.crash()
                     dr.system.recover()
                 if not lossy:
                     dr.check_recovery(pre)

@@ -77,7 +77,7 @@ def minimize_case(scheme: str, plan: dict[str, Any], cfg: SystemConfig,
     debug a different bug than the campaign hit.
     """
     def diverges(n: int) -> bool:
-        result = runner.run_case(scheme, cfg, trace.head(n), plan)
+        result = runner.run_case(scheme, cfg, trace[:n], plan)
         if result.outcome != "diverged":
             return False
         return not require_point or result.crash_point == require_point
@@ -118,7 +118,7 @@ def run_campaign(schemes: list[str], workloads: list[str],
 
     def sweep(cells: list[tuple[str, str, dict[str, Any]]]) -> list[Any]:
         specs = [CellSpec("explore", s, w, accesses, footprint, seed,
-                          check=False, config=cfg_dict, fault=plan)
+                          config=cfg_dict, fault=plan)
                  for s, w, plan in cells]
         return run_sweep(specs, jobs=jobs, cache=cache, progress=progress,
                          service=service).values

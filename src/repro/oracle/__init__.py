@@ -17,35 +17,3 @@ package splits into:
   the command line); its clean and crash cases run on the crash
   engine.
 """
-from repro.oracle.harness import (
-    TAMPER_KINDS,
-    DifferentialRun,
-    Divergence,
-    ExploreCaseResult,
-    run_tamper_case,
-)
-from repro.oracle.model import OracleViolation, ReferenceModel
-from repro.oracle.mutants import MUTANTS, Mutant, run_mutant_case
-from repro.oracle.sweep import (
-    SuiteSummary,
-    build_suite,
-    run_oracle_cell,
-    run_oracle_suite,
-)
-
-__all__ = [
-    "TAMPER_KINDS",
-    "DifferentialRun",
-    "Divergence",
-    "ExploreCaseResult",
-    "OracleViolation",
-    "ReferenceModel",
-    "MUTANTS",
-    "Mutant",
-    "SuiteSummary",
-    "build_suite",
-    "run_mutant_case",
-    "run_oracle_cell",
-    "run_oracle_suite",
-    "run_tamper_case",
-]

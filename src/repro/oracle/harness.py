@@ -15,9 +15,10 @@ diffs three things:
   the metadata cache dirty and dominating its snapshot, or — once
   evicted — durably superseded in NVM).
 
-Unlike the inline check in :class:`repro.sim.system.SecureNVMSystem`
-(which shares the simulator's view of the cache hierarchy), the harness
-talks to the controller directly and trusts nothing but the model, so a
+The model is the system's own ``model``, the one record of what the
+controller accepted.  Unlike the system's fill check (which shares the
+simulator's view of the cache hierarchy), the harness talks to the
+controller directly and trusts nothing but the model, so a
 misconception shared by a scheme and the simulator stack still diverges
 here.
 
@@ -38,15 +39,16 @@ bug.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.attacks.injector import AttackInjector
 from repro.common.config import SystemConfig
 from repro.common.errors import IntegrityError, RecoveryError
+from repro.common.records import Fields, strict_record
 from repro.common.rng import mix64
 from repro.nvm.layout import Region
-from repro.oracle.model import OracleViolation, ReferenceModel
+from repro.oracle.model import OracleViolation
 from repro.sim.crash import Divergence, recovery_divergences
 from repro.sim.system import SecureNVMSystem
 from repro.workloads.trace import TraceArrays
@@ -54,6 +56,16 @@ from repro.workloads.trace import TraceArrays
 #: attack kinds run_tamper_case knows how to stage
 TAMPER_KINDS = ("data-bits", "data-mac", "data-replay", "tree-counter",
                 "tree-replay")
+
+#: the exact encodings :meth:`ExploreCaseResult.from_json` accepts
+_CASE_FIELDS: Fields = {
+    "outcome": str, "crash_point": str, "crash_index": int,
+    "recovery_crashed": bool, "second_crash_point": str,
+    "second_crash_index": int, "recovery_fires": int,
+    "resumed_fires": int, "divergences": list, "detail": str,
+}
+_DIVERGENCE_FIELDS: Fields = dict.fromkeys(
+    ("kind", "where", "expected", "got"), str)
 
 
 @dataclass
@@ -77,21 +89,16 @@ class ExploreCaseResult:
     detail: str = ""
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "outcome": self.outcome,
-            "crash_point": self.crash_point,
-            "crash_index": self.crash_index,
-            "recovery_crashed": self.recovery_crashed,
-            "second_crash_point": self.second_crash_point,
-            "second_crash_index": self.second_crash_index,
-            "recovery_fires": self.recovery_fires,
-            "resumed_fires": self.resumed_fires,
-            "divergences": self.divergences,
-            "detail": self.detail,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "ExploreCaseResult":
+        """Decode :meth:`to_json`'s encoding; anything else (a missing,
+        extra or mistyped key) raises
+        :class:`~repro.common.errors.ConfigError`."""
+        strict_record(data, _CASE_FIELDS, "case result")
+        for divergence in data["divergences"]:
+            strict_record(divergence, _DIVERGENCE_FIELDS, "divergence")
         return cls(**data)
 
 
@@ -100,11 +107,11 @@ class DifferentialRun:
 
     def __init__(self, scheme: str, cfg: SystemConfig,
                  check_counters: bool = True) -> None:
-        # the built-in reference check is off: the oracle is the checker
-        self.system = SecureNVMSystem(scheme, cfg, check=False)
-        self.model = ReferenceModel()
+        self.system = SecureNVMSystem(scheme, cfg)
+        #: the system's own model: the harness bypasses the hierarchy,
+        #: so every write the model sees is one of ours
+        self.model = self.system.model
         self.divergences: list[Divergence] = []
-        self._versions: dict[int, int] = {}
         self._check_counters = check_counters
 
     @property
@@ -115,9 +122,7 @@ class DifferentialRun:
     def write(self, addr: int) -> None:
         """One store at the controller boundary, mirrored into the model
         only once the controller *accepts* it (returns normally)."""
-        version = self._versions.get(addr, 0) + 1
-        self._versions[addr] = version
-        value = mix64(addr, version)
+        value = mix64(addr, self.model.write_counts.get(addr, 0) + 1)
         self.controller.write_data(addr, value)
         self.model.write(addr, value)
         if self._check_counters:
@@ -157,11 +162,10 @@ class DifferentialRun:
 
     # ------------------------------------------------------------ crash
     def crash(self) -> dict[str, Any]:
-        """Power failure on both sides; returns the pre-crash snapshot
-        the post-recovery check needs."""
+        """Power failure (the model's contents survive it unchanged);
+        returns the pre-crash snapshot the post-recovery check needs."""
         pre = self.controller.oracle_snapshot()
         self.system.crash()
-        self.model.crash()
         return pre
 
     def check_recovery(self, pre: dict[str, Any]) -> None:
@@ -270,7 +274,6 @@ def run_tamper_case(kind: str, scheme: str, trace: TraceArrays,
             # tree lines are only re-fetched once the cached copies are
             # gone: crash and recover (recovery-capable schemes only)
             dr.system.crash()
-            dr.model.crash()
             dr.system.recover()
         dr.verify_end_state()
     # the detection error is the *expected* terminal outcome here

@@ -10,24 +10,24 @@ controller boundary:
   encryption counter stored with the block, so no one-time pad is ever
   reused (Sec. II-B: the confidentiality argument).
 * **Durability / freshness** — a crash loses nothing accepted at this
-  boundary under a healthy ADR, and recovery must reproduce the exact
-  logical contents; any tampering or replay between crash and recovery
-  must surface as a detection error, never as silently wrong data.
+  boundary under a healthy ADR, so the model has no crash step: recovery
+  must reproduce the exact logical contents, and any tampering or replay
+  between crash and recovery must surface as a detection error, never as
+  silently wrong data.
 
-This module is the *oracle* side of the differential harness
-(:mod:`repro.oracle.harness`): a small, pure, obviously-correct model of
-those semantics.  It deliberately knows nothing about timing, caching,
+This is the one record of what the controller accepted, shared by the
+simulated machine (``SecureNVMSystem.model``: write-backs land here,
+fills are checked against it) and the differential harness
+(:mod:`repro.oracle.harness`, which numbers versions by its
+``write_counts``).  It deliberately knows nothing about timing, caching,
 integrity trees, or recovery protocols — it is a dict of logical block
 contents plus per-block write counts, and that is the point: a shared
 misconception baked into the simulator stack cannot also live here.
-
-The model imports nothing from the simulator (stdlib only), so its
-correctness is auditable by reading this one file.
+It imports nothing from the simulator (stdlib only), so its correctness
+is auditable by reading this one file.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 
@@ -49,7 +49,6 @@ class ReferenceModel:
     blocks: dict[int, int] = field(default_factory=dict)
     write_counts: dict[int, int] = field(default_factory=dict)
     counters: dict[int, int] = field(default_factory=dict)
-    crashes: int = 0
 
     # ------------------------------------------------------- operations
     def write(self, addr: int, value: int) -> None:
@@ -71,32 +70,3 @@ class ReferenceModel:
                 f"encryption counter for block {addr} did not advance "
                 f"({last} -> {counter}): one-time-pad reuse")
         self.counters[addr] = counter
-
-    def crash(self) -> None:
-        """Power failure.  Every write accepted at this boundary is
-        durable under a healthy ADR, so logical contents are unchanged;
-        only the crash count (freshness epoch) advances."""
-        self.crashes += 1
-
-    # --------------------------------------------------------- digests
-    def digest(self) -> str:
-        """Canonical digest of the logical end state.
-
-        Two runs agree semantically iff their digests agree: same block
-        contents and same per-block accepted-write counts.
-        """
-        blob = json.dumps(
-            {
-                "blocks": [[a, v] for a, v in sorted(self.blocks.items())],
-                "writes": [[a, n] for a, n in
-                           sorted(self.write_counts.items())],
-            },
-            sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def snapshot(self) -> "ReferenceModel":
-        """An independent copy (golden state for crash comparisons)."""
-        return ReferenceModel(blocks=dict(self.blocks),
-                              write_counts=dict(self.write_counts),
-                              counters=dict(self.counters),
-                              crashes=self.crashes)

@@ -179,7 +179,7 @@ def build_suite(schemes: list[str], workloads: list[str], accesses: int,
     def spec_for(scheme: str, workload: str,
                  plan: dict[str, Any]) -> CellSpec:
         return CellSpec("oracle", scheme, workload, accesses, footprint,
-                        seed, check=False, config=cfg_dict, fault=plan)
+                        seed, config=cfg_dict, fault=plan)
 
     for scheme in schemes:
         for workload in workloads:

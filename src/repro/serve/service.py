@@ -376,7 +376,7 @@ class SweepService:
         for index, spec_dict in enumerate(spec_dicts):
             try:
                 spec = CellSpec.from_json(spec_dict)
-            except (ConfigError, TypeError) as exc:
+            except ConfigError as exc:
                 await self._send(request, cell_error_frame(
                     index, f"invalid spec: {exc}"))
                 await self._account_done(request)

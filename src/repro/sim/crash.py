@@ -150,23 +150,14 @@ def run_with_crash(system: SecureNVMSystem, trace: TraceArrays,
     """Run ``trace`` but crash (and recover) after ``crash_at`` accesses,
     then finish the trace — the full survive-a-power-failure scenario.
 
+    Both segments run on :meth:`SecureNVMSystem.run_stream`;
     ``crash_at=0`` crashes before the first access and ``crash_at ==
-    len(trace)`` after the last; both run exactly one crash/recovery,
-    like every interior point.
+    len(trace)`` after the last, each with exactly one crash/recovery.
     """
     if not 0 <= crash_at <= len(trace):
         raise RecoveryError(
             f"crash point {crash_at} outside trace of {len(trace)}")
-    report: RecoveryReport | None = None
-    for i in range(len(trace) + 1):
-        if i == crash_at:
-            report, _ = crash_and_recover(system)
-        if i == len(trace):
-            break
-        system.advance(int(trace.gap_cycles[i]))
-        if trace.is_write[i]:
-            system.store(int(trace.address[i]), flush=flush_writes)
-        else:
-            system.load(int(trace.address[i]))
-    assert report is not None, "crash point validated above"
+    system.run_stream(trace[:crash_at], flush_writes=flush_writes)
+    report, _ = crash_and_recover(system)
+    system.run_stream(trace[crash_at:], flush_writes=flush_writes)
     return report

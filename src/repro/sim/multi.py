@@ -63,11 +63,11 @@ class MultiControllerSystem:
     """N secure memory controllers, interleaved by block address."""
 
     def __init__(self, scheme: str, cfg: SystemConfig,
-                 num_controllers: int = 2, check: bool = True) -> None:
+                 num_controllers: int = 2) -> None:
         if num_controllers <= 0:
             raise ConfigError("need at least one memory controller")
         self.num_controllers = num_controllers
-        self.shards = [SecureNVMSystem(scheme, cfg, check=check)
+        self.shards = [SecureNVMSystem(scheme, cfg)
                        for _ in range(num_controllers)]
 
     # ------------------------------------------------------------ route

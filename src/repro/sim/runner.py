@@ -50,11 +50,9 @@ class RunSpec:
     accesses: int = 60_000
     footprint_blocks: int = 1 << 17   # 8 MB of data blocks
     seed: int = 2024
-    check: bool = True
 
 
 def make_system(variant: str, cfg: SystemConfig | None = None,
-                check: bool = True,
                 tracer: Tracer = NULL_TRACER) -> SecureNVMSystem:
     """Instantiate a system for a paper variant name.
 
@@ -69,7 +67,7 @@ def make_system(variant: str, cfg: SystemConfig | None = None,
     if cfg is None:
         cfg = default_config()
     cfg = cfg.with_counter_mode(mode)
-    return SecureNVMSystem(scheme, cfg, check=check, tracer=tracer)
+    return SecureNVMSystem(scheme, cfg, tracer=tracer)
 
 
 def run_trace(system: SecureNVMSystem, trace: TraceArrays,
@@ -96,8 +94,7 @@ def run_cell(spec: RunSpec, cfg: SystemConfig | None = None,
     tracer never enters :class:`repro.exec.spec.CellSpec` or its cache
     key).
     """
-    system = make_system(spec.variant, cfg, check=spec.check,
-                         tracer=tracer)
+    system = make_system(spec.variant, cfg, tracer=tracer)
     profile = get_profile(spec.workload)
     trace = profile.generate(spec.seed, spec.accesses, spec.footprint_blocks)
     return run_trace(system, trace, spec.workload,

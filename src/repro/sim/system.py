@@ -1,12 +1,14 @@
 """Full-system wiring: CPU trace -> cache hierarchy -> secure controller
--> NVM device, plus the architectural reference model used to check that
-every scheme returns exactly the data that was written.
+-> NVM device, plus the reference model used to check that every scheme
+returns exactly the data that was written.
 
-The reference model knows two values for every data block:
+The system knows two values for every data block:
 
 * :meth:`~SecureNVMSystem.value_of` — the architectural value (what the
   CPU last stored; may still be dirty in the volatile hierarchy),
-* ``persisted`` — the value most recently written back to NVM.
+* ``model.blocks`` — the value most recently written back to NVM, in
+  the one :class:`~repro.oracle.model.ReferenceModel` of what the
+  controller accepted.
 
 A store records only the block's new version.  Its value,
 ``mix64(addr, version)``, is derived when a dirty line leaves the
@@ -14,11 +16,12 @@ hierarchy (a write-back or a ``clwb``), so stores that stay in the CPU
 caches never pay for the hash.  A block not stored since the last crash
 reads as its persisted value: a crash rolls the architectural view back
 by forgetting the stores.  A demand fill from NVM must return the
-*persisted* value, asserted on every fill when ``check`` is enabled, so
-a whole simulation doubles as an end-to-end functional test of the
-scheme under test.
+*persisted* value, asserted on every fill, so a whole simulation doubles
+as an end-to-end functional test of the scheme under test.
 """
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from repro.baselines.base import SecureMemoryController
 from repro.common.config import SystemConfig
@@ -30,6 +33,7 @@ from repro.nvm.device import NVMDevice
 from repro.nvm.energy import EnergyMeter
 from repro.nvm.layout import MemoryLayout, build_layout
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.oracle.model import ReferenceModel
 from repro.schemes import controller_types
 from repro.sim.clock import MemClock
 from repro.sim.stats import RunResult
@@ -67,14 +71,12 @@ class SecureNVMSystem:
     """One simulated machine running one scheme."""
 
     def __init__(self, scheme: str, cfg: SystemConfig,
-                 check: bool = True,
                  tracer: Tracer = NULL_TRACER) -> None:
         if scheme not in SCHEMES:
             raise ConfigError(
                 f"unknown scheme {scheme!r}; pick one of {sorted(SCHEMES)}")
         self.scheme = scheme
         self.cfg = cfg
-        self.check = check
         self.tracer = tracer
         self.device = NVMDevice(make_layout(cfg), tracer=tracer)
         self.meter = EnergyMeter(cfg.energy)
@@ -82,8 +84,8 @@ class SecureNVMSystem:
         self.hierarchy = CacheHierarchy(cfg.hierarchy)
         self.controller: SecureMemoryController = SCHEMES[scheme](
             cfg, self.device, self.clock)
-        # architectural reference model (module docstring)
-        self.persisted: dict[int, int] = {}
+        #: what the controller accepted (module docstring)
+        self.model = ReferenceModel()
         #: {block: version of its latest store} for blocks stored since
         #: the last crash
         self._stored: dict[int, int] = {}
@@ -97,7 +99,7 @@ class SecureNVMSystem:
         the persisted value when it was not stored since the last crash."""
         version = self._stored.get(block_addr)
         if version is None:
-            return self.persisted.get(block_addr, 0)
+            return self.model.blocks.get(block_addr, 0)
         return mix64(block_addr, version)
 
     # ------------------------------------------------------------- run
@@ -108,46 +110,32 @@ class SecureNVMSystem:
         the persistent-workload idiom — so the value reaches the secure
         controller immediately instead of waiting for an LLC eviction.
         """
-        stored = self._stored
-        stored[block_addr] = (stored.get(block_addr)
-                              or self._crashed_versions.get(block_addr, 0)) + 1
-        self._access(block_addr, is_write=True)
-        if flush and self.hierarchy.clwb(block_addr):
-            self._write_back(block_addr)
+        self._drive((True,), (block_addr,), (0,), flush)
 
     def load(self, block_addr: int) -> None:
-        self._access(block_addr, is_write=False)
-
-    def _access(self, block_addr: int, is_write: bool) -> None:
-        self.accesses += 1
-        result = self.hierarchy.access(block_addr, is_write)
-        self.clock.advance_cycles(result.cycles)
-        if result.requests:
-            self._serve(result.requests)
+        self._drive((False,), (block_addr,), (0,), False)
 
     def _serve(self, requests: list[MemoryRequest]) -> None:
-        """Carry one access's memory requests to the controller, for the
-        stepped path and :meth:`run_stream` alike: a write-back sends the
-        block's architectural value, a fill is checked against the
-        persisted one."""
+        """Carry one access's memory requests to the controller: a
+        write-back sends the block's architectural value, a fill is
+        checked against the persisted one."""
         for request in requests:
             line = request.line_addr
             if request.op is MemOp.WRITE:
                 self._write_back(line)
                 continue
             plaintext = self.controller.read_data(line)
-            if self.check:
-                expected = self.persisted.get(line, 0)
-                if plaintext != expected:
-                    raise AssertionError(
-                        f"scheme {self.scheme!r} returned wrong data "
-                        f"for block {line}: {plaintext} != {expected}")
+            expected = self.model.blocks.get(line, 0)
+            if plaintext != expected:
+                raise AssertionError(
+                    f"scheme {self.scheme!r} returned wrong data "
+                    f"for block {line}: {plaintext} != {expected}")
 
     def _write_back(self, block_addr: int) -> None:
         """A dirty line leaves the hierarchy (eviction or ``clwb``)."""
         value = self.value_of(block_addr)
         self.controller.write_data(block_addr, value)
-        self.persisted[block_addr] = value
+        self.model.write(block_addr, value)
 
     def advance(self, gap_cycles: int) -> None:
         """Compute time between memory accesses."""
@@ -157,18 +145,23 @@ class SecureNVMSystem:
                    flush_writes: bool = False) -> None:
         """Drive a whole trace through the system (batched hot path).
 
-        Equivalent to per-access ``advance``/``store``/``load`` calls:
-        both paths serve requests through the same :meth:`_serve` and
-        :meth:`_write_back`, and the golden stats suite compares them.
-        Cycle costs (compute gaps + cache-hit latencies) accumulate in a
-        plain int and are flushed to the clock only when a controller
-        operation — the only consumer of ``now_ps`` — is about to run.
-        Integer time makes the deferred sum bit-identical to eager
-        per-access advances; the win is skipping per-access clock
-        bookkeeping for the (overwhelmingly common) cache-hit accesses
-        in between.
+        Equivalent to per-access ``advance``/``store``/``load`` calls,
+        which run the same loop one access at a time; the golden stats
+        suite compares the two.
         """
-        is_write_col, address_col, gap_col = trace.columns
+        self._drive(*trace.columns, flush_writes)
+
+    def _drive(self, is_write_col: Sequence[bool],
+               address_col: Sequence[int], gap_col: Sequence[int],
+               flush_writes: bool) -> None:
+        """The one access loop.  Cycle costs (compute gaps + cache-hit
+        latencies) accumulate in a plain int and are flushed to the
+        clock only when a controller operation — the only consumer of
+        ``now_ps`` — is about to run.  Integer time makes the deferred
+        sum bit-identical to eager per-access advances; the win is
+        skipping per-access clock bookkeeping for the (overwhelmingly
+        common) cache-hit accesses in between.
+        """
         clock = self.clock
         access = self.hierarchy.access
         clwb = self.hierarchy.clwb
@@ -227,14 +220,13 @@ class SecureNVMSystem:
     def verify_all_persisted(self) -> int:
         """Read back every persisted block through the secure path and
         compare against the reference model.  Returns blocks checked."""
-        checked = 0
-        for addr in sorted(self.persisted):
+        blocks = self.model.blocks
+        for addr in sorted(blocks):
             plaintext = self.controller.read_data(addr)
-            if plaintext != self.persisted[addr]:
+            if plaintext != blocks[addr]:
                 raise AssertionError(
-                    f"block {addr}: {plaintext} != {self.persisted[addr]}")
-            checked += 1
-        return checked
+                    f"block {addr}: {plaintext} != {blocks[addr]}")
+        return len(blocks)
 
     # ----------------------------------------------------------- stats
     def result(self, workload: str) -> RunResult:

@@ -47,10 +47,13 @@ class TraceArrays:
         return (self.is_write.tolist(), self.address.tolist(),
                 self.gap_cycles.tolist())
 
-    def head(self, n: int) -> "TraceArrays":
-        """First ``n`` accesses (for quick tests)."""
-        return TraceArrays(self.is_write[:n], self.address[:n],
-                           self.gap_cycles[:n])
+    def __getitem__(self, index: slice) -> "TraceArrays":
+        """The accesses ``index`` selects, as a trace (slices only)."""
+        if not isinstance(index, slice):
+            raise TypeError(
+                f"a trace is indexed by slices, not {type(index).__name__}")
+        return TraceArrays(self.is_write[index], self.address[index],
+                           self.gap_cycles[index])
 
     @property
     def write_fraction(self) -> float:
@@ -86,9 +89,6 @@ def interleave(traces: list[TraceArrays], chunk: int, rng) -> TraceArrays:
             if lo >= len(traces[i]):
                 continue
             hi = min(lo + chunk, len(traces[i]))
-            pieces.append(TraceArrays(
-                traces[i].is_write[lo:hi],
-                traces[i].address[lo:hi],
-                traces[i].gap_cycles[lo:hi]))
+            pieces.append(traces[i][lo:hi])
             cursors[i] = hi
     return concat(pieces)

@@ -66,7 +66,7 @@ def make_small_system():
     def factory(scheme: str, mode: CounterMode = CounterMode.GENERAL,
                 **cfg_kwargs) -> SecureNVMSystem:
         cfg = small_config(mode, **cfg_kwargs)
-        return SecureNVMSystem(scheme, cfg, check=True)
+        return SecureNVMSystem(scheme, cfg)
     return factory
 
 

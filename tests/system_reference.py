@@ -6,7 +6,8 @@ stores on a crash.  This module keeps the eager model it replaced,
 verbatim: every store hashes its value into ``current`` at once, a fill
 copies the persisted value into ``current``, and a crash rolls
 ``current`` back to a copy of ``persisted``.  Only the per-access
-outcome record is gone (nothing read it).  ``RefSystem`` reuses the
+outcome record is gone (nothing read it), and the fill check is always
+on, as in the system.  ``RefSystem`` reuses the
 system's wiring (device, clock, controller, stats) and overrides the
 run and crash paths.  ``tests/test_reference_model.py`` requires the
 two to agree on values, NVM contents, stats and time after every op.
@@ -25,6 +26,7 @@ class RefSystem(SecureNVMSystem):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.current: dict[int, int] = {}
+        self.persisted: dict[int, int] = {}
         self._versions: dict[int, int] = {}
 
     def store(self, block_addr: int, flush: bool = False) -> None:
@@ -51,13 +53,12 @@ class RefSystem(SecureNVMSystem):
                 self.persisted[request.line_addr] = value
             else:
                 plaintext = self.controller.read_data(request.line_addr)
-                if self.check:
-                    expected = self.persisted.get(request.line_addr, 0)
-                    if plaintext != expected:
-                        raise AssertionError(
-                            f"scheme {self.scheme!r} returned wrong data "
-                            f"for block {request.line_addr}: "
-                            f"{plaintext} != {expected}")
+                expected = self.persisted.get(request.line_addr, 0)
+                if plaintext != expected:
+                    raise AssertionError(
+                        f"scheme {self.scheme!r} returned wrong data "
+                        f"for block {request.line_addr}: "
+                        f"{plaintext} != {expected}")
                 # a fill makes the persisted value architecturally current
                 self.current.setdefault(request.line_addr,
                                         self.persisted.get(request.line_addr, 0))
@@ -71,7 +72,6 @@ class RefSystem(SecureNVMSystem):
         current = self.current
         persisted = self.persisted
         versions = self._versions
-        check = self.check
         pending_cycles = 0
         n = len(address_col)
         for i in range(n):
@@ -96,13 +96,12 @@ class RefSystem(SecureNVMSystem):
                         persisted[line] = value
                     else:
                         plaintext = controller.read_data(line)
-                        if check:
-                            expected = persisted.get(line, 0)
-                            if plaintext != expected:
-                                raise AssertionError(
-                                    f"scheme {self.scheme!r} returned "
-                                    f"wrong data for block {line}: "
-                                    f"{plaintext} != {expected}")
+                        expected = persisted.get(line, 0)
+                        if plaintext != expected:
+                            raise AssertionError(
+                                f"scheme {self.scheme!r} returned "
+                                f"wrong data for block {line}: "
+                                f"{plaintext} != {expected}")
                         # a fill makes the persisted value
                         # architecturally current
                         current.setdefault(line, persisted.get(line, 0))

@@ -40,7 +40,7 @@ class TestCellKey:
         assert cell_key(spec(accesses=601)) != base
         assert cell_key(spec(workload="pers_swap")) != base
         assert cell_key(spec(variant="asit")) != base
-        assert cell_key(spec(check=False)) != base
+        assert cell_key(spec(footprint_blocks=2048)) != base
 
     def test_config_change_changes_the_key(self):
         other = dict(CFG)
@@ -119,10 +119,11 @@ class TestCacheSchema:
     cache directory).
     """
 
-    def test_schema_is_four(self):
+    def test_schema_is_five(self):
         from repro.exec.spec import CACHE_SCHEMA, KINDS
 
-        assert CACHE_SCHEMA == 4
+        # schema 5: the spec encoding lost its "check" field
+        assert CACHE_SCHEMA == 5
         assert "explore" in KINDS
 
     @pytest.mark.parametrize("kind", ["probe", "fault"])
@@ -152,11 +153,12 @@ class TestCacheSchema:
         assert repr(kind) in str(err.value) and keys in str(err.value)
 
     def test_key_pinned_under_explicit_version(self):
-        # golden hash computed when "explore" joined KINDS: growing the
-        # kind tuple must not shift keys of existing kinds — only the
-        # key's own inputs (spec fields + code_version) may move it
+        # golden hash re-pinned when "check" left the spec encoding:
+        # growing the kind tuple must not shift keys of existing kinds —
+        # only the key's own inputs (spec fields + code_version) may
+        # move it
         assert cell_key(spec(), code_version="golden/1") == \
-            "ea87e8743ea257480b4a29c4fabe3ecdde8e8652c14c7b1e0d34016568b926b0"
+            "40e9f15cc8b9ca5db119b497cd7efa615712dfdbfdbf35aa26abdf47efb7d8d9"
 
     def test_schema_bump_relocates_but_never_rewrites(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -179,7 +181,7 @@ class TestCacheSchema:
     def test_explore_kind_requires_a_case_plan(self):
         with pytest.raises(ConfigError):
             spec(kind="explore", fault=None)
-        s = spec(kind="explore", check=False, fault={"mode": "probe"})
+        s = spec(kind="explore", fault={"mode": "probe"})
         assert cell_key(s) != cell_key(spec())
 
 

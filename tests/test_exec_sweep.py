@@ -216,7 +216,7 @@ class TestWorkerFailures:
     def test_raising_cell_fails_the_sweep_and_names_the_cell(self):
         # explore cells without a config raise deterministically
         bad = CellSpec("explore", "steins", "pers_hash", 60, 256, 7,
-                       check=False, fault={"mode": "probe"})
+                       fault={"mode": "probe"})
         specs = [matrix()[0], bad]
         with pytest.raises(ConfigError, match="explicit config"):
             run_sweep(specs, jobs=1)

@@ -122,7 +122,7 @@ class TestDigest:
     def test_rolled_back_lines_leave_the_digest(self, explore_cfg,
                                                 tiny_trace):
         dr = DifferentialRun("steins", explore_cfg, check_counters=False)
-        dr.run_trace(tiny_trace.head(20))
+        dr.run_trace(tiny_trace[:20])
         digest = DurableDigest(dr.system)
         before = digest()
         lines = len(dr.system.device.lines())
@@ -320,10 +320,10 @@ class TestExecIntegration:
         cfg_dict = config_to_dict(explore_cfg)
         specs = [
             CellSpec("explore", "steins", "pers_hash", 40, 128, 2025,
-                     check=False, config=cfg_dict,
+                     config=cfg_dict,
                      fault={"mode": "probe"}),
             CellSpec("explore", "steins", "pers_hash", 40, 128, 2025,
-                     check=False, config=cfg_dict,
+                     config=cfg_dict,
                      fault={"mode": "case", "crash_after": 5}),
         ]
         cache = ResultCache(tmp_path / "cache")
@@ -340,7 +340,7 @@ class TestExecIntegration:
         from repro.exec.pool import execute_cell
 
         spec = CellSpec("explore", "steins", "pers_hash", 40, 128, 2025,
-                        check=False, fault={"mode": "probe"})
+                        fault={"mode": "probe"})
         with pytest.raises(ConfigError):
             execute_cell(spec)
 

@@ -175,8 +175,7 @@ class TestRunWithCrashEdges:
         trace = get_profile("pers_hash").generate(seed=5, n=300,
                                                   footprint=2048)
         system = SecureNVMSystem("steins",
-                                 small_config(metadata_cache_bytes=2048),
-                                 check=True)
+                                 small_config(metadata_cache_bytes=2048))
         at = 0 if crash_at == "start" else len(trace)
         report = run_with_crash(system, trace, crash_at=at,
                                 flush_writes=True)
@@ -262,7 +261,7 @@ class TestMinimizeCase:
         # would crash at metacache.evict, not the campaign's fire
         assert campaign.minimize_case("steins", self.PLAN, cfg,
                                       trace) == 10
-        wrong = self._fake_run_case("steins", cfg, trace.head(10),
+        wrong = self._fake_run_case("steins", cfg, trace[:10],
                                     self.PLAN)
         assert wrong.crash_point != "controller.write"
 
@@ -278,7 +277,7 @@ class TestMinimizeCase:
         n = campaign.minimize_case("steins", self.PLAN, cfg, trace,
                                    require_point="controller.write")
         assert n == 40
-        repro_result = self._fake_run_case("steins", cfg, trace.head(n),
+        repro_result = self._fake_run_case("steins", cfg, trace[:n],
                                            self.PLAN)
         assert repro_result.outcome == "diverged"
         assert repro_result.crash_point == "controller.write"
@@ -313,8 +312,7 @@ def test_crash_inside_every_recovery_step(scheme):
     k = 1
     while True:
         system = SecureNVMSystem(scheme,
-                                 small_config(metadata_cache_bytes=2048),
-                                 check=True)
+                                 small_config(metadata_cache_bytes=2048))
         drive_writes(system)
         golden = capture_golden(system)
         plan = FaultPlan(recovery_crash_after=k)
@@ -333,7 +331,7 @@ def test_crash_inside_every_recovery_step(scheme):
 
 
 def test_wb_has_no_recovery_path():
-    system = SecureNVMSystem("wb", small_config(), check=True)
+    system = SecureNVMSystem("wb", small_config())
     drive_writes(system, n=60)
     system.crash()
     with pytest.raises(RecoveryError):

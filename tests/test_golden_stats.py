@@ -23,10 +23,10 @@ import pytest
 
 from repro.common.config import small_config
 from repro.nvm.layout import Region
+from repro.sim.crash import crash_and_recover, run_with_crash
 from repro.sim.multi import MultiControllerSystem
 from repro.sim.runner import VARIANTS, RunSpec, make_system, run_cell
 from repro.workloads import get_profile
-from repro.workloads.trace import TraceArrays
 from tests.conftest import drive
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "fixtures" / \
@@ -81,7 +81,7 @@ class TestBatchEquivalence:
 
     @staticmethod
     def assert_same_memory(batched, stepped) -> None:
-        assert batched.persisted == stepped.persisted
+        assert batched.model.blocks == stepped.model.blocks
         assert dict(batched.device.populated(Region.DATA)) == \
             dict(stepped.device.populated(Region.DATA))
 
@@ -112,27 +112,30 @@ class TestBatchEquivalence:
         ("asit", "pers_hash"),       # flushed stores survive it
     ])
     def test_crash_between_stream_segments(self, variant, workload):
+        """Both batched crash runs — two ``run_stream`` segments around
+        ``crash``/``recover``, and :func:`run_with_crash` — equal the
+        stepped loop around :func:`crash_and_recover`."""
         profile = get_profile(workload)
         trace = profile.generate(5, 1500, 1024)
         flush = profile.persistent
-        first = trace.head(700)
-        second = TraceArrays(trace.is_write[700:], trace.address[700:],
-                             trace.gap_cycles[700:])
 
         batched = make_system(variant, small_config())
-        batched.run_stream(first, flush_writes=flush)
+        batched.run_stream(trace[:700], flush_writes=flush)
         batched.crash()
         batched.recover()
-        batched.run_stream(second, flush_writes=flush)
+        batched.run_stream(trace[700:], flush_writes=flush)
+
+        via_run_with_crash = make_system(variant, small_config())
+        run_with_crash(via_run_with_crash, trace, 700, flush_writes=flush)
 
         stepped = make_system(variant, small_config())
-        drive(stepped, first, flush_writes=flush)
-        stepped.crash()
-        stepped.recover()
-        drive(stepped, second, flush_writes=flush)
+        drive(stepped, trace[:700], flush_writes=flush)
+        crash_and_recover(stepped)
+        drive(stepped, trace[700:], flush_writes=flush)
 
-        assert batched.clock.now_ps == stepped.clock.now_ps
-        assert batched.accesses == stepped.accesses
-        assert canon(batched.result(workload).to_json()) == \
-            canon(stepped.result(workload).to_json())
-        self.assert_same_memory(batched, stepped)
+        for system in (batched, via_run_with_crash):
+            assert system.clock.now_ps == stepped.clock.now_ps
+            assert system.accesses == stepped.accesses
+            assert canon(system.result(workload).to_json()) == \
+                canon(stepped.result(workload).to_json())
+            self.assert_same_memory(system, stepped)

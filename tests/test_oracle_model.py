@@ -6,7 +6,10 @@ conformance verdict is.
 """
 import pytest
 
+from repro.common.config import small_config
 from repro.oracle.model import OracleViolation, ReferenceModel
+from repro.sim.crash import crash_and_recover
+from repro.sim.system import SecureNVMSystem
 
 
 def test_read_defaults_to_zero():
@@ -34,34 +37,14 @@ def test_counter_observations_must_strictly_increase():
         model.observe_counter(4, 1)  # regression
 
 
-def test_crash_preserves_contents_and_counts_epochs():
-    model = ReferenceModel()
-    model.write(1, 10)
-    digest = model.digest()
-    model.crash()
-    assert model.read(1) == 10
-    assert model.crashes == 1
-    assert model.digest() == digest   # crash is not a semantic event
-
-
-def test_digest_tracks_contents_and_write_counts():
-    a, b = ReferenceModel(), ReferenceModel()
-    a.write(1, 10)
-    b.write(1, 10)
-    assert a.digest() == b.digest()
-    # same final contents, different accepted-write history: distinct
-    b.write(1, 99)
-    b.write(1, 10)
-    assert a.digest() != b.digest()
-
-
-def test_snapshot_is_independent():
-    model = ReferenceModel()
-    model.write(1, 10)
-    model.observe_counter(1, 3)
-    snap = model.snapshot()
-    model.write(1, 20)
-    model.observe_counter(1, 4)
-    assert snap.read(1) == 10
-    assert snap.counters == {1: 3}
-    assert model.read(1) == 20
+def test_crash_preserves_contents():
+    """A crash is not a semantic event: the system's model keeps every
+    write the controller accepted, and nothing it did not."""
+    system = SecureNVMSystem("steins", small_config())
+    system.store(1, flush=True)
+    system.store(2)                  # still volatile: never accepted
+    blocks = dict(system.model.blocks)
+    counts = dict(system.model.write_counts)
+    crash_and_recover(system)
+    assert system.model.blocks == blocks
+    assert system.model.write_counts == counts == {1: 1}

@@ -150,7 +150,7 @@ def test_repeated_recovery_converges_to_a_fixed_point(addrs):
     from tests.recovery_fingerprint import controller_fingerprint
 
     system = SecureNVMSystem(
-        "steins", small_config(metadata_cache_bytes=1024), check=True)
+        "steins", small_config(metadata_cache_bytes=1024))
     for addr in addrs:
         system.store(addr, flush=True)
     previous = None

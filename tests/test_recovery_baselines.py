@@ -231,7 +231,7 @@ def test_recovery_idempotent_fingerprint(scheme):
     from tests.recovery_fingerprint import controller_fingerprint
 
     system = SecureNVMSystem(
-        scheme, small_config(metadata_cache_bytes=2048), check=True)
+        scheme, small_config(metadata_cache_bytes=2048))
     rng = make_rng(23, "idem", scheme)
     for addr in rng.integers(0, 2000, 250):
         system.store(int(addr), flush=True)

@@ -118,7 +118,6 @@ def test_cell_spec_round_trips(rng):
         accesses=randrange(rng, 1, 1 << 20),
         footprint_blocks=randrange(rng, 1, 1 << 20),
         seed=randrange(rng, 1 << 32),
-        check=float(rng.random()) < 0.5,
         config=choice(rng, [None, {"clock_ghz": 2.0}]),
         fault={"mode": "crash", "crash_after": randrange(rng, 1 << 10)}
         if kind != "sim" else None,

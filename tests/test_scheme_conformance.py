@@ -126,7 +126,7 @@ def test_capability_declaration_is_coherent(scheme):
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_oracle_snapshot_declares_extra_state(scheme, cfg):
     """The durable trust base is a stated, JSON-serializable answer."""
-    system = SecureNVMSystem(scheme, cfg, check=True)
+    system = SecureNVMSystem(scheme, cfg)
     system.store(3, flush=True)
     snap = system.controller.oracle_snapshot()
     assert set(snap) == {"root", "tree", "dirty"}
@@ -178,8 +178,7 @@ def test_tampers_are_loud(scheme, kind, cfg, trace):
 # ------------------------------------------------- recovery properties
 def _crashed_system(scheme, crash_after):
     system = SecureNVMSystem(scheme,
-                             small_config(metadata_cache_bytes=512),
-                             check=True)
+                             small_config(metadata_cache_bytes=512))
     run = get_profile("pers_hash").generate(seed=13, n=120, footprint=512)
     plan = FaultPlan(crash_after=crash_after)
     with armed(plan):

@@ -166,7 +166,7 @@ class TestWorkerCrew:
             assert crew.idle_workers() == [0]
             # a deterministic raise comes back as an error result
             bad = CellSpec("explore", "steins", "pers_hash", 60, 256, 7,
-                           check=False, fault={"mode": "probe"})
+                           fault={"mode": "probe"})
             crew.dispatch(0, 2, bad.to_json())
             item = None
             deadline = time.monotonic() + 60
@@ -248,7 +248,7 @@ class TestServiceE2E:
         handle = serve(workers=1, cache=MemoryBackend())
         # explore cells without a config raise deterministically
         bad = CellSpec("explore", "steins", "pers_hash", 60, 256, 7,
-                       check=False, fault={"mode": "probe"})
+                       fault={"mode": "probe"})
         with pytest.raises(ServiceError, match="cell 1"):
             submit_sweep([matrix(accesses=60)[0], bad],
                          handle.service.socket_path)
@@ -261,10 +261,14 @@ class TestServiceE2E:
     def test_invalid_spec_rejected_per_cell(self, serve):
         handle = serve(workers=1, cache=MemoryBackend())
         client = ServiceClient(handle.service.socket_path)
-        frames, done = client.submit([{"kind": "no-such-kind"}])
-        assert frames[0]["op"] == "cell_error"
-        assert "invalid spec" in frames[0]["error"]
-        assert done["total"] == 1
+        # a spec still carrying the retired "check" key is invalid too
+        stale = {**matrix()[0].to_json(), "check": True}
+        frames, done = client.submit([{"kind": "no-such-kind"}, stale])
+        for frame in frames:
+            assert frame["op"] == "cell_error"
+            assert "invalid spec" in frame["error"]
+        assert "'check'" in frames[1]["error"]
+        assert done["total"] == 2
 
     def test_ping_stats_and_worker_table(self, serve):
         handle = serve(workers=2, cache=MemoryBackend())

@@ -20,7 +20,7 @@ ALL_VARIANTS = tuple(VARIANTS)
 
 def small_variant_system(variant: str) -> SecureNVMSystem:
     scheme, mode = VARIANTS[variant]
-    return SecureNVMSystem(scheme, small_config(mode), check=True)
+    return SecureNVMSystem(scheme, small_config(mode))
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -37,7 +37,7 @@ def test_all_schemes_persist_identical_data(variant, small_trace):
     run_trace(reference, small_trace, "pers_hash", flush_writes=True)
     system = small_variant_system(variant)
     run_trace(system, small_trace, "pers_hash", flush_writes=True)
-    assert system.persisted == reference.persisted
+    assert system.model.blocks == reference.model.blocks
 
 
 @pytest.mark.parametrize("variant", RECOVERABLE)
@@ -53,7 +53,7 @@ def test_crash_recover_continue(variant, crash_at, small_trace):
 @pytest.mark.parametrize("variant", RECOVERABLE)
 def test_repeated_crashes(variant, small_trace):
     system = small_variant_system(variant)
-    for i, (is_write, addr, gap) in enumerate(small_trace.head(1200)):
+    for i, (is_write, addr, gap) in enumerate(small_trace[:1200]):
         system.advance(gap)
         if is_write:
             system.store(addr, flush=True)
@@ -70,15 +70,15 @@ def test_crash_rolls_back_unflushed_stores():
     value_before = system.value_of(5)
     system.crash()
     system.recover()
-    assert system.value_of(5) == system.persisted.get(5, 0)
-    assert system.persisted.get(5) != value_before or \
-        system.persisted.get(5) is None
+    assert system.value_of(5) == system.model.blocks.get(5, 0)
+    assert system.model.blocks.get(5) != value_before or \
+        system.model.blocks.get(5) is None
 
 
 def test_flushed_stores_survive_crash():
     system = small_variant_system("steins-gc")
     system.store(5, flush=True)
-    value = system.persisted[5]
+    value = system.model.blocks[5]
     crash_and_recover(system)
     system.load(5)
     assert system.value_of(5) == value

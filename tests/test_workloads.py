@@ -104,8 +104,12 @@ def test_trace_helpers():
     assert len(mixed) == 100
     assert set(mixed.address.tolist()) == \
         set(a.address.tolist()) | set(b.address.tolist())
-    head = joined.head(7)
+    head = joined[:7]
     assert len(head) == 7
+    tail = joined[93:]
+    assert tail.address.tolist() == joined.address.tolist()[93:]
+    with pytest.raises(TypeError, match="slices"):
+        joined[3]
 
 
 def test_trace_validation():

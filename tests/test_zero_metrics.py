@@ -47,7 +47,7 @@ class TestDataclassZeroAverages:
 
 class TestZeroAccessRun:
     def run_empty(self, variant: str) -> RunResult:
-        system = make_system(variant, check=True)
+        system = make_system(variant)
         return run_trace(system, empty_trace(), "empty")
 
     def test_all_metrics_exactly_zero(self):
