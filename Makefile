@@ -119,9 +119,18 @@ bench-ab:
 # model — clean runs, crashes at the first, middle and last fire of
 # each injection point plus crash-during-recovery doses (a sample, not
 # explore-smoke's full enumeration), tampers (must be loud), and seeded
-# mutants (must be caught); exits non-zero on any silent divergence
+# mutants (must be caught); exits non-zero on any silent divergence.
+# Cold + warm through the result cache: the warm run must simulate no
+# cell and print a byte-identical report
+ORACLE_SMOKE = $(PYTHON) -m repro oracle --all-schemes --seed 1 \
+	--cache-dir .oracle-smoke/cache
 oracle-smoke:
-	$(PYTHON) -m repro oracle --all-schemes --seed 1 --jobs 2
+	rm -rf .oracle-smoke && mkdir -p .oracle-smoke
+	$(ORACLE_SMOKE) --jobs 2 > .oracle-smoke/cold.txt
+	$(ORACLE_SMOKE) --jobs 1 > .oracle-smoke/warm.txt 2> .oracle-smoke/warm.err
+	grep -q "^oracle: 0 cells simulated" .oracle-smoke/warm.err
+	cmp .oracle-smoke/cold.txt .oracle-smoke/warm.txt
+	rm -rf .oracle-smoke
 
 # the registry-parametrized conformance gate: the per-scheme test file
 # (oracle cases, recovery properties, determinism, registration

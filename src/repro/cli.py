@@ -474,6 +474,8 @@ def cmd_oracle(args) -> int:
     else:
         for line in tally.summary_lines():
             print(line)
+    print(f"oracle: {tally.cells_executed} cells simulated, "
+          f"{tally.cells_cached} cached", file=sys.stderr)
     return 0 if tally.ok else 1
 
 

@@ -5,6 +5,8 @@ a cell spec carries the full configuration — not a diff against an
 implicit default that silently shifts between versions.  The encoding is
 a plain nested dict (enums by value), decodable back through each
 dataclass constructor so ``__post_init__`` validation re-runs on load.
+Decoding is strict: every field is required and exactly typed, and any
+mismatch raises :class:`~repro.common.errors.ConfigError`.
 """
 from __future__ import annotations
 
@@ -23,7 +25,8 @@ def config_to_dict(cfg: SystemConfig) -> dict[str, Any]:
 
 
 def config_from_dict(data: dict[str, Any]) -> SystemConfig:
-    """Rebuild a :class:`SystemConfig`, re-running all validation."""
+    """Rebuild a :class:`SystemConfig`, re-running all validation; a
+    missing, unknown or mistyped field raises :class:`ConfigError`."""
     return _decode(SystemConfig, data)
 
 
@@ -59,21 +62,31 @@ def _decode(cls: type, data: Any) -> Any:
         raise ConfigError(
             f"expected a dict for {cls.__name__}, got {type(data).__name__}")
     hints = _class_hints(cls)
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(
-            f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    kwargs: dict[str, Any] = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        target = hints[f.name]
-        value = data[f.name]
-        if dataclasses.is_dataclass(target):
-            kwargs[f.name] = _decode(target, value)
-        elif isinstance(target, type) and issubclass(target, enum.Enum):
-            kwargs[f.name] = target(value)
-        else:
-            kwargs[f.name] = value
-    return cls(**kwargs)
+    names = [f.name for f in dataclasses.fields(cls)]
+    unknown = sorted(set(data) - set(names))
+    missing = [name for name in names if name not in data]
+    if unknown or missing:
+        raise ConfigError(f"{cls.__name__} fields: unknown {unknown}, "
+                          f"missing {missing}")
+    return cls(**{name: _decode_value(hints[name], data[name],
+                                      f"{cls.__name__}.{name}")
+                  for name in names})
+
+
+def _decode_value(target: Any, value: Any, where: str) -> Any:
+    """One field, exactly typed: ``bool`` is not an ``int``, a ``float``
+    field also takes an ``int``, an enum takes one of its values."""
+    if dataclasses.is_dataclass(target):
+        return _decode(target, value)
+    if issubclass(target, enum.Enum):
+        try:
+            return target(value)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"{where}: {value!r} is not one of "
+                f"{[m.value for m in target]}") from None
+    allowed = (int, float) if target is float else (target,)
+    if type(value) not in allowed:
+        raise ConfigError(f"{where} must be {target.__name__}, got "
+                          f"{type(value).__name__} {value!r}")
+    return value

@@ -46,39 +46,30 @@ def execute_cell(spec: CellSpec) -> dict[str, Any]:
         return {"result": result.to_json()}
     if cfg is None:
         raise ConfigError(f"{spec.kind} cells need an explicit config")
-    if spec.kind == "oracle":
-        from repro.oracle.sweep import run_oracle_cell
+    from repro.explore.runner import run_explore_cell
 
-        result = run_oracle_cell(spec.variant, spec.fault or {}, cfg,
-                                 _trace_for(spec))
-        return {"case": result.to_json()}
-    if spec.kind == "explore":
-        from repro.explore.runner import run_explore_cell
-
-        return run_explore_cell(spec.variant, spec.fault or {}, cfg,
-                                _trace_for(spec))
-    raise ConfigError(f"unknown cell kind {spec.kind!r}")
+    return run_explore_cell(spec.variant, spec.fault or {}, cfg,
+                            _trace_for(spec))
 
 
 def decode_payload(spec: CellSpec, payload: dict[str, Any]) -> Any:
     """Turn a cached/executed payload back into the cell's value.
 
     A payload names its type by its envelope key (``"result"`` for
-    sim cells, ``"case"`` for oracle cells, ``"probe"`` or ``"case"``
-    for explore cells).  One with none of its kind's keys raises
-    :class:`ConfigError` (an incompatible writer shares the cache).
+    sim cells, ``"probe"`` or ``"case"`` for explore cells).  One with
+    none of its kind's keys raises :class:`ConfigError` (an
+    incompatible writer shares the cache).
     """
     decoders: dict[str, Callable[[Any], Any]]
     if spec.kind == "sim":
         from repro.sim.stats import RunResult
 
         decoders = {"result": RunResult.from_json}
-    else:  # a CellSpec's kind is validated: "oracle" or "explore"
+    else:  # a CellSpec's kind is validated: "explore"
         from repro.explore.runner import ExploreCaseResult, ExploreProbe
 
-        decoders = {"case": ExploreCaseResult.from_json}
-        if spec.kind == "explore":
-            decoders["probe"] = ExploreProbe.from_json
+        decoders = {"case": ExploreCaseResult.from_json,
+                    "probe": ExploreProbe.from_json}
     for key, decode in decoders.items():
         if key in payload:
             return decode(payload[key])

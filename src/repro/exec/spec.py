@@ -44,17 +44,16 @@ from repro.common.records import Fields, strict_record
 #: no longer decodes), and the one post-recovery check now flags a root
 #: arity mismatch, which can change a crash verdict.
 #: Schema 5: the ``check`` field left the spec (the system's fill check
-#: is always on), so every spec encodes differently.
+#: is always on), so every spec encodes differently.  The "oracle" kind
+#: left later without a bump: oracle cases are "explore" cells now, and
+#: the kind is part of the key, so old oracle entries are never looked up.
 #: A bump only changes keys *computed from now on* — older entries sit
 #: at their old addresses, never looked up and never invalidated
 #: retroactively.
 CACHE_SCHEMA = 5
 
 #: the cell kinds the executor knows how to run
-KINDS = ("sim", "oracle", "explore")
-
-#: kinds whose cells are parameterized by a case plan dict
-_PLAN_KINDS = ("oracle", "explore")
+KINDS = ("sim", "explore")
 
 #: the exact encoding :meth:`CellSpec.from_json` accepts
 _SPEC_FIELDS: Fields = {
@@ -71,19 +70,17 @@ class CellSpec:
     ``kind`` selects the worker routine:
 
     * ``"sim"``    — one (variant, workload) figure cell -> ``RunResult``
-    * ``"oracle"`` — one differential-oracle case (clean, crash,
-      tamper or mutant) -> ``ExploreCaseResult``
-    * ``"explore"`` — one unit of the crash engine (digest probe or
-      crash candidate, including every fault-campaign probe and case)
-      -> ``ExploreProbe`` / ``ExploreCaseResult``
+    * ``"explore"`` — one unit of the crash engine (digest probe, clean
+      run, crash candidate or tamper, including every fault-campaign
+      and oracle case) -> ``ExploreProbe`` / ``ExploreCaseResult``
 
     ``variant`` is a paper variant name for ``"sim"`` cells and a bare
-    scheme name for every other kind.
+    scheme name for ``"explore"`` cells.
     ``config`` is the full system configuration as produced by
     :func:`repro.exec.configio.config_to_dict` (``None`` means the
     default Table I configuration).  ``fault`` holds the case plan
-    (mode, crash fire, torn budget, attack/mutant name) of an oracle
-    or explore cell.
+    (mode, crash fire, torn budget, attack/mutant name) of an explore
+    cell.
     """
 
     kind: str
@@ -99,10 +96,10 @@ class CellSpec:
         if self.kind not in KINDS:
             raise ConfigError(
                 f"unknown cell kind {self.kind!r}; pick one of {KINDS}")
-        if self.kind in _PLAN_KINDS and self.fault is None:
-            raise ConfigError(f"{self.kind} cells need a case plan")
-        if self.kind not in _PLAN_KINDS and self.fault is not None:
-            raise ConfigError(f"{self.kind} cells cannot carry a crash plan")
+        if self.kind == "explore" and self.fault is None:
+            raise ConfigError("explore cells need a case plan")
+        if self.kind == "sim" and self.fault is not None:
+            raise ConfigError("sim cells cannot carry a crash plan")
         if self.accesses <= 0 or self.footprint_blocks <= 0:
             raise ConfigError("accesses and footprint must be positive")
 

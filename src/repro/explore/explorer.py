@@ -52,7 +52,7 @@ from repro.explore.planner import (
     shutdown_phase2_plans,
     shutdown_plans,
 )
-from repro.explore.runner import ExploreCaseResult
+from repro.explore.runner import CAUGHT_OUTCOMES, ExploreCaseResult
 from repro.oracle.mutants import MUTANTS
 from repro.schemes import resolve_schemes
 
@@ -62,9 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 #: outcomes that do not fail the explorer
 _OK_OUTCOMES = frozenset(
     {"match", "detected", "data_loss", "unsupported", "inapplicable"})
-
-#: outcomes that count as *catching* a planted mutant
-_CAUGHT_OUTCOMES = frozenset({"detected", "diverged", "data_loss"})
 
 
 @dataclass
@@ -121,7 +118,7 @@ class MutantSummary:
     def tally(self, label: str, result: ExploreCaseResult) -> None:
         self.outcome_counts[result.outcome] = \
             self.outcome_counts.get(result.outcome, 0) + 1
-        if not self.caught and result.outcome in _CAUGHT_OUTCOMES:
+        if not self.caught and result.outcome in CAUGHT_OUTCOMES:
             self.caught = True
             self.caught_by = f"{label}: {result.outcome}"
 

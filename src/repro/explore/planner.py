@@ -178,8 +178,8 @@ def first_middle_last_plans(probe: ExploreProbe,
                             ) -> list[dict[str, Any]]:
     """The oracle's policy: crash at the first, middle, and last fire of
     every point that fired, plus crash-during-recovery doses on top of
-    the run's middle fire.  Plans are ``"oracle"`` cell plans (mode
-    ``crash``, labelled with the targeted point)."""
+    the run's middle fire.  Plans are :func:`~repro.explore.runner.run_case`
+    plans, each labelled with the targeted ``point``."""
     occurrences: dict[str, list[int]] = {}
     for k, (point, _, _) in enumerate(probe.fires, start=1):
         occurrences.setdefault(point, []).append(k)
@@ -188,12 +188,12 @@ def first_middle_last_plans(probe: ExploreProbe,
         hits = occurrences[point]
         for crash_after in sorted({hits[0], hits[len(hits) // 2],
                                    hits[-1]}):
-            plans.append({"mode": "crash", "point": point,
+            plans.append({"mode": "case", "point": point,
                           "crash_after": crash_after})
     if probe.fires:
         mid = len(probe.fires) // 2 + 1
         for dose in recovery_doses:
-            plans.append({"mode": "crash", "point": "recovery.step",
+            plans.append({"mode": "case", "point": "recovery.step",
                           "crash_after": mid,
                           "recovery_crash_after": dose})
     return plans

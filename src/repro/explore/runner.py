@@ -1,8 +1,7 @@
 """The crash engine: digest probes and candidate cases.
 
-These are the workers of ``"explore"`` cells — every ``repro explore``
-and ``repro faults`` probe and case — and of the oracle's clean and
-crash cells.
+These are the workers of ``"explore"`` cells — every ``repro explore``,
+``repro faults`` and ``repro oracle`` probe and case.
 
 Every routine here is a pure function of ``(scheme, plan dict, config,
 trace)`` — the contract that lets :mod:`repro.exec` fan cells out over
@@ -23,7 +22,11 @@ processes and cache their payloads by content.  Three plan modes:
 All three accept an optional ``"mutant"`` key naming a seeded bug from
 :mod:`repro.oracle.mutants` to plant for the duration of the run — the
 explorer's self-test re-finds every mutant without being told where to
-crash.
+crash, and the oracle runs each mutant under the plan its ``crash``
+field declares.
+:func:`run_explore_cell` also runs the oracle's ``{"mode": "tamper"}``
+cells (:func:`repro.oracle.harness.run_tamper_case`), which stage an
+attack between two trace halves and have no crash to plan.
 
 Outcome vocabulary, shared by every crash check: ``match`` /
 ``diverged`` / ``unsupported`` / ``no_crash``, plus ``detected`` /
@@ -48,13 +51,20 @@ from repro.common.errors import (
 from repro.common.records import strict_record
 from repro.explore.digest import DurableDigest
 from repro.faults.registry import FaultPlan, armed
-from repro.oracle.harness import DifferentialRun, ExploreCaseResult
+from repro.oracle.harness import (
+    DifferentialRun,
+    ExploreCaseResult,
+    run_tamper_case,
+)
 from repro.oracle.model import OracleViolation
 from repro.oracle.mutants import MUTANTS
 from repro.workloads.trace import TraceArrays
 
 #: one recorded probe fire: (point, access index, durable digest)
 Fire = tuple[str, int, str]
+
+#: outcomes that count as *catching* a planted mutant
+CAUGHT_OUTCOMES = frozenset({"detected", "diverged", "data_loss"})
 
 
 @dataclass(frozen=True)
@@ -291,4 +301,7 @@ def run_explore_cell(scheme: str, plan: dict[str, Any], cfg: SystemConfig,
         return {"case": result.to_json()}
     if mode == "case":
         return {"case": run_case(scheme, cfg, trace, plan).to_json()}
+    if mode == "tamper":
+        result = run_tamper_case(plan.get("attack"), scheme, trace, cfg)
+        return {"case": result.to_json()}
     raise ConfigError(f"unknown explore cell mode {mode!r}")

@@ -22,20 +22,20 @@ controller directly and trusts nothing but the model, so a
 misconception shared by a scheme and the simulator stack still diverges
 here.
 
-Clean and crash cases run on the crash engine in
+Clean, crash and mutant cases run on the crash engine in
 :mod:`repro.explore.runner` (``run_clean``/``run_case``), which drives a
 :class:`DifferentialRun`.  This module keeps the runner for the attack
-claim class: :func:`run_tamper_case` stages a :mod:`repro.attacks`
+claim class, which the engine dispatches as ``{"mode": "tamper"}``
+cells: :func:`run_tamper_case` stages a :mod:`repro.attacks`
 tamper/replay between crash and recovery, which must surface as a
 detection error (or be provably neutralized), never as silently wrong
 data.
 
-Outcomes: ``detected`` (a detection error surfaced — the expected
-result of tampering), ``neutralized`` (a tamper was overwritten by
-recovery and all data read back correct — SCUE's whole-tree rebuild
-does this), ``diverged`` (any silent disagreement — always a bug);
-mutant runs (:mod:`repro.oracle.mutants`) add ``match`` for an escaped
-bug.
+Tamper outcomes: ``detected`` (a detection error surfaced — the
+expected result of tampering), ``neutralized`` (a tamper was
+overwritten by recovery and all data read back correct — SCUE's
+whole-tree rebuild does this), ``diverged`` (any silent disagreement —
+always a bug).
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from typing import Any
 
 from repro.attacks.injector import AttackInjector
 from repro.common.config import SystemConfig
-from repro.common.errors import IntegrityError, RecoveryError
+from repro.common.errors import ConfigError, IntegrityError, RecoveryError
 from repro.common.records import Fields, strict_record
 from repro.common.rng import mix64
 from repro.nvm.layout import Region
@@ -223,8 +223,8 @@ def run_tamper_case(kind: str, scheme: str, trace: TraceArrays,
                       no observable trace where one was required.
     """
     if kind not in TAMPER_KINDS:
-        raise ValueError(f"unknown tamper kind {kind!r}; "
-                         f"pick one of {TAMPER_KINDS}")
+        raise ConfigError(f"unknown tamper kind {kind!r}; "
+                          f"pick one of {TAMPER_KINDS}")
     dr = DifferentialRun(scheme, cfg)
     injector = AttackInjector(dr.system.device)
     half = len(trace) // 2

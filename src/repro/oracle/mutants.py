@@ -2,21 +2,31 @@
 
 A differential oracle that has never caught anything proves nothing, so
 each mutant here plants one representative bug from a claimed detection
-class into a *live* controller instance and the self-test asserts the
-harness flags it (any outcome other than ``match``).  The classes map
-one-to-one onto the oracle's checks:
+class into a *live* controller instance, and the self-test asserts the
+crash engine (:mod:`repro.explore.runner`) catches it: the outcome must
+be one of ``CAUGHT_OUTCOMES`` (``detected``, ``diverged``,
+``data_loss``).  The classes map one-to-one onto the oracle's checks:
 
-=====================  =============================================
-mutant                 oracle check it must trip
-=====================  =============================================
-counter-reuse          counter-echo strict monotonicity (pad reuse)
-stale-read             lockstep read diff against the model
-drop-node-persist      refetch verification / post-crash durability
-skip-parent-update     lazy-update propagation (Steins Fig. 7 path)
-skip-writethrough      SecPM leaf-sum audit against persist_root
-skip-register-persist  Phoenix subtree rebuild vs its register
-root-rollback          root freshness across recovery
-=====================  =============================================
+=====================  =========  ============================================
+mutant                 crash      oracle check it must trip
+=====================  =========  ============================================
+counter-reuse          --         counter-echo strict monotonicity (pad reuse)
+stale-read             --         lockstep read diff against the model
+drop-node-persist      --         refetch verification / post-crash durability
+skip-parent-update     --         lazy-update propagation (Steins Fig. 7 path)
+skip-writethrough      unflushed  SecPM leaf-sum audit against persist_root
+skip-register-persist  shutdown   Phoenix subtree rebuild vs its register
+root-rollback          shutdown   root freshness across recovery
+=====================  =========  ============================================
+
+``crash`` picks the crash-engine plan the oracle runs the mutant under
+(:func:`repro.oracle.sweep.mutant_plans_for`): none is a clean run
+(trace, graceful flush, read-back); ``"shutdown"`` crashes right after
+the graceful flush; ``"unflushed"`` crashes at the flush's first fire,
+with the caches still dirty (write-through bugs heal under a flush).
+A detection error after a healthy crash comes back ``diverged`` (the
+engine reports any post-crash error without a torn budget that way),
+which counts as caught.
 
 Mutants patch bound methods on the one controller instance inside a
 ``with`` block — the class, and therefore every other test, is never
@@ -32,13 +42,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from repro.common.config import SystemConfig
-from repro.common.errors import ConfigError, IntegrityError, RecoveryError
+from repro.common.errors import ConfigError
 from repro.crypto import cme
 from repro.nvm.layout import Region
-from repro.oracle.harness import DifferentialRun, ExploreCaseResult
-from repro.oracle.model import OracleViolation
-from repro.workloads.trace import TraceArrays
+from repro.oracle.harness import DifferentialRun
 
 
 @dataclass(frozen=True)
@@ -54,13 +61,11 @@ class Mutant:
     catches: str
     #: plant the bug, yield, unplant
     patch: Callable[[DifferentialRun], "contextmanager"]
-    #: run the crash/recover leg after the trace (root-rollback corrupts
-    #: state *between* crash and recovery)
-    needs_crash: bool = False
-    #: graceful flush before the crash; False crashes with the caches
-    #: dirty (write-through bugs heal under a flush, so their self-test
-    #: must skip it)
-    flush_before_crash: bool = True
+    #: where the self-test crashes: None (no crash), "shutdown" (right
+    #: after the graceful flush; root-rollback corrupts state *between*
+    #: crash and recovery) or "unflushed" (at the flush's first fire,
+    #: caches dirty: write-through bugs heal under a flush)
+    crash: str | None = None
     #: mutate state after the crash, before recover() (optional)
     post_crash: Callable[[DifferentialRun], None] | None = None
 
@@ -298,67 +303,21 @@ MUTANTS: dict[str, Mutant] = {m.name: m for m in (
         schemes=("secpm",),
         catches="leaf-sum audit against persist_root",
         patch=_skip_writethrough,
-        needs_crash=True,
-        flush_before_crash=False),
+        crash="unflushed"),
     Mutant(
         name="skip-register-persist",
         description="first per-subtree register bump dropped",
         schemes=("phoenix",),
         catches="subtree rebuild vs register accounting",
         patch=_skip_register_persist,
-        needs_crash=True),
+        crash="shutdown"),
     Mutant(
         name="root-rollback",
         description="root register loses its last increment at crash",
         schemes=("scue", "steins", "asit", "star", "phoenix", "secpm"),
         catches="root freshness across recovery",
         patch=_no_patch,
-        needs_crash=True,
+        crash="shutdown",
         post_crash=_rollback_root),
 )}
 
-
-def run_mutant_case(name: str, scheme: str, trace: TraceArrays,
-                    cfg: SystemConfig) -> ExploreCaseResult:
-    """Plant one mutant and run the full differential flow over it.
-
-    ``outcome != "match"`` means the oracle caught the bug — via a
-    detection error (``detected``) or an observed disagreement
-    (``diverged``).  ``match`` means the mutant escaped, which the
-    self-test treats as an oracle failure.
-    """
-    mutant = MUTANTS.get(name)
-    if mutant is None:
-        raise ConfigError(f"unknown mutant {name!r}; "
-                          f"pick one of {sorted(MUTANTS)}")
-    dr = DifferentialRun(scheme, cfg)
-    error: Exception | None = None
-    try:
-        with mutant.patch(dr):
-            dr.run_trace(trace)
-            if mutant.needs_crash and dr.controller.supports_recovery:
-                if mutant.flush_before_crash:
-                    dr.controller.flush_all()
-                pre = dr.crash()
-                if mutant.post_crash is not None:
-                    mutant.post_crash(dr)
-                dr.system.recover()
-                dr.check_recovery(pre)
-            else:
-                dr.controller.flush_all()
-            dr.verify_end_state()
-    # any detection error is the mutant being *caught*, the terminal
-    # outcome this runner exists to classify
-    # simlint: disable-next=SL402 -- classified as caught, not swallowed
-    except (IntegrityError, RecoveryError, OracleViolation,
-            AssertionError) as exc:
-        error = exc
-    if error is not None:
-        outcome, detail = "detected", f"{type(error).__name__}: {error}"
-    elif dr.divergences:
-        outcome, detail = "diverged", f"oracle check: {mutant.catches}"
-    else:
-        outcome, detail = "match", "mutant escaped the oracle"
-    return ExploreCaseResult(
-        outcome=outcome, crash_point=name, detail=detail,
-        divergences=[d.to_json() for d in dr.divergences])

@@ -1,9 +1,10 @@
 """Oracle suite planning and the parallel, cached crash-point sweep.
 
-The suite covers four case modes per scheme, planned deterministically
-from a pinned seed and executed as ``"oracle"`` cells through
-:mod:`repro.exec` (so cases fan out over processes and re-runs hit the
-content-addressed cache):
+The suite covers four case roles per scheme, planned deterministically
+from a pinned seed and executed as ``"explore"`` cells through
+:mod:`repro.exec` on the crash engine's
+:func:`~repro.explore.runner.run_explore_cell` (so cases fan out over
+processes and re-runs hit the content-addressed cache):
 
 * ``clean``  — untampered run + graceful shutdown + full read-back,
 * ``crash``  — power failure at the first, middle and last fire of
@@ -13,12 +14,13 @@ content-addressed cache):
   one :func:`~repro.explore.runner.run_probe` per scheme and workload),
 * ``tamper`` — :mod:`repro.attacks` tampers/replays that must be
   detected or provably neutralized,
-* ``mutant`` — seeded controller bugs that must *not* come back
-  ``match`` (the oracle's self-test).
+* ``mutant`` — seeded controller bugs (:mod:`repro.oracle.mutants`),
+  each run clean or crashed as it declares, that must come back in
+  :data:`~repro.explore.runner.CAUGHT_OUTCOMES` (the oracle's
+  self-test).
 
-Clean and crash cells run on the crash engine
-(:func:`repro.explore.runner.run_clean` / ``run_case``); every cell
-yields an :class:`~repro.oracle.harness.ExploreCaseResult`.
+A cell's role is read off its plan (:func:`role_of`); every cell yields
+an :class:`~repro.oracle.harness.ExploreCaseResult`.
 
 The acceptance bar, encoded in :meth:`SuiteSummary.failures`: zero
 silent divergences anywhere, every tamper loud, every mutant caught.
@@ -29,41 +31,19 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.config import SystemConfig, small_config
-from repro.common.errors import ConfigError
 from repro.exec.cache import ResultCache
 from repro.exec.configio import config_to_dict
 from repro.exec.pool import ProgressFn, run_sweep
 from repro.exec.spec import CellSpec
-from repro.oracle.harness import (
-    TAMPER_KINDS,
-    ExploreCaseResult,
-    run_tamper_case,
-)
-from repro.oracle.mutants import MUTANTS, run_mutant_case
+from repro.explore.planner import first_middle_last_plans
+from repro.explore.runner import CAUGHT_OUTCOMES, ExploreProbe, run_probe
+from repro.oracle.harness import TAMPER_KINDS, ExploreCaseResult
+from repro.oracle.mutants import MUTANTS
 from repro.schemes import get_scheme, resolve_schemes
-from repro.workloads.trace import TraceArrays
+from repro.workloads import get_profile
 
 #: tamper kinds that need a crash/recover cycle to force tree refetches
 _TREE_TAMPERS = ("tree-counter", "tree-replay")
-
-
-def run_oracle_cell(scheme: str, plan: dict[str, Any], cfg: SystemConfig,
-                    trace: TraceArrays) -> ExploreCaseResult:
-    """Executor entry point: dispatch one oracle cell by its plan."""
-    # the crash engine drives a DifferentialRun, so it imports this
-    # package: import it at call time, after both have initialised
-    from repro.explore.runner import run_case, run_clean
-
-    mode = plan.get("mode")
-    if mode == "clean":
-        return run_clean(scheme, cfg, trace)
-    if mode == "crash":
-        return run_case(scheme, cfg, trace, plan)
-    if mode == "tamper":
-        return run_tamper_case(plan["attack"], scheme, trace, cfg)
-    if mode == "mutant":
-        return run_mutant_case(plan["mutant"], scheme, trace, cfg)
-    raise ConfigError(f"unknown oracle cell mode {plan.get('mode')!r}")
 
 
 def tamper_plans_for(scheme: str) -> list[dict[str, Any]]:
@@ -75,10 +55,35 @@ def tamper_plans_for(scheme: str) -> list[dict[str, Any]]:
             if recovers or kind not in _TREE_TAMPERS]
 
 
-def mutant_plans_for(scheme: str) -> list[dict[str, Any]]:
-    return [{"mode": "mutant", "mutant": name}
-            for name in sorted(MUTANTS)
-            if scheme in MUTANTS[name].schemes]
+def mutant_plans_for(scheme: str, probe: ExploreProbe,
+                     trace_len: int) -> list[dict[str, Any]]:
+    """One crash-engine plan per mutant asserted on ``scheme``, from
+    the unmutated ``probe`` of the trace (``trace_len`` accesses) the
+    mutant runs on."""
+    # the graceful flush's fires are recorded at access index len(trace)
+    first_flush_fire = 1 + sum(1 for _, i, _ in probe.fires
+                               if i < trace_len)
+    plans: list[dict[str, Any]] = []
+    for name, mutant in sorted(MUTANTS.items()):
+        if scheme not in mutant.schemes:
+            continue
+        plan: dict[str, Any] = {"mode": "clean", "mutant": name}
+        if mutant.crash is not None:
+            plan = {"mode": "case", "at_shutdown": True, "mutant": name}
+        if mutant.crash == "unflushed":
+            # power lost at the graceful flush's first fire
+            plan["crash_after"] = first_flush_fire
+        plans.append(plan)
+    return plans
+
+
+def role_of(plan: dict[str, Any]) -> str:
+    """The suite role of one cell plan: ``mutant``, ``tamper``,
+    ``clean`` or ``crash``."""
+    if "mutant" in plan:
+        return "mutant"
+    mode = plan.get("mode")
+    return mode if mode in ("tamper", "clean") else "crash"
 
 
 @dataclass
@@ -95,13 +100,13 @@ class SuiteSummary:
     def add(self, spec: CellSpec, result: ExploreCaseResult,
             cached: bool) -> None:
         plan = spec.fault or {}
-        mode = plan.get("mode", "?")
-        caught = result.outcome != "match"
-        ok = self._case_ok(mode, result)
+        mode = role_of(plan)
         self.cases.append({
             "scheme": spec.variant, "workload": spec.workload,
             "mode": mode, "plan": plan, "outcome": result.outcome,
-            "ok": ok, "caught": caught, "detail": result.detail,
+            "ok": self._case_ok(mode, result),
+            "caught": result.outcome in CAUGHT_OUTCOMES,
+            "detail": result.detail,
             "divergences": result.divergences,
         })
         self.outcome_counts[result.outcome] = \
@@ -118,9 +123,7 @@ class SuiteSummary:
             return result.outcome in ("match", "unsupported", "no_crash")
         if mode == "tamper":
             return result.outcome in ("detected", "neutralized")
-        if mode == "mutant":
-            return result.outcome != "match"
-        return False
+        return result.outcome in CAUGHT_OUTCOMES
 
     @property
     def failures(self) -> list[dict[str, Any]]:
@@ -141,8 +144,6 @@ class SuiteSummary:
             "total": len(self.cases),
             "outcomes": dict(sorted(self.outcome_counts.items())),
             "failures": self.failures,
-            "cells_cached": self.cells_cached,
-            "cells_executed": self.cells_executed,
             "ok": self.ok,
         }
 
@@ -151,9 +152,7 @@ class SuiteSummary:
                            sorted(self.outcome_counts.items()))
         lines = [f"oracle suite: {len(self.cases)} cases over "
                  f"{len(self.schemes)} schemes x "
-                 f"{len(self.workloads)} workloads "
-                 f"({self.cells_executed} run, {self.cells_cached} "
-                 f"cached)",
+                 f"{len(self.workloads)} workloads",
                  f"outcomes: {counts}"]
         for c in self.failures:
             lines.append(
@@ -169,32 +168,28 @@ def build_suite(schemes: list[str], workloads: list[str], accesses: int,
                 footprint: int, seed: int,
                 cfg: SystemConfig) -> list[CellSpec]:
     """Plan the full case list (deterministic for a given seed/config)."""
-    from repro.explore.planner import first_middle_last_plans
-    from repro.explore.runner import run_probe
-    from repro.workloads import get_profile
-
     cfg_dict = config_to_dict(cfg)
     specs: list[CellSpec] = []
 
     def spec_for(scheme: str, workload: str,
                  plan: dict[str, Any]) -> CellSpec:
-        return CellSpec("oracle", scheme, workload, accesses, footprint,
+        return CellSpec("explore", scheme, workload, accesses, footprint,
                         seed, config=cfg_dict, fault=plan)
 
     for scheme in schemes:
+        mutant_plans: list[dict[str, Any]] | None = None
         for workload in workloads:
             trace = get_profile(workload).generate(
                 seed=seed, n=accesses, footprint=footprint)
-            specs.append(spec_for(scheme, workload,
-                                  {"mode": "clean"}))
+            specs.append(spec_for(scheme, workload, {"mode": "clean"}))
             probe = run_probe(scheme, cfg, trace)
             for plan in first_middle_last_plans(probe):
                 specs.append(spec_for(scheme, workload, plan))
+            if mutant_plans is None:
+                mutant_plans = mutant_plans_for(scheme, probe, len(trace))
         # tampers and mutants probe detection machinery, not workload
         # shape: one workload each keeps the suite tight
-        for plan in tamper_plans_for(scheme):
-            specs.append(spec_for(scheme, workloads[0], plan))
-        for plan in mutant_plans_for(scheme):
+        for plan in tamper_plans_for(scheme) + (mutant_plans or []):
             specs.append(spec_for(scheme, workloads[0], plan))
     return specs
 

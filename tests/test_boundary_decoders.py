@@ -1,11 +1,13 @@
 """Boundary decoders fail loudly: ``CellSpec.from_json``,
-``ExploreCaseResult.from_json`` and ``ExploreProbe.from_json``.
+``ExploreCaseResult.from_json``, ``ExploreProbe.from_json`` and
+``config_from_dict``.
 
-Each accepts exactly the encoding its ``to_json`` writes.  Hypothesis
-draws a valid encoding, checks that it decodes, then drops, adds,
-retypes or truncates the name of one key (for a probe, also of one
-fire) and requires :class:`ConfigError`: any other exception type, or
-a silent decode, fails the test.
+Each accepts exactly the encoding its ``to_json`` (``config_to_dict``)
+writes.  Hypothesis draws a valid encoding, checks that it decodes,
+then drops, adds, retypes or truncates the name of one key (for a
+probe, also of one fire; for a config, at any nesting depth) and
+requires :class:`ConfigError`: any other exception type, or a silent
+decode, fails the test.
 """
 import json
 
@@ -15,7 +17,9 @@ from hypothesis import strategies as st
 
 from tests.conftest import scaled
 
+from repro.common.config import CounterMode, default_config, small_config
 from repro.common.errors import ConfigError
+from repro.exec.configio import config_from_dict, config_to_dict
 from repro.exec.spec import KINDS, CellSpec
 from repro.explore.runner import ExploreCaseResult, ExploreProbe
 
@@ -159,3 +163,48 @@ def test_mutated_fire_raises_config_error(data, choice):
         fire[slot] = retype(choice.draw, fire[slot])
     with pytest.raises(ConfigError):
         ExploreProbe.from_json(data)
+
+
+config_encodings = st.sampled_from([
+    small_config(), default_config(CounterMode.SPLIT)]).map(config_to_dict)
+
+
+def dict_paths(data, path=()):
+    """The key path of every dict in a nested config encoding."""
+    yield path
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from dict_paths(value, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A config encoding with one key of one nested dict dropped, added
+    or retyped (an int is no retype of a float field: it takes both)."""
+    data = json_round_trip(draw(config_encodings))
+    node = data
+    for key in draw(st.sampled_from(list(dict_paths(data)))):
+        node = node[key]
+    key = draw(st.sampled_from(sorted(node)))
+    how = draw(st.sampled_from(["drop", "add", "retype"]))
+    if how == "drop":
+        del node[key]
+    elif how == "add":
+        node[draw(text.filter(lambda k: k not in node))] = draw(
+            st.sampled_from(ANY_VALUE))
+    else:
+        also_ok = (int,) if type(node[key]) is float else ()
+        node[key] = retype(draw, node[key], also_ok)
+    return data
+
+
+@settings(max_examples=scaled(150))
+@given(data=mutated_configs())
+def test_mutated_config_raises_config_error(data):
+    with pytest.raises(ConfigError):
+        config_from_dict(data)
+
+
+def test_config_float_field_takes_an_int():
+    data = config_to_dict(small_config())
+    assert config_from_dict({**data, "clock_ghz": 2}) == small_config()

@@ -126,10 +126,10 @@ class TestCacheSchema:
         assert CACHE_SCHEMA == 5
         assert "explore" in KINDS
 
-    @pytest.mark.parametrize("kind", ["probe", "fault"])
+    @pytest.mark.parametrize("kind", ["probe", "fault", "oracle"])
     def test_retired_kinds_rejected(self, kind):
         # fault-campaign probes and cases are "explore" cells since
-        # schema 3
+        # schema 3, and so are the oracle's cases since schema 5
         with pytest.raises(ConfigError, match="unknown cell kind"):
             spec(kind=kind, fault={"crash_after": 3})
 
@@ -138,8 +138,9 @@ class TestCacheSchema:
         ("sim", {"case": {"outcome": "match"}}),
         # the envelope oracle tamper and mutant cells wrote before
         # schema 4
-        ("oracle", {"result": {"scheme": "steins", "outcome": "detected"}}),
-        ("oracle", {"probe": {"fires": []}}),
+        ("explore", {"result": {"scheme": "steins", "outcome": "detected"}}),
+        # a probe or case without its envelope
+        ("explore", {"fires": []}),
         ("explore", {"result": {"outcome": "match"}}),
     ])
     def test_malformed_payload_rejected_loudly(self, kind, payload):

@@ -12,8 +12,13 @@ import numpy as np
 import pytest
 
 from repro.common.config import small_config
-from repro.common.errors import RecoveryError
-from repro.explore.runner import ExploreCaseResult, run_case, run_clean
+from repro.common.errors import ConfigError, RecoveryError
+from repro.explore.runner import (
+    ExploreCaseResult,
+    run_case,
+    run_clean,
+    run_explore_cell,
+)
 from repro.integrity.node import SITNode
 from repro.nvm.layout import Region
 from repro.oracle.harness import (
@@ -274,8 +279,10 @@ def test_tampers_are_loud_on_steins(kind, cfg, trace):
 
 
 def test_unknown_tamper_kind_rejected(cfg, trace):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         run_tamper_case("voltage-glitch", "steins", trace, cfg)
+    with pytest.raises(ConfigError):
+        run_explore_cell("steins", {"mode": "tamper"}, cfg, trace)
 
 
 def test_straddling_target_needs_a_block_in_both_halves():

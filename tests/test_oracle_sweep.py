@@ -7,7 +7,6 @@ must be clean on first contact and fully cached on the second.
 import pytest
 
 from repro.common.config import small_config
-from repro.common.errors import ConfigError
 from repro.exec.cache import ResultCache
 from repro.explore.planner import first_middle_last_plans
 from repro.explore.runner import ExploreProbe, run_probe
@@ -17,7 +16,7 @@ from repro.oracle.sweep import (
     SuiteSummary,
     build_suite,
     mutant_plans_for,
-    run_oracle_cell,
+    role_of,
     run_oracle_suite,
     tamper_plans_for,
 )
@@ -57,7 +56,7 @@ def test_crash_plans_pick_first_middle_last():
              if "recovery_crash_after" not in p}
     assert aimed == {("a", 1), ("a", 3), ("a", 4), ("b", 2)}
     recovery = [p for p in plans if p.get("recovery_crash_after")]
-    assert recovery == [{"mode": "crash", "point": "recovery.step",
+    assert recovery == [{"mode": "case", "point": "recovery.step",
                          "crash_after": 3, "recovery_crash_after": 1}]
 
 
@@ -73,23 +72,32 @@ def test_tamper_plans_respect_recovery_support():
 
 
 def test_mutant_plans_follow_the_registry():
-    for scheme in ("wb", "steins"):
-        names = {p["mutant"] for p in mutant_plans_for(scheme)}
-        assert names == {n for n, m in MUTANTS.items()
-                         if scheme in m.schemes}
+    # two fires inside a 2-access trace, then the graceful flush's two
+    probe = ExploreProbe(fires=(
+        ("controller.write", 0, "d"), ("controller.write", 1, "d"),
+        ("controller.read", 2, "d"), ("controller.flush", 2, "d")))
+    for scheme in ("wb", "steins", "secpm"):
+        plans = {p["mutant"]: p for p in mutant_plans_for(scheme, probe, 2)}
+        assert set(plans) == {n for n, m in MUTANTS.items()
+                              if scheme in m.schemes}
+        for name, plan in plans.items():
+            crash = MUTANTS[name].crash
+            assert plan["mode"] == ("clean" if crash is None else "case")
+            assert plan.get("at_shutdown", False) == (crash is not None)
+            assert plan.get("crash_after") == (
+                3 if crash == "unflushed" else None)
 
 
-def test_build_suite_covers_all_modes(cfg):
-    specs = build_suite(["steins"], ["pers_hash"], accesses=250,
-                        footprint=2048, seed=2024, cfg=cfg)
-    modes = {s.fault["mode"] for s in specs}
-    assert modes == {"clean", "crash", "tamper", "mutant"}
-    assert all(s.kind == "oracle" for s in specs)
+@pytest.fixture(scope="module")
+def suite(cfg):
+    return build_suite(["steins"], ["pers_hash"], accesses=250,
+                       footprint=2048, seed=2024, cfg=cfg)
 
 
-def test_run_oracle_cell_rejects_unknown_mode(cfg, trace):
-    with pytest.raises(ConfigError):
-        run_oracle_cell("steins", {"mode": "psychic"}, cfg, trace)
+def test_build_suite_covers_all_modes(suite):
+    roles = {role_of(s.fault) for s in suite}
+    assert roles == {"clean", "crash", "tamper", "mutant"}
+    assert all(s.kind == "explore" for s in suite)
 
 
 # --------------------------------------------------------------- tallies
@@ -97,26 +105,29 @@ def fake(outcome):
     return ExploreCaseResult(outcome=outcome)
 
 
-def spec_with(plan, cfg):
-    specs = build_suite(["steins"], ["pers_hash"], 250, 2048, 2024, cfg)
-    return next(s for s in specs if s.fault["mode"] == plan)
+def test_summary_acceptance_bar(suite):
+    def spec_with(role):
+        return next(s for s in suite if role_of(s.fault) == role)
 
-
-def test_summary_acceptance_bar(cfg):
     tally = SuiteSummary(schemes=["steins"], workloads=["pers_hash"])
-    tally.add(spec_with("clean", cfg), fake("match"), cached=False)
-    tally.add(spec_with("tamper", cfg), fake("neutralized"), cached=True)
-    tally.add(spec_with("mutant", cfg), fake("detected"), cached=False)
+    tally.add(spec_with("clean"), fake("match"), cached=False)
+    tally.add(spec_with("tamper"), fake("neutralized"), cached=True)
+    for caught in ("detected", "diverged", "data_loss"):
+        tally.add(spec_with("mutant"), fake(caught), cached=False)
     assert tally.ok and not tally.failures
-    assert (tally.cells_executed, tally.cells_cached) == (2, 1)
+    assert (tally.cells_executed, tally.cells_cached) == (4, 1)
+    assert tally.cases[-1]["mode"] == "mutant"
     # a crash-mode divergence is both a failure and a *silent* one
-    tally.add(spec_with("crash", cfg), fake("diverged"), cached=False)
-    # an escaped mutant fails without being a silent divergence
-    tally.add(spec_with("mutant", cfg), fake("match"), cached=False)
+    tally.add(spec_with("crash"), fake("diverged"), cached=False)
+    # an escaped mutant fails without being a silent divergence, and so
+    # does a mutant run that never reached the bug's check
+    for escaped in ("match", "inapplicable", "no_crash", "unsupported"):
+        tally.add(spec_with("mutant"), fake(escaped), cached=False)
     assert not tally.ok
-    assert len(tally.failures) == 2
+    assert len(tally.failures) == 5
     assert len(tally.silent_divergences) == 1
     assert tally.to_json()["ok"] is False
+    assert "cells_cached" not in tally.to_json()
     assert any(line.startswith("FAIL") for line in tally.summary_lines())
 
 

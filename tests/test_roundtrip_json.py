@@ -110,7 +110,7 @@ def test_case_result_round_trips(rng):
 
 @pytest.mark.parametrize("rng", rngs())
 def test_cell_spec_round_trips(rng):
-    kind = choice(rng, ["sim", "oracle", "explore"])
+    kind = choice(rng, ["sim", "explore"])
     spec = CellSpec(
         kind=kind,
         variant=choice(rng, ["wb-gc", "asit", "steins"]),
@@ -119,7 +119,7 @@ def test_cell_spec_round_trips(rng):
         footprint_blocks=randrange(rng, 1, 1 << 20),
         seed=randrange(rng, 1 << 32),
         config=choice(rng, [None, {"clock_ghz": 2.0}]),
-        fault={"mode": "crash", "crash_after": randrange(rng, 1 << 10)}
+        fault={"mode": "case", "crash_after": randrange(rng, 1 << 10)}
         if kind != "sim" else None,
     )
     assert CellSpec.from_json(through_json(spec)) == spec

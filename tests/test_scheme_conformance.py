@@ -35,7 +35,7 @@ from repro.baselines.wb import WBController
 from repro.common.config import CounterMode, small_config
 from repro.common.errors import ConfigError, CrashInjected, ReproError
 from repro.explore.planner import first_middle_last_plans
-from repro.explore.runner import run_clean, run_probe
+from repro.explore.runner import run_clean, run_explore_cell, run_probe
 from repro.faults.registry import (
     INJECTION_POINTS,
     POINT_RECOVERY,
@@ -45,7 +45,6 @@ from repro.faults.registry import (
 from repro.nvm.layout import Region
 from repro.oracle.harness import TAMPER_KINDS, run_tamper_case
 from repro.oracle.mutants import MUTANTS
-from repro.oracle.sweep import run_oracle_cell
 from repro.schemes import (
     BASE_FAULT_POINTS,
     RECOVERY_STYLES,
@@ -159,9 +158,9 @@ def test_targeted_crashes_conform(scheme, cfg, trace):
     probe = run_probe(scheme, cfg, trace)
     assert probe.fires, "a write-heavy trace must fire injection points"
     for plan in first_middle_last_plans(probe, recovery_doses=(1, 2)):
-        result = run_oracle_cell(scheme, plan, cfg, trace)
-        assert result.outcome in _HONEST, (
-            f"{scheme} {plan}: {result.outcome} {result.detail}")
+        result = run_explore_cell(scheme, plan, cfg, trace)["case"]
+        assert result["outcome"] in _HONEST, (
+            f"{scheme} {plan}: {result['outcome']} {result['detail']}")
 
 
 # ---------------------------------------------------- oracle: tampering
