@@ -53,7 +53,7 @@ sweep-smoke:
 	rm -rf .sweep-smoke && mkdir -p .sweep-smoke
 	$(SWEEP_SMOKE) > .sweep-smoke/cold.txt
 	$(SWEEP_SMOKE) > .sweep-smoke/warm.txt 2> .sweep-smoke/warm.err
-	grep -q "0 simulated" .sweep-smoke/warm.err
+	grep -q "^sweep: [0-9]* cells, 0 simulated," .sweep-smoke/warm.err
 	cmp .sweep-smoke/cold.txt .sweep-smoke/warm.txt
 	rm -rf .sweep-smoke
 
@@ -69,7 +69,7 @@ explore-smoke:
 	$(PYTHON) tools/explore_bench.py BENCH_explore.json .explore-smoke/cache
 	$(EXPLORE_SMOKE) --jobs 2 > .explore-smoke/cold.txt
 	$(EXPLORE_SMOKE) --jobs 1 > .explore-smoke/warm.txt 2> .explore-smoke/warm.err
-	grep -q "0 cells simulated" .explore-smoke/warm.err
+	grep -q "^explore: 0 cells simulated" .explore-smoke/warm.err
 	cmp .explore-smoke/cold.txt .explore-smoke/warm.txt
 	rm -rf .explore-smoke
 

@@ -61,6 +61,37 @@ def _figure_order(number: str) -> tuple[int, int, str]:
     return (0, int(number), "") if number.isdigit() else (1, 0, number)
 
 
+def _crash_sweep_parser(sub, name: str, summary: str, scheme_help: str, *,
+                       seed: int, accesses: int,
+                       footprint: int) -> argparse.ArgumentParser:
+    """The options ``faults``, ``oracle`` and ``explore`` share, with
+    the command's own defaults; :func:`_run_crash_sweep` consumes
+    them."""
+    cmd = sub.add_parser(name, help=summary)
+    cmd.add_argument("--scheme", action="append", default=None,
+                     metavar="NAME", help=scheme_help)
+    cmd.add_argument("--workload", action="append",
+                     choices=sorted(ALL_PROFILES), default=None,
+                     help="workload trace (repeatable; default pers_hash)")
+    cmd.add_argument("--seed", type=int, default=seed)
+    cmd.add_argument("--accesses", type=int, default=accesses,
+                     help="trace length per cell")
+    cmd.add_argument("--footprint", type=int, default=footprint,
+                     help="trace footprint in data blocks")
+    cmd.add_argument("--jobs", type=int, default=1,
+                     help="worker processes (0 = one per CPU core); the "
+                          "report is identical at any job count")
+    cmd.add_argument("--cache-dir", default=None,
+                     help="reuse completed cells from this result "
+                          "cache (off by default)")
+    cmd.add_argument("--json", action="store_true",
+                     help="emit the full report as JSON on stdout")
+    cmd.add_argument("--service", default=None,
+                     help="route the sweeps through a running `repro "
+                          "serve` socket")
+    return cmd
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -125,86 +156,32 @@ def build_parser() -> argparse.ArgumentParser:
                             "serve` socket (ignores --jobs/--cache-dir: "
                             "the service owns both)")
 
-    from repro.schemes import scheme_names
-
-    faults = sub.add_parser(
-        "faults", help="deterministic fault-injection campaign")
-    faults.add_argument("--scheme", action="append",
-                        choices=sorted(scheme_names()), default=None,
-                        help="scheme to sweep (repeatable; default steins)")
-    faults.add_argument("--workload", action="append",
-                        choices=sorted(ALL_PROFILES), default=None,
-                        help="workload trace (repeatable; "
-                             "default pers_hash)")
+    faults = _crash_sweep_parser(
+        sub, "faults", "deterministic fault-injection campaign",
+        "scheme to sweep (repeatable; validated against the scheme "
+        "registry; default steins)",
+        seed=2024, accesses=400, footprint=2048)
     faults.add_argument("--crashes", type=int, default=200,
                         help="total injected crashes across all cells")
-    faults.add_argument("--seed", type=int, default=2024)
-    faults.add_argument("--accesses", type=int, default=400,
-                        help="trace length per case")
-    faults.add_argument("--footprint", type=int, default=2048,
-                        help="trace footprint in data blocks")
-    faults.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (0 = one per CPU core); "
-                             "the report is identical at any job count")
-    faults.add_argument("--cache-dir", default=None,
-                        help="reuse completed cases from this result "
-                             "cache (off by default)")
-    faults.add_argument("--json", action="store_true",
-                        help="emit the full report as JSON")
-    faults.add_argument("--service", default=None,
-                        help="route the campaign's sweeps through a "
-                             "running `repro serve` socket")
 
-    oracle = sub.add_parser(
-        "oracle",
-        help="differential conformance suite against the reference "
-             "model (see docs/testing.md)")
-    oracle.add_argument("--scheme", action="append", default=None,
-                        metavar="NAME",
-                        help="scheme to check (repeatable; validated "
-                             "against the scheme registry, so plugin "
-                             "schemes work without CLI changes)")
+    oracle = _crash_sweep_parser(
+        sub, "oracle",
+        "differential conformance suite against the reference model "
+        "(see docs/testing.md)",
+        "scheme to check (repeatable; validated against the scheme "
+        "registry, so plugin schemes work without CLI changes)",
+        seed=2024, accesses=400, footprint=2048)
     oracle.add_argument("--all-schemes", action="store_true",
                         help="check every scheme (same as omitting "
                              "--scheme; spelled out for scripts)")
-    oracle.add_argument("--workload", action="append",
-                        choices=sorted(ALL_PROFILES), default=None,
-                        help="workload trace (repeatable; "
-                             "default pers_hash)")
-    oracle.add_argument("--seed", type=int, default=2024)
-    oracle.add_argument("--accesses", type=int, default=400,
-                        help="trace length per case")
-    oracle.add_argument("--footprint", type=int, default=2048,
-                        help="trace footprint in data blocks")
-    oracle.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (0 = one per CPU core)")
-    oracle.add_argument("--cache-dir", default=None,
-                        help="reuse completed cases from this result "
-                             "cache (off by default)")
-    oracle.add_argument("--json", action="store_true",
-                        help="emit the full tally as JSON")
-    oracle.add_argument("--service", default=None,
-                        help="route the suite's sweep through a running "
-                             "`repro serve` socket")
 
-    explore = sub.add_parser(
-        "explore",
-        help="systematic crash-space exploration with state-digest "
-             "pruning (see docs/crash_exploration.md)")
-    explore.add_argument("--scheme", action="append", default=None,
-                         metavar="NAME",
-                         help="scheme to explore (repeatable; validated "
-                              "against the scheme registry; default: "
-                              "every recovery-capable scheme)")
-    explore.add_argument("--workload", action="append",
-                         choices=sorted(ALL_PROFILES), default=None,
-                         help="workload trace (repeatable; "
-                              "default pers_hash)")
-    explore.add_argument("--seed", type=int, default=2025)
-    explore.add_argument("--accesses", type=int, default=120,
-                         help="trace length per cell")
-    explore.add_argument("--footprint", type=int, default=512,
-                         help="trace footprint in data blocks")
+    explore = _crash_sweep_parser(
+        sub, "explore",
+        "systematic crash-space exploration with state-digest pruning "
+        "(see docs/crash_exploration.md)",
+        "scheme to explore (repeatable; validated against the scheme "
+        "registry; default: every recovery-capable scheme)",
+        seed=2025, accesses=120, footprint=512)
     explore.add_argument("--small", action="store_true",
                          help="tiny-trace preset (60 accesses, 256 "
                               "blocks) with full enumeration: every "
@@ -222,22 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "default 0 and 8)")
     explore.add_argument("--no-mutants", action="store_true",
                          help="skip the seeded-mutant self-test")
-    explore.add_argument("--jobs", type=int, default=1,
-                         help="worker processes (0 = one per CPU core)")
-    explore.add_argument("--cache-dir", default=None,
-                         help="reuse completed cells from this result "
-                              "cache (off by default)")
     explore.add_argument("--progress", action="store_true",
                          help="per-cell progress lines on stderr")
-    explore.add_argument("--json", action="store_true",
-                         help="emit the full report as JSON on stdout")
     explore.add_argument("--report", default=None,
                          help="also write the JSON report to this file")
     explore.add_argument("--metrics", default=None,
                          help="write repro.obs metrics JSON to this file")
-    explore.add_argument("--service", default=None,
-                         help="route the exploration's sweeps through a "
-                              "running `repro serve` socket")
 
     trc = sub.add_parser(
         "trace",
@@ -422,114 +389,79 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_faults(args) -> int:
-    # campaign imports the simulator stack; keep it off the path of the
-    # other subcommands
-    from repro.analysis.report import render_campaign
-    from repro.faults.campaign import run_campaign
-
-    cells: list = []
-    report = run_campaign(
-        schemes=args.scheme or ["steins"],
-        workloads=args.workload or ["pers_hash"],
-        crashes=args.crashes, seed=args.seed,
-        accesses=args.accesses, footprint=args.footprint,
-        jobs=args.jobs or (os.cpu_count() or 1),
-        cache=ResultCache(args.cache_dir) if args.cache_dir else None,
-        progress=lambda _d, _t, o: cells.append(o), service=args.service)
-    if args.json:
-        import json
-
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_campaign(report))
-    simulated = sum(not (o.cached or o.deduped) for o in cells)
-    print(f"faults: {simulated} cells simulated, "
-          f"{sum(o.cached for o in cells)} cached", file=sys.stderr)
-    return 1 if report["outcomes"].get("diverged") else 0
-
-
-def cmd_oracle(args) -> int:
-    # the oracle imports the simulator stack; keep it off the path of
-    # the other subcommands
-    from repro.common.errors import ConfigError
-    from repro.oracle.sweep import run_oracle_suite
-
-    schemes = args.scheme if (args.scheme and not args.all_schemes) \
-        else None
-    try:
-        tally = run_oracle_suite(
-            schemes=schemes, workloads=args.workload,
-            accesses=args.accesses, footprint=args.footprint,
-            seed=args.seed, jobs=args.jobs or (os.cpu_count() or 1),
-            cache=ResultCache(args.cache_dir) if args.cache_dir else None,
-            service=args.service)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    if args.json:
-        import json
-
-        print(json.dumps(tally.to_json(), indent=2, sort_keys=True))
-    else:
-        for line in tally.summary_lines():
-            print(line)
-    print(f"oracle: {tally.cells_executed} cells simulated, "
-          f"{tally.cells_cached} cached", file=sys.stderr)
-    return 0 if tally.ok else 1
-
-
-def cmd_explore(args) -> int:
-    # the explorer imports the simulator stack; keep it off the path of
-    # the other subcommands
-    from repro.explore import run_explore
-
-    accesses, footprint = args.accesses, args.footprint
-    budget, recovery_cap = args.budget, args.recovery_cap
-    if args.small:
-        accesses, footprint = 60, 256
-        budget = recovery_cap = None
-    registry = None
-    if args.metrics:
-        from repro import obs
-
-        registry = obs.MetricRegistry()
-    from repro.common.errors import ConfigError
-
-    try:
-        summary = run_explore(
-            schemes=args.scheme, workloads=args.workload,
-            accesses=accesses, footprint=footprint, seed=args.seed,
-            residuals=tuple(args.residual) if args.residual else (0, 8),
-            class_budget=budget, recovery_cap=recovery_cap,
-            with_mutants=not args.no_mutants,
-            jobs=args.jobs or (os.cpu_count() or 1),
-            cache=ResultCache(args.cache_dir) if args.cache_dir else None,
-            progress=_sweep_progress if args.progress else None,
-            metrics=registry, service=args.service)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+def _run_crash_sweep(args, run, report_path: str | None = None,
+                     **kwargs) -> int:
+    """Run one crash-sweep front end (``run_campaign``,
+    ``run_oracle_suite`` or ``run_explore``) with the shared options;
+    ``kwargs`` add or override arguments.  Prints the report (JSON or
+    text) on stdout and the cell provenance on stderr; a
+    :class:`~repro.common.errors.ConfigError` exits 2."""
     import json
 
+    from repro.common.errors import ConfigError
+
+    shared = dict(
+        workloads=args.workload, seed=args.seed, accesses=args.accesses,
+        footprint=args.footprint, jobs=args.jobs or (os.cpu_count() or 1),
+        cache=ResultCache(args.cache_dir) if args.cache_dir else None,
+        service=args.service)
+    try:
+        summary = run(**{**shared, **kwargs})
+    except ConfigError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     # the report body is cache- and parallelism-independent: serial and
     # --jobs N runs (cold or warm) print byte-identical documents
     report = json.dumps(summary.to_json(), indent=2, sort_keys=True)
-    if args.report:
-        with open(args.report, "w") as fh:
+    if report_path:
+        with open(report_path, "w") as fh:
             fh.write(report + "\n")
-    if registry is not None:
-        from repro import obs
-
-        obs.write_metrics_json(args.metrics, registry)
     if args.json:
         print(report)
     else:
         for line in summary.summary_lines():
             print(line)
-    print(f"explore: {summary.cells_executed} cells simulated, "
+    print(f"{args.command}: {summary.cells_executed} cells simulated, "
           f"{summary.cells_cached} cached", file=sys.stderr)
     return 0 if summary.ok else 1
+
+
+def cmd_faults(args) -> int:
+    # the front ends import the simulator stack; keep them off the path
+    # of the other subcommands
+    from repro.faults.campaign import run_campaign
+
+    return _run_crash_sweep(args, run_campaign,
+                            schemes=args.scheme or ["steins"],
+                            crashes=args.crashes)
+
+
+def cmd_oracle(args) -> int:
+    from repro.oracle.sweep import run_oracle_suite
+
+    return _run_crash_sweep(
+        args, run_oracle_suite,
+        schemes=None if args.all_schemes else args.scheme)
+
+
+def cmd_explore(args) -> int:
+    from repro.explore import run_explore
+
+    from repro import obs
+
+    small = dict(accesses=60, footprint=256) if args.small else {}
+    registry = obs.MetricRegistry() if args.metrics else None
+    status = _run_crash_sweep(
+        args, run_explore, report_path=args.report, schemes=args.scheme,
+        residuals=tuple(args.residual) if args.residual else (0, 8),
+        class_budget=None if args.small else args.budget,
+        recovery_cap=None if args.small else args.recovery_cap,
+        with_mutants=not args.no_mutants,
+        progress=_sweep_progress if args.progress else None,
+        metrics=registry, **small)
+    if registry is not None and status != 2:
+        obs.write_metrics_json(args.metrics, registry)
+    return status
 
 
 def cmd_trace(args) -> int:

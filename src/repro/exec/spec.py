@@ -47,10 +47,12 @@ from repro.common.records import Fields, strict_record
 #: is always on), so every spec encodes differently.  The "oracle" kind
 #: left later without a bump: oracle cases are "explore" cells now, and
 #: the kind is part of the key, so old oracle entries are never looked up.
+#: Schema 6: a probe payload records its trace's length (``accesses``),
+#: so a schema-5 probe no longer decodes.
 #: A bump only changes keys *computed from now on* — older entries sit
 #: at their old addresses, never looked up and never invalidated
 #: retroactively.
-CACHE_SCHEMA = 5
+CACHE_SCHEMA = 6
 
 #: the cell kinds the executor knows how to run
 KINDS = ("sim", "explore")

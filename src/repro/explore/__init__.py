@@ -9,8 +9,10 @@ during recovery, bounded double-crash sequences — and prunes
 state-equivalent candidates by durable-state digest; ``repro oracle``
 aims at the first, middle and last fire of each point
 (:func:`first_middle_last_plans`); ``repro faults`` spreads crashes
-evenly with seeded jitter (:func:`spread_plans`).
-See ``docs/crash_exploration.md``.
+evenly with seeded jitter (:func:`spread_plans`).  All three plan
+``(scheme, workload, plan)`` cells for one shared front end,
+:class:`~repro.explore.explorer.CellBatcher`, which sweeps them as
+cached ``"explore"`` cells.  See ``docs/crash_exploration.md``.
 """
 from repro.explore.digest import DurableDigest
 from repro.explore.explorer import (

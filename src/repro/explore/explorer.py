@@ -35,7 +35,7 @@ budget are the loud outcomes lossy crashes are allowed to have.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.common.config import SystemConfig, small_config
 from repro.exec.cache import ResultCache
@@ -62,6 +62,48 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 #: outcomes that do not fail the explorer
 _OK_OUTCOMES = frozenset(
     {"match", "detected", "data_loss", "unsupported", "inapplicable"})
+
+#: one candidate to sweep: ``(scheme, workload, plan)``
+Cell = tuple[str, str, dict[str, Any]]
+
+
+@dataclass
+class CellBatcher:
+    """The front end every crash-sweep policy shares.
+
+    ``repro explore``, ``repro oracle`` and ``repro faults`` plan
+    :data:`Cell` triples; the batcher turns them into ``"explore"``
+    :class:`~repro.exec.spec.CellSpec` cells on one trace shape and
+    config, sweeps them through :func:`~repro.exec.pool.run_sweep`, and
+    counts ``executed``/``cached`` over every batch, probes included.
+    """
+
+    accesses: int
+    footprint: int
+    seed: int
+    cfg: SystemConfig
+    jobs: int = 1
+    cache: ResultCache | None = None
+    progress: ProgressFn | None = None
+    service: str | None = None
+    executed: int = 0
+    cached: int = 0
+
+    def specs(self, cells: Iterable[Cell]) -> list[CellSpec]:
+        cfg_dict = config_to_dict(self.cfg)
+        return [CellSpec("explore", scheme, workload, self.accesses,
+                         self.footprint, self.seed, config=cfg_dict,
+                         fault=plan)
+                for scheme, workload, plan in cells]
+
+    def sweep(self, cells: Iterable[Cell]) -> list[Any]:
+        """Each cell's decoded value, in cell order."""
+        report = run_sweep(self.specs(cells), jobs=self.jobs,
+                           cache=self.cache, progress=self.progress,
+                           service=self.service)
+        self.executed += report.executed
+        self.cached += report.cached
+        return report.values
 
 
 @dataclass
@@ -250,20 +292,8 @@ def run_explore(schemes: list[str] | None = None,
         # (pruning), and cache pressure is what makes persist-dropping
         # mutants observable at all
         cfg = small_config(metadata_cache_bytes=512)
-    cfg_dict = config_to_dict(cfg)
-
-    def spec_for(scheme: str, workload: str,
-                 plan: dict[str, Any]) -> CellSpec:
-        return CellSpec("explore", scheme, workload, accesses, footprint,
-                        seed, config=cfg_dict, fault=plan)
-
-    def sweep(specs: list[CellSpec]):
-        report = run_sweep(specs, jobs=jobs, cache=cache,
-                           progress=progress, service=service)
-        summary.cells_executed += report.executed
-        summary.cells_cached += report.cached
-        return report
-
+    batch = CellBatcher(accesses, footprint, seed, cfg, jobs=jobs,
+                        cache=cache, progress=progress, service=service)
     summary = ExploreSummary(schemes=schemes, workloads=workloads,
                              residuals=tuple(residuals),
                              class_budget=class_budget,
@@ -282,8 +312,8 @@ def run_explore(schemes: list[str] | None = None,
 
     # ---------------------------------------------------- stage A: probe
     variant_keys = [(s, w) for s in schemes for w in workloads]
-    probe_specs = [spec_for(s, w, {"mode": "probe"})
-                   for s, w in variant_keys]
+    probe_cells: list[Cell] = [(s, w, {"mode": "probe"})
+                               for s, w in variant_keys]
     mutant_rows: list[tuple[str, str]] = []
     if with_mutants:
         for name in sorted(MUTANTS):
@@ -291,17 +321,15 @@ def run_explore(schemes: list[str] | None = None,
             if not eligible:
                 continue
             mutant_rows.append((name, eligible[0]))
-            probe_specs.append(spec_for(eligible[0], workloads[0],
-                                        {"mode": "probe", "mutant": name}))
-    probe_report = sweep(probe_specs)
-    probes = probe_report.values
+            probe_cells.append((eligible[0], workloads[0],
+                                {"mode": "probe", "mutant": name}))
+    probes = batch.sweep(probe_cells)
 
     # -------------------------------- stage B: clean + phase-1 candidates
     variants: dict[tuple[str, str], VariantSummary] = {}
     frontiers: dict[tuple[str, str], tuple[FireClass, ...]] = {}
-    specs: list[CellSpec] = []
-    # (kind, key, phase, plan, class) per spec, aligned by index
-    tags: list[tuple[str, Any, str, dict[str, Any], FireClass | None]] = []
+    # (phase, class, cell) per candidate; a mutant's plans name it
+    rows: list[tuple[str, FireClass | None, Cell]] = []
     for (s, w), probe in zip(variant_keys, probes):
         vrep = VariantSummary(scheme=s, workload=w, fires=len(probe.fires))
         classes = partition_fires(probe)
@@ -311,60 +339,50 @@ def run_explore(schemes: list[str] | None = None,
         vrep.skipped_budget = skipped
         variants[(s, w)] = vrep
         frontiers[(s, w)] = frontier
-        specs.append(spec_for(s, w, {"mode": "clean"}))
-        tags.append(("variant", (s, w), "clean", {"mode": "clean"}, None))
-        for plan in shutdown_plans(tuple(residuals)):
-            specs.append(spec_for(s, w, plan))
-            tags.append(("variant", (s, w), "phase1", plan, None))
+        rows.append(("clean", None, (s, w, {"mode": "clean"})))
+        rows += [("phase1", None, (s, w, plan))
+                 for plan in shutdown_plans(tuple(residuals))]
         for cls in frontier:
             vrep.pruned["phase1"] = vrep.pruned.get("phase1", 0) + \
                 cls.pruned * (1 + len(residuals))
-            for plan in phase1_plans(cls, tuple(residuals)):
-                specs.append(spec_for(s, w, plan))
-                tags.append(("variant", (s, w), "phase1", plan, cls))
+            rows += [("phase1", cls, (s, w, plan))
+                     for plan in phase1_plans(cls, tuple(residuals))]
     mreps: dict[str, MutantSummary] = {}
     for (name, mscheme), probe in zip(
             mutant_rows, probes[len(variant_keys):]):
         mreps[name] = MutantSummary(name=name, scheme=mscheme)
-        mclasses = partition_fires(probe)
-        mfrontier, _ = select_frontier(mclasses, class_budget)
-        plan = {"mode": "clean", "mutant": name}
-        specs.append(spec_for(mscheme, workloads[0], plan))
-        tags.append(("mutant", name, "clean", plan, None))
-        plan = {"mode": "case", "at_shutdown": True, "mutant": name}
-        specs.append(spec_for(mscheme, workloads[0], plan))
-        tags.append(("mutant", name, "phase1", plan, None))
-        for cls in mfrontier:
-            plan = {"mode": "case", "crash_after": cls.rep, "mutant": name}
-            specs.append(spec_for(mscheme, workloads[0], plan))
-            tags.append(("mutant", name, "phase1", plan, cls))
-    report_b = sweep(specs)
+        mfrontier, _ = select_frontier(partition_fires(probe), class_budget)
+        mplans = [("clean", None, {"mode": "clean"}),
+                  ("phase1", None, {"mode": "case", "at_shutdown": True})]
+        mplans += [("phase1", cls, {"mode": "case", "crash_after": cls.rep})
+                   for cls in mfrontier]
+        rows += [(phase, cls, (mscheme, workloads[0],
+                               {**plan, "mutant": name}))
+                 for phase, cls, plan in mplans]
 
     # healthy phase-1 result per class: the phase-2/3 dose spans
     healthy: dict[tuple[str, str], dict[int, ExploreCaseResult]] = \
         {key: {} for key in variant_keys}
-    for tag, outcome in zip(tags, report_b.outcomes):
-        kind, key, phase, plan, cls = tag
-        result = outcome.value
-        if kind == "variant":
-            record(variants[key], phase, plan, result)
-            if phase == "phase1" and "residual_words" not in plan:
-                # the shutdown-boundary candidate keys as rep 0 (real
-                # fire indices are 1-based)
-                healthy[key][cls.rep if cls is not None else 0] = result
-        else:
-            mreps[key].tally(f"{phase} {plan}", result)
+    results = batch.sweep(cell for _, _, cell in rows)
+    for (phase, cls, (s, w, plan)), result in zip(rows, results):
+        if "mutant" in plan:
+            mreps[plan["mutant"]].tally(f"{phase} {plan}", result)
+            continue
+        record(variants[(s, w)], phase, plan, result)
+        if phase == "phase1" and "residual_words" not in plan:
+            # the shutdown-boundary candidate keys as rep 0 (real fire
+            # indices are 1-based)
+            healthy[(s, w)][cls.rep if cls is not None else 0] = result
 
     # ----------------------- stage C: recovery-crash + double-crash doses
-    specs, tags = [], []
+    rows = []
     for (s, w), frontier in frontiers.items():
         vrep = variants[(s, w)]
         shutdown_result = healthy[(s, w)].get(0)
         if shutdown_result is not None:
-            for plan in shutdown_phase2_plans(
-                    shutdown_result.recovery_fires, recovery_cap):
-                specs.append(spec_for(s, w, plan))
-                tags.append(("variant", (s, w), "phase2", plan, None))
+            rows += [("phase2", None, (s, w, plan))
+                     for plan in shutdown_phase2_plans(
+                         shutdown_result.recovery_fires, recovery_cap)]
         for cls in frontier:
             result = healthy[(s, w)].get(cls.rep)
             if result is None:
@@ -375,15 +393,15 @@ def run_explore(schemes: list[str] | None = None,
                 cls.pruned * len(p2)
             vrep.pruned["phase3"] = vrep.pruned.get("phase3", 0) + \
                 cls.pruned * len(p3)
-            for phase, plans in (("phase2", p2), ("phase3", p3)):
-                for plan in plans:
-                    specs.append(spec_for(s, w, plan))
-                    tags.append(("variant", (s, w), phase, plan, cls))
-    report_c = sweep(specs)
-    for tag, outcome in zip(tags, report_c.outcomes):
-        _, key, phase, plan, _cls = tag
-        record(variants[key], phase, plan, outcome.value)
+            rows += [(phase, cls, (s, w, plan))
+                     for phase, plans in (("phase2", p2), ("phase3", p3))
+                     for plan in plans]
+    results = batch.sweep(cell for _, _, cell in rows)
+    for (phase, _, (s, w, plan)), result in zip(rows, results):
+        record(variants[(s, w)], phase, plan, result)
 
+    summary.cells_executed = batch.executed
+    summary.cells_cached = batch.cached
     summary.variants = [variants[key] for key in variant_keys]
     summary.mutants = [mreps[name] for name, _ in mutant_rows]
     if metrics is not None:

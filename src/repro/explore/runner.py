@@ -70,26 +70,31 @@ CAUGHT_OUTCOMES = frozenset({"detected", "diverged", "data_loss"})
 @dataclass(frozen=True)
 class ExploreProbe:
     """The full instrumented fire list of one run (fires are 1-based:
-    fire index k is ``fires[k-1]``)."""
+    fire index k is ``fires[k-1]``) over a trace of ``accesses``
+    accesses — the access index its graceful-shutdown fires carry."""
 
     fires: tuple[Fire, ...]
+    accesses: int
 
     def to_json(self) -> dict[str, Any]:
-        return {"fires": [list(f) for f in self.fires]}
+        return {"fires": [list(f) for f in self.fires],
+                "accesses": self.accesses}
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "ExploreProbe":
         """Decode :meth:`to_json`'s encoding; anything else (a missing,
         extra or mistyped key, a fire not ``[point, index, digest]``)
         raises :class:`ConfigError`."""
-        fires = strict_record(data, {"fires": list}, "probe")["fires"]
+        data = strict_record(data, {"fires": list, "accesses": int},
+                             "probe")
+        fires = data["fires"]
         for fire in fires:
             if type(fire) is not list \
                     or [type(x) for x in fire] != [str, int, str]:
                 raise ConfigError(
                     f"probe fire must be [point, access index, digest], "
                     f"got {fire!r}")
-        return cls(fires=tuple((p, i, d) for p, i, d in fires))
+        return cls(tuple((p, i, d) for p, i, d in fires), data["accesses"])
 
 
 def _mutant_ctx(dr: DifferentialRun, name: str | None):
@@ -131,7 +136,7 @@ def run_probe(scheme: str, cfg: SystemConfig, trace: TraceArrays,
         except (IntegrityError, RecoveryError, OracleViolation,
                 AssertionError):
             pass
-    return ExploreProbe(fires=tuple(fires))
+    return ExploreProbe(tuple(fires), len(trace))
 
 
 def run_clean(scheme: str, cfg: SystemConfig, trace: TraceArrays,

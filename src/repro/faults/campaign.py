@@ -46,11 +46,15 @@ paths the simulator is built out of).
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Any
 
+from repro.analysis.report import render_campaign
 from repro.common.config import SystemConfig, small_config
-from repro.exec import CellSpec, ResultCache, config_to_dict, run_sweep
+from repro.exec import ResultCache
+from repro.exec.pool import ProgressFn
 from repro.explore import runner
+from repro.explore.explorer import CellBatcher
 from repro.explore.planner import spread_plans
 from repro.schemes import resolve_schemes
 from repro.workloads import get_profile
@@ -94,41 +98,55 @@ def minimize_case(scheme: str, plan: dict[str, Any], cfg: SystemConfig,
     return hi
 
 
-def run_campaign(schemes: list[str], workloads: list[str],
+@dataclass
+class CampaignSummary:
+    """One campaign: its :attr:`report` plus the provenance of its
+    cells (kept out of the report, and out of equality)."""
+
+    report: dict[str, Any]
+    cells_executed: int = field(default=0, compare=False)
+    cells_cached: int = field(default=0, compare=False)
+
+    @property
+    def ok(self) -> bool:
+        return not self.report["outcomes"].get("diverged")
+
+    def to_json(self) -> dict[str, Any]:
+        return self.report
+
+    def summary_lines(self) -> list[str]:
+        return render_campaign(self.report).splitlines()
+
+
+def run_campaign(schemes: list[str], workloads: list[str] | None = None,
                  crashes: int = 200, seed: int = 2024,
                  accesses: int = 400, footprint: int = 2048,
                  cfg: SystemConfig | None = None,
                  jobs: int = 1, cache: ResultCache | None = None,
-                 progress: Any = None,
-                 service: str | None = None) -> dict[str, Any]:
-    """Run the full campaign; returns a JSON-serializable report.
+                 progress: ProgressFn | None = None,
+                 service: str | None = None) -> CampaignSummary:
+    """Run the full campaign.
 
-    Probes and cases are ``"explore"`` cells fanned out over
-    ``repro.exec`` (``jobs`` worker processes, optional result cache;
-    ``service`` routes both sweeps to a running ``repro serve`` socket
-    instead).  The report is a pure
-    function of the campaign parameters: it never contains timing or
-    worker-count information, so serial, parallel, and distributed runs
-    compare byte for byte.
+    Probes and cases are ``"explore"`` cells swept by the shared front
+    end (:class:`~repro.explore.explorer.CellBatcher`: ``jobs`` worker
+    processes, optional result cache; ``service`` routes both sweeps to
+    a running ``repro serve`` socket instead).  The JSON-serializable
+    report is a pure function of the campaign parameters: it never
+    contains timing or worker-count information, so serial, parallel,
+    and distributed runs compare byte for byte.
     """
     schemes = resolve_schemes(schemes)
+    workloads = list(workloads) if workloads else ["pers_hash"]
     if cfg is None:
         cfg = small_config(metadata_cache_bytes=2048)
-    cfg_dict = config_to_dict(cfg)
-
-    def sweep(cells: list[tuple[str, str, dict[str, Any]]]) -> list[Any]:
-        specs = [CellSpec("explore", s, w, accesses, footprint, seed,
-                          config=cfg_dict, fault=plan)
-                 for s, w, plan in cells]
-        return run_sweep(specs, jobs=jobs, cache=cache, progress=progress,
-                         service=service).values
-
+    batch = CellBatcher(accesses, footprint, seed, cfg, jobs=jobs,
+                        cache=cache, progress=progress, service=service)
     pairs = [(s, w) for s in schemes for w in workloads]
-    probes = sweep([(s, w, {"mode": "probe"}) for s, w in pairs])
+    probes = batch.sweep([(s, w, {"mode": "probe"}) for s, w in pairs])
     per_cell = max(1, crashes // len(pairs))
     cases = [(s, w, plan) for (s, w), probe in zip(pairs, probes)
              for plan in spread_plans(probe, per_cell, seed, "faults", s, w)]
-    results = sweep(cases)
+    results = batch.sweep(cases)
 
     # minimization re-runs cases in-process; traces are built on demand
     traces: dict[str, TraceArrays] = {}
@@ -170,7 +188,7 @@ def run_campaign(schemes: list[str], workloads: list[str],
                     scheme, plan, cfg, trace_for(workload),
                     require_point=result.crash_point)
             diverged.append(entry)
-    return {
+    return CampaignSummary({
         "seed": seed,
         "crashes_requested": crashes,
         "accesses": accesses,
@@ -182,4 +200,4 @@ def run_campaign(schemes: list[str], workloads: list[str],
         "cells": cells,
         "crash_points": crash_points,
         "diverged": diverged,
-    }
+    }, batch.executed, batch.cached)

@@ -1,17 +1,19 @@
 """Oracle suite planning and the parallel, cached crash-point sweep.
 
 The suite covers four case roles per scheme, planned deterministically
-from a pinned seed and executed as ``"explore"`` cells through
-:mod:`repro.exec` on the crash engine's
-:func:`~repro.explore.runner.run_explore_cell` (so cases fan out over
-processes and re-runs hit the content-addressed cache):
+from a pinned seed.  Like ``repro explore`` and ``repro faults``, it is
+a planner over the shared front end
+(:class:`~repro.explore.explorer.CellBatcher`): its probes and its
+cases are ``"explore"`` cells on the crash engine, so they fan out over
+processes and a warm rerun is answered from the content-addressed cache
+without simulating anything:
 
 * ``clean``  — untampered run + graceful shutdown + full read-back,
 * ``crash``  — power failure at the first, middle and last fire of
   *every* injection point the scheme actually fires, plus
   crash-during-recovery doses (the
   :func:`~repro.explore.planner.first_middle_last_plans` policy over
-  one :func:`~repro.explore.runner.run_probe` per scheme and workload),
+  one probe cell per scheme and workload),
 * ``tamper`` — :mod:`repro.attacks` tampers/replays that must be
   detected or provably neutralized,
 * ``mutant`` — seeded controller bugs (:mod:`repro.oracle.mutants`),
@@ -32,15 +34,13 @@ from typing import Any
 
 from repro.common.config import SystemConfig, small_config
 from repro.exec.cache import ResultCache
-from repro.exec.configio import config_to_dict
-from repro.exec.pool import ProgressFn, run_sweep
-from repro.exec.spec import CellSpec
+from repro.exec.pool import ProgressFn
+from repro.explore.explorer import Cell, CellBatcher
 from repro.explore.planner import first_middle_last_plans
-from repro.explore.runner import CAUGHT_OUTCOMES, ExploreProbe, run_probe
+from repro.explore.runner import CAUGHT_OUTCOMES, ExploreProbe
 from repro.oracle.harness import TAMPER_KINDS, ExploreCaseResult
 from repro.oracle.mutants import MUTANTS
 from repro.schemes import get_scheme, resolve_schemes
-from repro.workloads import get_profile
 
 #: tamper kinds that need a crash/recover cycle to force tree refetches
 _TREE_TAMPERS = ("tree-counter", "tree-replay")
@@ -55,14 +55,14 @@ def tamper_plans_for(scheme: str) -> list[dict[str, Any]]:
             if recovers or kind not in _TREE_TAMPERS]
 
 
-def mutant_plans_for(scheme: str, probe: ExploreProbe,
-                     trace_len: int) -> list[dict[str, Any]]:
+def mutant_plans_for(scheme: str,
+                     probe: ExploreProbe) -> list[dict[str, Any]]:
     """One crash-engine plan per mutant asserted on ``scheme``, from
-    the unmutated ``probe`` of the trace (``trace_len`` accesses) the
-    mutant runs on."""
+    the unmutated ``probe`` of the trace the mutant runs on."""
     # the graceful flush's fires are recorded at access index len(trace)
+    # (a generated trace may run past the requested access count)
     first_flush_fire = 1 + sum(1 for _, i, _ in probe.fires
-                               if i < trace_len)
+                               if i < probe.accesses)
     plans: list[dict[str, Any]] = []
     for name, mutant in sorted(MUTANTS.items()):
         if scheme not in mutant.schemes:
@@ -94,15 +94,14 @@ class SuiteSummary:
     workloads: list[str]
     cases: list[dict[str, Any]] = field(default_factory=list)
     outcome_counts: dict[str, int] = field(default_factory=dict)
-    cells_cached: int = 0
     cells_executed: int = 0
+    cells_cached: int = 0
 
-    def add(self, spec: CellSpec, result: ExploreCaseResult,
-            cached: bool) -> None:
-        plan = spec.fault or {}
+    def add(self, cell: Cell, result: ExploreCaseResult) -> None:
+        scheme, workload, plan = cell
         mode = role_of(plan)
         self.cases.append({
-            "scheme": spec.variant, "workload": spec.workload,
+            "scheme": scheme, "workload": workload,
             "mode": mode, "plan": plan, "outcome": result.outcome,
             "ok": self._case_ok(mode, result),
             "caught": result.outcome in CAUGHT_OUTCOMES,
@@ -111,10 +110,6 @@ class SuiteSummary:
         })
         self.outcome_counts[result.outcome] = \
             self.outcome_counts.get(result.outcome, 0) + 1
-        if cached:
-            self.cells_cached += 1
-        else:
-            self.cells_executed += 1
 
     @staticmethod
     def _case_ok(mode: str, result: ExploreCaseResult) -> bool:
@@ -164,34 +159,23 @@ class SuiteSummary:
         return lines
 
 
-def build_suite(schemes: list[str], workloads: list[str], accesses: int,
-                footprint: int, seed: int,
-                cfg: SystemConfig) -> list[CellSpec]:
-    """Plan the full case list (deterministic for a given seed/config)."""
-    cfg_dict = config_to_dict(cfg)
-    specs: list[CellSpec] = []
-
-    def spec_for(scheme: str, workload: str,
-                 plan: dict[str, Any]) -> CellSpec:
-        return CellSpec("explore", scheme, workload, accesses, footprint,
-                        seed, config=cfg_dict, fault=plan)
-
+def build_suite(schemes: list[str], workloads: list[str],
+                probes: dict[tuple[str, str], ExploreProbe]
+                ) -> list[Cell]:
+    """Plan the full case list from one probe per (scheme, workload)
+    (deterministic for a given seed/config)."""
+    cells: list[Cell] = []
     for scheme in schemes:
-        mutant_plans: list[dict[str, Any]] | None = None
         for workload in workloads:
-            trace = get_profile(workload).generate(
-                seed=seed, n=accesses, footprint=footprint)
-            specs.append(spec_for(scheme, workload, {"mode": "clean"}))
-            probe = run_probe(scheme, cfg, trace)
-            for plan in first_middle_last_plans(probe):
-                specs.append(spec_for(scheme, workload, plan))
-            if mutant_plans is None:
-                mutant_plans = mutant_plans_for(scheme, probe, len(trace))
+            cells.append((scheme, workload, {"mode": "clean"}))
+            cells += [(scheme, workload, plan) for plan in
+                      first_middle_last_plans(probes[scheme, workload])]
         # tampers and mutants probe detection machinery, not workload
         # shape: one workload each keeps the suite tight
-        for plan in tamper_plans_for(scheme) + (mutant_plans or []):
-            specs.append(spec_for(scheme, workloads[0], plan))
-    return specs
+        plans = tamper_plans_for(scheme) + mutant_plans_for(
+            scheme, probes[scheme, workloads[0]])
+        cells += [(scheme, workloads[0], plan) for plan in plans]
+    return cells
 
 
 def run_oracle_suite(schemes: list[str] | None = None,
@@ -202,7 +186,9 @@ def run_oracle_suite(schemes: list[str] | None = None,
                      cache: ResultCache | None = None,
                      progress: ProgressFn | None = None,
                      service: str | None = None) -> SuiteSummary:
-    """Plan and execute the differential suite; returns the tally.
+    """Probe, plan and execute the differential suite; returns the
+    tally.  Probes and cases are both cached ``"explore"`` cells, so a
+    warm rerun simulates nothing.
 
     ``schemes`` is validated against the scheme registry: an unknown
     name raises :class:`~repro.common.errors.ConfigError` listing the
@@ -212,11 +198,14 @@ def run_oracle_suite(schemes: list[str] | None = None,
     workloads = list(workloads) if workloads else ["pers_hash"]
     if cfg is None:
         cfg = small_config(metadata_cache_bytes=2048)
-    specs = build_suite(schemes, workloads, accesses, footprint, seed,
-                        cfg)
-    report = run_sweep(specs, jobs=jobs, cache=cache, progress=progress,
-                       service=service)
+    batch = CellBatcher(accesses, footprint, seed, cfg, jobs=jobs,
+                        cache=cache, progress=progress, service=service)
+    pairs = [(s, w) for s in schemes for w in workloads]
+    probes = batch.sweep([(s, w, {"mode": "probe"}) for s, w in pairs])
+    cells = build_suite(schemes, workloads, dict(zip(pairs, probes)))
     tally = SuiteSummary(schemes=schemes, workloads=workloads)
-    for outcome in report.outcomes:
-        tally.add(outcome.spec, outcome.value, outcome.cached)
+    for cell, result in zip(cells, batch.sweep(cells)):
+        tally.add(cell, result)
+    tally.cells_executed = batch.executed
+    tally.cells_cached = batch.cached
     return tally

@@ -1,16 +1,19 @@
 """Boundary decoders fail loudly: ``CellSpec.from_json``,
-``ExploreCaseResult.from_json``, ``ExploreProbe.from_json`` and
-``config_from_dict``.
+``ExploreCaseResult.from_json``, ``ExploreProbe.from_json``,
+``config_from_dict`` and ``load_trace``.
 
-Each accepts exactly the encoding its ``to_json`` (``config_to_dict``)
-writes.  Hypothesis draws a valid encoding, checks that it decodes,
-then drops, adds, retypes or truncates the name of one key (for a
-probe, also of one fire; for a config, at any nesting depth) and
-requires :class:`ConfigError`: any other exception type, or a silent
-decode, fails the test.
+Each accepts exactly the encoding its ``to_json`` (``config_to_dict``,
+``save_trace``) writes.  Hypothesis draws a valid encoding, checks that
+it decodes, then drops, adds, retypes or truncates the name of one key
+(for a probe, also of one fire; for a config, at any nesting depth; for
+a trace file, of its metadata, or spoils one column) and requires
+:class:`ConfigError`: any other exception type, or a silent decode,
+fails the test.
 """
+import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,8 @@ from repro.common.errors import ConfigError
 from repro.exec.configio import config_from_dict, config_to_dict
 from repro.exec.spec import KINDS, CellSpec
 from repro.explore.runner import ExploreCaseResult, ExploreProbe
+from repro.workloads import get_profile
+from repro.workloads.tracefile import load_trace, save_trace
 
 small_int = st.integers(-(1 << 40), 1 << 40)
 text = st.text(max_size=12)
@@ -54,8 +59,9 @@ case_encodings = st.builds(
 ).map(ExploreCaseResult.to_json)
 
 fires = st.lists(st.tuples(text, small_int, text), max_size=4)
-probe_encodings = fires.map(
-    lambda f: ExploreProbe(fires=tuple(f)).to_json())
+probe_encodings = st.builds(
+    lambda f, n: ExploreProbe(fires=tuple(f), accesses=n).to_json(),
+    fires, small_int)
 
 #: values of every JSON type; a retype picks one of another type
 ANY_VALUE = (None, True, 7, 2.5, "x", [1], {"k": 1})
@@ -68,10 +74,10 @@ def retype(draw, value, also_ok=()):
 
 
 @st.composite
-def mutated(draw, encodings, optional_dicts=()):
+def mutated(draw, encodings, also_ok=None):
     """A valid encoding with one key dropped, added, retyped or
-    truncated; ``optional_dicts`` name keys that hold a dict or None
-    (retyping between those two is still valid)."""
+    truncated; ``also_ok`` maps a key to the types it may validly hold
+    (retyping among those is no mutation)."""
     data = dict(draw(encodings))
     key = draw(st.sampled_from(sorted(data)))
     how = draw(st.sampled_from(["drop", "add", "retype", "truncate"]))
@@ -81,8 +87,7 @@ def mutated(draw, encodings, optional_dicts=()):
         data[draw(text.filter(lambda k: k not in data))] = draw(
             st.sampled_from(ANY_VALUE))
     elif how == "retype":
-        also_ok = (dict, type(None)) if key in optional_dicts else ()
-        data[key] = retype(draw, data[key], also_ok)
+        data[key] = retype(draw, data[key], (also_ok or {}).get(key, ()))
     else:
         data[key[:-1]] = data.pop(key)
     return data
@@ -99,7 +104,8 @@ def test_spec_encoding_decodes(data):
 
 
 @settings(max_examples=scaled(150))
-@given(data=mutated(spec_encodings(), optional_dicts=("config",)))
+@given(data=mutated(spec_encodings(),
+                    also_ok={"config": (dict, type(None))}))
 def test_mutated_spec_raises_config_error(data):
     with pytest.raises(ConfigError):
         CellSpec.from_json(data)
@@ -208,3 +214,69 @@ def test_mutated_config_raises_config_error(data):
 def test_config_float_field_takes_an_int():
     data = config_to_dict(small_config())
     assert config_from_dict({**data, "clock_ghz": 2}) == small_config()
+
+
+def saved_trace_arrays():
+    """The arrays ``save_trace`` writes for a short trace."""
+    buf = io.BytesIO()
+    trace = get_profile("pers_hash").generate(seed=1, n=8, footprint=64)
+    save_trace(buf, trace, name="pers_hash", seed=1)
+    buf.seek(0)
+    with np.load(buf) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def meta_of(arrays):
+    return json.loads(bytes(arrays["meta"]).decode())
+
+
+#: metadata keys with more than one valid type
+TRACE_META_ALSO_OK = {"seed": (int, type(None)),
+                      "write_fraction": (float, int)}
+
+
+@st.composite
+def mutated_trace_arrays(draw):
+    """A saved trace with its metadata mutated like the encodings above
+    (or replaced by a non-object), or one column made float, 2-D or one
+    short, or its addresses or gaps negative, or its gaps past int32."""
+    arrays = saved_trace_arrays()
+    meta = meta_of(arrays)
+    how = draw(st.sampled_from(
+        ["meta", "not-object", "float", "2-d", "short", "negative",
+         "wide"]))
+    if how == "meta":
+        meta = draw(mutated(st.just(meta), also_ok=TRACE_META_ALSO_OK))
+    elif how == "not-object":
+        meta = draw(st.sampled_from([None, 7, "x", [meta]]))
+    else:
+        name = draw(st.sampled_from(
+            {"negative": ["address", "gap_cycles"],
+             "wide": ["gap_cycles"]}.get(
+                 how, ["is_write", "address", "gap_cycles"])))
+        column = arrays[name]
+        arrays[name] = {"float": lambda: column + 0.5,
+                        "2-d": lambda: column[None],
+                        "short": lambda: column[:-1],
+                        "negative": lambda: -1 - column,
+                        "wide": lambda: column.astype(np.int64) + (1 << 31),
+                        }[how]()
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+    return arrays
+
+
+def test_saved_trace_arrays_load(tmp_path):
+    path = tmp_path / "t.npz"
+    arrays = saved_trace_arrays()
+    np.savez_compressed(path, **arrays)
+    trace, meta = load_trace(path)
+    assert meta == meta_of(arrays) and len(trace) == meta["accesses"]
+
+
+@settings(max_examples=scaled(60))
+@given(arrays=mutated_trace_arrays())
+def test_mutated_trace_file_raises_config_error(arrays, tmp_path_factory):
+    path = tmp_path_factory.mktemp("trace") / "t.npz"
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ConfigError):
+        load_trace(path)

@@ -79,3 +79,25 @@ def test_parser_rejects_wb_recover():
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+#: today's defaults of the options faults, oracle and explore share
+CRASH_SWEEP_DEFAULTS = {
+    "faults": dict(seed=2024, accesses=400, footprint=2048),
+    "oracle": dict(seed=2024, accesses=400, footprint=2048),
+    "explore": dict(seed=2025, accesses=120, footprint=512),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CRASH_SWEEP_DEFAULTS))
+def test_crash_sweep_shared_options(command, capsys):
+    args = build_parser().parse_args([command])
+    for name, value in CRASH_SWEEP_DEFAULTS[command].items():
+        assert getattr(args, name) == value, name
+    assert (args.scheme, args.workload) == (None, None)
+    assert (args.jobs, args.cache_dir, args.service, args.json) == \
+        (1, None, None, False)
+    # an unregistered scheme is the registry's error on every command
+    assert main([command, "--scheme", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown scheme 'nope'; registered schemes:" in err

@@ -119,11 +119,11 @@ class TestCacheSchema:
     cache directory).
     """
 
-    def test_schema_is_five(self):
+    def test_schema_is_six(self):
         from repro.exec.spec import CACHE_SCHEMA, KINDS
 
-        # schema 5: the spec encoding lost its "check" field
-        assert CACHE_SCHEMA == 5
+        # schema 6: probe payloads record their trace length
+        assert CACHE_SCHEMA == 6
         assert "explore" in KINDS
 
     @pytest.mark.parametrize("kind", ["probe", "fault", "oracle"])

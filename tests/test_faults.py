@@ -192,9 +192,9 @@ class TestCampaign:
         first = run_campaign(**kwargs)
         second = run_campaign(**kwargs)
         assert first == second
-        assert not first["outcomes"].get("diverged")
-        assert first["outcomes"].get("match", 0) > 0
-        assert first["cells"]["wb/pers_hash"]["outcomes"].get(
+        assert first.ok
+        assert first.report["outcomes"].get("match", 0) > 0
+        assert first.report["cells"]["wb/pers_hash"]["outcomes"].get(
             "unsupported", 0) > 0
 
     def test_warm_rerun_is_served_from_the_cache(self, tmp_path):
@@ -214,13 +214,15 @@ class TestCampaign:
         assert {o.spec.kind for o in cold_cells} == {"explore"}
         assert not any(o.cached for o in cold_cells)
         assert warm_cells and all(o.cached for o in warm_cells)
+        assert (warm.cells_executed, warm.cells_cached) == \
+            (0, len(warm_cells))
 
     def test_lossy_budget_is_detected_not_diverged(self):
         report = run_campaign(schemes=["steins"], workloads=["pers_hash"],
                               crashes=35, seed=2, accesses=300,
                               footprint=2048)
-        assert not report["outcomes"].get("diverged")
-        assert report["outcomes"].get("detected", 0) > 0
+        assert report.ok
+        assert report.report["outcomes"].get("detected", 0) > 0
 
 
 class TestMinimizeCase:
@@ -288,7 +290,7 @@ class TestMinimizeCase:
                               footprint=2048)
         # whatever diverged (usually nothing on a healthy tree) must
         # carry a minimized prefix no longer than the full trace
-        for entry in report["diverged"]:
+        for entry in report.report["diverged"]:
             if "minimized_prefix" in entry:
                 assert 1 <= entry["minimized_prefix"] <= 200
 

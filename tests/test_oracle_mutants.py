@@ -38,7 +38,7 @@ def plans(cfg, trace):
     out = {}
     for scheme in sorted({s for _, s in CASES}):
         probe = run_probe(scheme, cfg, trace)
-        for plan in mutant_plans_for(scheme, probe, len(trace)):
+        for plan in mutant_plans_for(scheme, probe):
             out[plan["mutant"], scheme] = plan
     return out
 

@@ -46,7 +46,8 @@ def test_probe_fires_order_runtime_fires(cfg, trace):
 def probe_of(points):
     """A probe whose fires hit ``points`` in order."""
     return ExploreProbe(fires=tuple((p, i, "d") for i, p in
-                                    enumerate(points)))
+                                    enumerate(points)),
+                        accesses=len(points))
 
 
 def test_crash_plans_pick_first_middle_last():
@@ -75,9 +76,10 @@ def test_mutant_plans_follow_the_registry():
     # two fires inside a 2-access trace, then the graceful flush's two
     probe = ExploreProbe(fires=(
         ("controller.write", 0, "d"), ("controller.write", 1, "d"),
-        ("controller.read", 2, "d"), ("controller.flush", 2, "d")))
+        ("controller.read", 2, "d"), ("controller.flush", 2, "d")),
+        accesses=2)
     for scheme in ("wb", "steins", "secpm"):
-        plans = {p["mutant"]: p for p in mutant_plans_for(scheme, probe, 2)}
+        plans = {p["mutant"]: p for p in mutant_plans_for(scheme, probe)}
         assert set(plans) == {n for n, m in MUTANTS.items()
                               if scheme in m.schemes}
         for name, plan in plans.items():
@@ -89,15 +91,15 @@ def test_mutant_plans_follow_the_registry():
 
 
 @pytest.fixture(scope="module")
-def suite(cfg):
-    return build_suite(["steins"], ["pers_hash"], accesses=250,
-                       footprint=2048, seed=2024, cfg=cfg)
+def suite(cfg, trace):
+    probes = {("steins", "pers_hash"): run_probe("steins", cfg, trace)}
+    return build_suite(["steins"], ["pers_hash"], probes)
 
 
 def test_build_suite_covers_all_modes(suite):
-    roles = {role_of(s.fault) for s in suite}
+    roles = {role_of(plan) for _, _, plan in suite}
     assert roles == {"clean", "crash", "tamper", "mutant"}
-    assert all(s.kind == "explore" for s in suite)
+    assert all(cell[:2] == ("steins", "pers_hash") for cell in suite)
 
 
 # --------------------------------------------------------------- tallies
@@ -106,23 +108,22 @@ def fake(outcome):
 
 
 def test_summary_acceptance_bar(suite):
-    def spec_with(role):
-        return next(s for s in suite if role_of(s.fault) == role)
+    def cell_with(role):
+        return next(c for c in suite if role_of(c[2]) == role)
 
     tally = SuiteSummary(schemes=["steins"], workloads=["pers_hash"])
-    tally.add(spec_with("clean"), fake("match"), cached=False)
-    tally.add(spec_with("tamper"), fake("neutralized"), cached=True)
+    tally.add(cell_with("clean"), fake("match"))
+    tally.add(cell_with("tamper"), fake("neutralized"))
     for caught in ("detected", "diverged", "data_loss"):
-        tally.add(spec_with("mutant"), fake(caught), cached=False)
+        tally.add(cell_with("mutant"), fake(caught))
     assert tally.ok and not tally.failures
-    assert (tally.cells_executed, tally.cells_cached) == (4, 1)
     assert tally.cases[-1]["mode"] == "mutant"
     # a crash-mode divergence is both a failure and a *silent* one
-    tally.add(spec_with("crash"), fake("diverged"), cached=False)
+    tally.add(cell_with("crash"), fake("diverged"))
     # an escaped mutant fails without being a silent divergence, and so
     # does a mutant run that never reached the bug's check
     for escaped in ("match", "inapplicable", "no_crash", "unsupported"):
-        tally.add(spec_with("mutant"), fake(escaped), cached=False)
+        tally.add(cell_with("mutant"), fake(escaped))
     assert not tally.ok
     assert len(tally.failures) == 5
     assert len(tally.silent_divergences) == 1
@@ -143,5 +144,29 @@ def test_small_suite_is_clean_then_fully_cached(tmp_path):
     second = run_oracle_suite(**kwargs)
     assert second.ok
     assert second.cells_executed == 0
-    assert second.cells_cached == len(second.cases)
+    # every case plus the one probe its crash plans came from
+    assert second.cells_cached == len(second.cases) + 1
     assert second.outcome_counts == first.outcome_counts
+
+
+def test_warm_suite_builds_no_system(tmp_path, monkeypatch):
+    """Probes are cached cells too: a warm rerun constructs no
+    simulated system at all."""
+    from repro.sim.system import SecureNVMSystem
+
+    kwargs = dict(schemes=["steins"], accesses=60, footprint=512,
+                  seed=3, cache=ResultCache(str(tmp_path / "cache")))
+    cold = run_oracle_suite(**kwargs)
+    built = []
+    init = SecureNVMSystem.__init__
+
+    def spy(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(SecureNVMSystem, "__init__", spy)
+    warm = run_oracle_suite(**kwargs)
+    assert built == []
+    assert warm.cells_executed == 0
+    assert warm.cells_cached == cold.cells_executed
+    assert warm.to_json() == cold.to_json()

@@ -45,16 +45,22 @@ def build_batch():
     from repro.analysis.figures import figure_config
     from repro.common.config import small_config
     from repro.exec import CellSpec, config_to_dict
+    from repro.explore.explorer import CellBatcher
     from repro.oracle.sweep import build_suite
 
     fig_cfg = config_to_dict(figure_config())
     specs = [CellSpec("sim", v, w, SIM["accesses"], SIM["footprint"],
                       SIM["seed"], config=fig_cfg)
              for v in SIM_VARIANTS for w in SIM_WORKLOADS]
-    specs += build_suite(ORACLE_SCHEMES, ORACLE_WORKLOADS,
-                         ORACLE["accesses"], ORACLE["footprint"],
-                         ORACLE["seed"],
-                         small_config(metadata_cache_bytes=2048))
+    # the suite's probe cells (planned here in-process) plus the case
+    # cells planned from them: both explore-cell modes cross the socket
+    batch = CellBatcher(cfg=small_config(metadata_cache_bytes=2048),
+                        **ORACLE)
+    pairs = [(s, w) for s in ORACLE_SCHEMES for w in ORACLE_WORKLOADS]
+    probe_cells = [(s, w, {"mode": "probe"}) for s, w in pairs]
+    probes = dict(zip(pairs, batch.sweep(probe_cells)))
+    specs += batch.specs(probe_cells + build_suite(
+        ORACLE_SCHEMES, ORACLE_WORKLOADS, probes))
     # a duplicate of the first cell exercises in-flight dedup
     specs.append(specs[0])
     return specs
