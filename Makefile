@@ -3,7 +3,7 @@ export PYTHONPATH := src
 
 .PHONY: test test-fast coverage lint simlint ruff mypy faults-smoke \
 	sweep-smoke trace-smoke oracle-smoke explore-smoke serve-smoke \
-	bench-core bench-suite-smoke bench-ab conformance all
+	bench-gate bench-suite-smoke bench-ab conformance all
 
 all: lint test
 
@@ -83,15 +83,17 @@ serve-smoke:
 	$(PYTHON) tools/serve_bench.py BENCH_sweep.json .serve-smoke/cache
 	rm -rf .serve-smoke
 
-# core-simulator throughput (accesses/sec per scheme, recovery
-# sims/sec, explore candidates/sec) against the checked-in trajectory
-# baseline; writes BENCH_core.json and fails on a >20% decay — see
-# docs/performance.md
-bench-core:
-	$(PYTHON) benchmarks/bench_core_throughput.py \
-		--out BENCH_core.json \
-		--trajectory benchmarks/results/BENCH_core_baseline.json \
-		--fail-on-regression 0.20
+# the CI throughput gate: three alternating pairs of the repo benchmark
+# (benchmarks/suite) against the anchor revision that
+# benchmarks/results/suite_trajectory.json names, checked out under
+# .bench-ab/; fails when a run fails or when any workload's median
+# work_per_s ratio over the anchor falls below 80% of the ratio the
+# file pins for it (tools/bench_ab.py --trajectory; ~10 min, needs the
+# anchor in the git history) — see docs/performance.md
+bench-gate:
+	$(PYTHON) tools/bench_ab.py \
+		--trajectory benchmarks/results/suite_trajectory.json \
+		--out .bench-ab/gate
 
 # self-test of the repo benchmark (benchmarks/suite): every workload
 # at 1% size, untraced and traced, through the real child processes;

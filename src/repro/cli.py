@@ -75,7 +75,9 @@ def _crash_sweep_parser(sub, name: str, summary: str, scheme_help: str, *,
                      help="workload trace (repeatable; default pers_hash)")
     cmd.add_argument("--seed", type=int, default=seed)
     cmd.add_argument("--accesses", type=int, default=accesses,
-                     help="trace length per cell")
+                     help="trace length per cell; approximate for "
+                          "pers_hash/pers_swap, which emit whole "
+                          "transactions")
     cmd.add_argument("--footprint", type=int, default=footprint,
                      help="trace footprint in data blocks")
     cmd.add_argument("--jobs", type=int, default=1,

@@ -105,21 +105,6 @@ class NVMTimingConfig:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
 
-    @property
-    def read_miss_ns(self) -> float:
-        """Array read on a row-buffer miss: activate + CAS."""
-        return self.trcd_ns + self.tcl_ns
-
-    @property
-    def read_hit_ns(self) -> float:
-        """Read served from the open row buffer."""
-        return self.row_hit_read_ns
-
-    @property
-    def write_ns(self) -> float:
-        """Full PCM cell write (tWR dominates; paper assumes 300 ns)."""
-        return self.twr_ns
-
     # Exact simulated-time units: the ns figures above are the human
     # configuration surface; the simulator itself runs on these integer
     # picosecond values (converted once, at configuration time).

@@ -188,10 +188,6 @@ class NVMDevice:
         included: a copy, and a snapshot since values are immutable."""
         return self._store.copy()
 
-    def pending_wpq(self) -> int:
-        """In-flight (not yet architecturally durable) writes."""
-        return len(self._wpq)
-
     def wpq_snapshot(self) -> tuple[tuple[Region, int], ...]:
         """The queued (region, index) targets, oldest first.
 

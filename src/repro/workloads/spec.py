@@ -56,6 +56,12 @@ class WorkloadProfile:
         stream; variants deliberately share the trace (the paper
         compares schemes on identical access streams), which is why the
         derivation excludes the variant.
+
+        ``n`` is exact for the SPEC-like profiles.  The persistent ones
+        emit whole transactions (``n // 3`` hash inserts of 3 or 4
+        accesses, ``n // 4`` swaps of 4), so their length is only near
+        ``n``: at seed 2024, ``pers_hash`` gives 409 accesses for
+        ``n=400`` and ``pers_swap`` 248 for ``n=250``.
         """
         if n <= 0 or footprint <= 0:
             raise ConfigError("length and footprint must be positive")

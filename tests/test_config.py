@@ -106,6 +106,6 @@ def test_nvm_timing_validation():
 
 def test_derived_nvm_latencies():
     nvm = default_config().nvm
-    assert nvm.read_miss_ns == pytest.approx(63.0)   # tRCD + tCL
-    assert nvm.write_ns == pytest.approx(300.0)
-    assert nvm.read_hit_ns < nvm.read_miss_ns
+    assert nvm.read_miss_ps == 63_000   # tRCD + tCL
+    assert nvm.write_ps == 300_000
+    assert nvm.read_hit_ps < nvm.read_miss_ps

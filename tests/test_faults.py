@@ -131,7 +131,7 @@ class TestDeviceCrashDrain:
             device.write(Region.DATA, i, (i, i, i, i))
         device.crash()
         assert device.read(Region.DATA, 9) == (9, 9, 9, 9)
-        assert device.pending_wpq() == 0
+        assert not device.wpq_snapshot()
 
     def test_exhausted_budget_tears_and_rolls_back(self):
         device = make_device()
