@@ -61,13 +61,18 @@ sweep-smoke:
 # schemes, torn variants, recovery/double crashes, mutant self-test):
 # the bench does a cold+warm pass (warm must re-simulate nothing,
 # reports must match) and writes BENCH_explore.json; the CLI reruns
-# against the same cache must print byte-identical reports
+# against the same cache must print byte-identical reports.  The bench
+# executes every cell in-process and cold.txt reads them all from its
+# cache, so an uncached --jobs 2 run (every cell executed by a crew
+# worker, on that worker's memoized config and trace) must match it too
 EXPLORE_SMOKE = $(PYTHON) -m repro explore --small \
 	--cache-dir .explore-smoke/cache
 explore-smoke:
 	rm -rf .explore-smoke && mkdir -p .explore-smoke
 	$(PYTHON) tools/explore_bench.py BENCH_explore.json .explore-smoke/cache
 	$(EXPLORE_SMOKE) --jobs 2 > .explore-smoke/cold.txt
+	$(PYTHON) -m repro explore --small --jobs 2 > .explore-smoke/workers.txt
+	cmp .explore-smoke/cold.txt .explore-smoke/workers.txt
 	$(EXPLORE_SMOKE) --jobs 1 > .explore-smoke/warm.txt 2> .explore-smoke/warm.err
 	grep -q "^explore: 0 cells simulated" .explore-smoke/warm.err
 	cmp .explore-smoke/cold.txt .explore-smoke/warm.txt

@@ -1,12 +1,16 @@
 """The sweep executor: worker-crew fan-out with deterministic results.
 
 Each cell is executed by :func:`execute_cell`, a pure function of its
-:class:`~repro.exec.spec.CellSpec` — the worker rebuilds the system
-configuration and regenerates the trace from the spec's seed, so cells
+:class:`~repro.exec.spec.CellSpec` — the worker decodes the system
+configuration and generates the trace from the spec's seed, so cells
 are bitwise identical no matter which process runs them, in what order,
-or alongside how many siblings.  Results are collected by cell *index*,
-so :func:`run_sweep` always returns spec order even though workers
-finish in completion order.
+or alongside how many siblings.  A process keeps the last few decoded
+configs and generated traces (both immutable) between cells, keyed by
+exactly the spec fields they are derived from, so a batch of crash
+cells sharing one config and one trace decodes and generates each once
+per worker.  Results are collected by cell *index*, so
+:func:`run_sweep` always returns spec order even though workers finish
+in completion order.
 
 Wall-clock appears here (and only here) to report per-cell timing; it
 never reaches a result payload, so cached and fresh payloads compare
@@ -14,27 +18,40 @@ equal byte for byte.
 """
 from __future__ import annotations
 
+import json
 import os
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable
 
+from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError, ReproError
 from repro.exec.cache import CacheBackend
 from repro.exec.configio import config_from_dict
 from repro.exec.spec import CellSpec, cell_key
 from repro.exec.workers import RETRY_LIMIT, WorkerCrew
+from repro.workloads.trace import TraceArrays
+
+#: decoded configs one process keeps; a sweep shares one config across
+#: its cells, and a long-lived ``repro serve`` worker must stay bounded
+CONFIG_MEMO_SIZE = 8
+#: generated explore traces one process keeps (a trace is as long as
+#: its cell's ``accesses``)
+TRACE_MEMO_SIZE = 8
 
 
 def execute_cell(spec: CellSpec) -> dict[str, Any]:
-    """Run one cell from scratch; returns the JSON-serializable payload.
+    """Run one cell; returns the JSON-serializable payload.
 
-    The cell runners import the simulator stack, so they are imported
-    lazily: the oracle and explore sweeps themselves call back into
-    :func:`run_sweep` and an import-time cycle would otherwise form.
+    Every system is built fresh; only the config and an explore cell's
+    trace may come from this process's memo.  The cell runners import
+    the simulator stack, so they are imported lazily: the oracle and
+    explore sweeps themselves call back into :func:`run_sweep` and an
+    import-time cycle would otherwise form.
     """
-    cfg = config_from_dict(spec.config) if spec.config is not None else None
+    cfg = _config_for(spec.config) if spec.config is not None else None
     if spec.kind == "sim":
         from repro.sim.runner import RunSpec, run_cell
 
@@ -49,7 +66,45 @@ def execute_cell(spec: CellSpec) -> dict[str, Any]:
     from repro.explore.runner import run_explore_cell
 
     return run_explore_cell(spec.variant, spec.fault or {}, cfg,
-                            _trace_for(spec))
+                            _trace(spec.workload, spec.seed, spec.accesses,
+                                   spec.footprint_blocks))
+
+
+def _config_for(data: dict[str, Any]) -> SystemConfig:
+    """``spec.config`` decoded, memoized by its canonical JSON (the
+    encoding :func:`~repro.exec.spec.cell_key` hashes).
+
+    The key is the JSON text, not the dict: ``True == 1`` and
+    ``1 == 1.0``, so a dict-equality key would let a mistyped config hit
+    a valid one and skip the strict decoder.  The miss path decodes that
+    same JSON, so a cell's config is always a function of the bytes its
+    cache key covers; a decode that raises is not memoized.
+    """
+    try:
+        blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config is not JSON-encodable: {exc}") from None
+    return _decoded_config(blob)
+
+
+@lru_cache(maxsize=CONFIG_MEMO_SIZE)
+def _decoded_config(blob: str) -> SystemConfig:
+    return config_from_dict(json.loads(blob))
+
+
+@lru_cache(maxsize=TRACE_MEMO_SIZE, typed=True)
+def _trace(workload: str, seed: int, accesses: int,
+           footprint_blocks: int) -> TraceArrays:
+    """An explore cell's trace, memoized by the fields it derives from;
+    its columns are read-only, so no cell can change a sibling's trace
+    (nor the python lists cached on it, which only readers touch)."""
+    from repro.workloads import get_profile
+
+    trace = get_profile(workload).generate(
+        seed=seed, n=accesses, footprint=footprint_blocks)
+    for column in (trace.is_write, trace.address, trace.gap_cycles):
+        column.setflags(write=False)
+    return trace
 
 
 def decode_payload(spec: CellSpec, payload: dict[str, Any]) -> Any:
@@ -76,13 +131,6 @@ def decode_payload(spec: CellSpec, payload: dict[str, Any]) -> Any:
     raise ConfigError(
         f"malformed {spec.kind!r} payload: expected one of "
         f"{sorted(decoders)}, got keys {sorted(payload)}")
-
-
-def _trace_for(spec: CellSpec):
-    from repro.workloads import get_profile
-
-    return get_profile(spec.workload).generate(
-        seed=spec.seed, n=spec.accesses, footprint=spec.footprint_blocks)
 
 
 @dataclass

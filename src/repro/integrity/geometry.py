@@ -14,7 +14,7 @@ on-chip and has no offset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from repro.common.config import CounterMode, SecurityConfig
 from repro.common.errors import ConfigError
@@ -156,8 +156,11 @@ class TreeGeometry:
         return nodes
 
 
+@lru_cache(maxsize=32)
 def geometry_for(num_data_blocks: int, security: SecurityConfig) -> TreeGeometry:
-    """Build the tree geometry implied by a security configuration."""
+    """The tree geometry implied by a security configuration, memoized:
+    both inputs and the geometry are frozen, so every controller built
+    for one configuration shares one geometry and its derived shape."""
     coverage = (64 if security.counter_mode is CounterMode.SPLIT else 8)
     return TreeGeometry(
         num_data_blocks=num_data_blocks,

@@ -149,11 +149,14 @@ class DifferentialRun:
                 "read", f"block {addr}", str(expected), str(got)))
 
     def step(self, trace: TraceArrays, i: int) -> None:
-        self.system.advance(int(trace.gap_cycles[i]))
-        if trace.is_write[i]:
-            self.write(int(trace.address[i]))
+        # the python columns cached on the frozen trace: no numpy scalar
+        # unboxing per access (the lists are only ever read)
+        is_write, address, gap_cycles = trace.columns
+        self.system.advance(gap_cycles[i])
+        if is_write[i]:
+            self.write(address[i])
         else:
-            self.read(int(trace.address[i]))
+            self.read(address[i])
 
     def run_trace(self, trace: TraceArrays, start: int = 0,
                   end: int | None = None) -> None:

@@ -22,6 +22,7 @@ as an end-to-end functional test of the scheme under test.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 
 from repro.baselines.base import SecureMemoryController
 from repro.common.config import SystemConfig
@@ -45,8 +46,10 @@ from repro.workloads.trace import TraceArrays
 SCHEMES: dict[str, type[SecureMemoryController]] = controller_types()
 
 
+@lru_cache(maxsize=32)
 def make_layout(cfg: SystemConfig) -> MemoryLayout:
-    """Region sizes implied by a system configuration."""
+    """Region sizes implied by a system configuration, memoized (the
+    config and the layout are both frozen)."""
     geometry = geometry_for(cfg.num_data_blocks, cfg.security)
     cache_lines = cfg.security.metadata_cache.num_lines
     # STAR's multi-layer bitmap: one bit per tree node, summarized 512:1.

@@ -5,6 +5,7 @@ must be a pure function of the cell spec, so neither the worker count
 nor the position of a cell inside a sweep may leak into its value.
 """
 import contextlib
+import copy
 import json
 import os
 import signal
@@ -21,7 +22,9 @@ from repro.exec import (
     config_to_dict,
     run_sweep,
 )
+from repro.explore import run_explore
 from repro.workloads import get_profile
+from repro.workloads.spec import WorkloadProfile
 
 CFG = config_to_dict(small_config())
 
@@ -67,6 +70,122 @@ class TestDeterminism:
         specs = matrix()
         report = run_sweep(specs, jobs=2)
         assert [o.spec for o in report.outcomes] == specs
+
+
+def explore_matrix():
+    """Probe, clean and crash cells over two schemes and two seeds."""
+    cfg = config_to_dict(small_config(metadata_cache_bytes=512))
+    plans = ({"mode": "probe"}, {"mode": "clean"},
+             {"mode": "case", "crash_after": 9},
+             {"mode": "case", "crash_after": 4, "second_crash_after": 6})
+    return [CellSpec("explore", scheme, "pers_hash", 40, 128, seed,
+                     config=cfg, fault=plan)
+            for scheme in ("steins", "asit") for seed in (1, 2)
+            for plan in plans]
+
+
+def by_key(specs, report):
+    return dict(zip(map(cell_key, specs), fingerprints(report)))
+
+
+class TestExploreDeterminism:
+    """Explore cells share their worker's memoized config and trace;
+    no result may depend on which cells ran before in that worker."""
+
+    def test_order_company_and_workers_leave_results_unchanged(self):
+        specs = explore_matrix()
+        forward = by_key(specs, run_sweep(specs, jobs=1))
+        assert len(forward) == len(specs)
+        backward = list(reversed(specs))
+        assert by_key(backward, run_sweep(backward, jobs=1)) == forward
+        assert by_key(specs, run_sweep(specs, jobs=2)) == forward
+        alone = {}
+        for spec in specs:
+            pool._decoded_config.cache_clear()
+            pool._trace.cache_clear()
+            alone.update(by_key([spec], run_sweep([spec])))
+        assert alone == forward
+
+
+class TestCellMemo:
+    """The per-process config and trace memo loosens nothing."""
+
+    def test_mistyped_or_incomplete_config_still_fails(self):
+        # each bad value compares equal to the valid one (True == 1,
+        # 64.0 == 64, 0 == False): only an exact key keeps them apart
+        spec = explore_matrix()[0]
+        config = copy.deepcopy(spec.config)
+        config["hierarchy"]["l1"]["ways"] = 1
+        valid = CellSpec("explore", "steins", "pers_hash", 40, 128, 1,
+                         config=config, fault={"mode": "probe"})
+        pool.execute_cell(valid)  # the valid config is now memoized
+        for path, value in ((("hierarchy", "l1", "ways"), True),
+                            (("security", "root_arity"), 64.0),
+                            (("security", "cryptographic_hashes"), 0),
+                            (("nvm_capacity_bytes",), None)):
+            bad = copy.deepcopy(config)
+            node = bad
+            for name in path[:-1]:
+                node = node[name]
+            if value is None:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+            with pytest.raises(ConfigError):
+                pool.execute_cell(CellSpec(
+                    "explore", "steins", "pers_hash", 40, 128, 1,
+                    config=bad, fault={"mode": "probe"}))
+
+    def test_unencodable_config_is_a_config_error(self):
+        spec = explore_matrix()[0]
+        config = dict(spec.config, clock_ghz=object())
+        with pytest.raises(ConfigError, match="JSON"):
+            pool.execute_cell(CellSpec(
+                "explore", "steins", "pers_hash", 40, 128, 1,
+                config=config, fault={"mode": "probe"}))
+
+    def test_trace_key_covers_seed_footprint_and_accesses(self):
+        base = ("pers_hash", 1, 400, 1024)
+        traces = [pool._trace(*base), pool._trace("pers_hash", 2, 400, 1024),
+                  pool._trace("pers_hash", 1, 400, 64),
+                  pool._trace("pers_hash", 1, 200, 1024)]
+        listed = [list(t) for t in traces]
+        assert all(a != b for i, a in enumerate(listed)
+                   for b in listed[i + 1:])
+        fresh = get_profile("pers_hash").generate(seed=1, n=400,
+                                                  footprint=1024)
+        assert listed[0] == list(fresh)
+        assert pool._trace(*base) is traces[0]
+
+    def test_memoized_trace_is_read_only(self):
+        trace = pool._trace("pers_hash", 1, 40, 128)
+        for column in (trace.is_write, trace.address, trace.gap_cycles):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+
+    def test_cells_leave_the_shared_columns_unchanged(self):
+        specs = explore_matrix()
+        run_sweep(specs, jobs=1)
+        for seed in (1, 2):
+            trace = pool._trace("pers_hash", seed, 40, 128)
+            assert trace.columns == (trace.is_write.tolist(),
+                                     trace.address.tolist(),
+                                     trace.gap_cycles.tolist())
+
+    def test_an_explore_run_generates_its_trace_once(self, monkeypatch):
+        calls = []
+        real = WorkloadProfile.generate
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.name)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorkloadProfile, "generate", counted)
+        pool._trace.cache_clear()
+        summary = run_explore(schemes=["steins"], accesses=40,
+                              footprint=128, jobs=1)
+        assert summary.explored_total > 0
+        assert calls == ["pers_hash"]
 
 
 class TestWarmCache:
