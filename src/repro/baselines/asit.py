@@ -11,6 +11,13 @@ Runtime behaviour on *every* modification of a cached metadata node
   four serial HMACs on the critical path (the computation overhead the
   paper attributes to ASIT).
 
+The simulation charges those hashes on every modification but computes
+their values on observation: the shadow write's node snapshot is staged
+as the cache-tree leaf (controller SRAM, never read back from NVM), and
+the tree hashes it with :meth:`ASITController._shadow_leaf_hash`, the
+function recovery uses, when the root is next read, at a crash or at
+recovery.
+
 Recovery: read every shadow entry, rebuild the cache-tree, compare its
 root with the surviving on-chip root, and re-install the shadowed nodes
 as dirty.  Fast (one pass over a cache-sized table) but paid for at
@@ -48,7 +55,8 @@ class ASITController(SecureMemoryController):
         if device.layout.shadow_lines < self.num_slots:
             raise RecoveryError(
                 "shadow table region smaller than the metadata cache")
-        self.cache_tree = CacheTree("asit", self.num_slots, self.engine)
+        self.cache_tree = CacheTree("asit", self.num_slots, self.engine,
+                                    leaf_hash=self._staged_leaf_hash)
 
     # ------------------------------------------------------------ hooks
     def _shadow_leaf_hash(self, slot: int, node: SITNode | None) -> int:
@@ -60,20 +68,24 @@ class ASITController(SecureMemoryController):
         return self.engine.digest64(
             slot, node.level, node.index, node.block.to_packed())
 
+    def _staged_leaf_hash(self, slot: int, snap: tuple) -> int:
+        return self._shadow_leaf_hash(slot, SITNode.from_snapshot(snap))
+
     def _on_metadata_modified(self, offset: int, node: SITNode) -> None:
         slot = self.metacache.slot_of(offset)
         # shadow write: one extra NVM write per metadata modification —
         # the bandwidth cost that dominates ASIT's slowdown
-        self.clock.nvm_write(Region.SHADOW, slot, node.snapshot())
+        snap = node.snapshot()
+        self.clock.nvm_write(Region.SHADOW, slot, snap)
         self.stats.bump("shadow_writes")
         # cache-tree branch update: the serial hash chain is pipelined
         # behind the (much slower) accompanying NVM write, so it costs
         # energy and hash-unit occupancy rather than op latency; one
-        # serialization hash stays on the path (the chain cannot start
-        # before the modified content exists)
-        leaf_hash = self._shadow_leaf_hash(slot, node)
+        # serialization hash (the leaf's) stays on the path (the chain
+        # cannot start before the modified content exists).  The tree
+        # keeps the immutable snapshot and hashes it when settled.
         self.clock.hash_op()
-        serial = self.cache_tree.update_leaf(slot, leaf_hash)
+        serial = self.cache_tree.update_leaf(slot, snap)
         self.clock.hash_op(serial, on_critical_path=False)
         self.stats.bump("cache_tree_updates")
 

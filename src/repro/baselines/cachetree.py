@@ -4,9 +4,18 @@ Both schemes maintain a small Merkle tree whose leaves summarize the
 metadata cache (ASIT: one leaf hash per cache line / shadow entry; STAR:
 one set-MAC per cache set over the *dirty* nodes of the set, sorted by
 address).  The interior levels live in controller SRAM (volatile); only
-the root occupies an on-chip non-volatile register.  Every update of a
-leaf recomputes the hashes up to the root *sequentially* — the runtime
-overhead Steins' LIncs avoid (Sec. II-D / III-D).
+the root occupies an on-chip non-volatile register.  In hardware every
+update of a leaf recomputes the hashes up to the root *sequentially* —
+the runtime overhead Steins' LIncs avoid (Sec. II-D / III-D).
+
+The simulation charges that cost where it happens: ``update_leaf``
+returns the serial hash count the caller bills on every update.  The
+hash *values* are computed on observation: ``update_leaf`` only records
+the leaf (a hash, or a value the tree's ``leaf_hash`` turns into one)
+and marks it dirty, and reading the root, a crash and a recovery check
+first settle the union of dirty paths, each interior node once.  The
+root is a pure function of the leaves, so every observed root equals
+the one an eager tree would hold at that moment.
 
 With the paper's 256 KB metadata cache the tree is the stated "4-level
 cache-tree" for both schemes:
@@ -14,6 +23,8 @@ cache-tree" for both schemes:
 * STAR: 512 set-MACs -> 64 -> 8 -> root (plus the set-MAC hash itself).
 """
 from __future__ import annotations
+
+from typing import Any, Callable
 
 from repro.common.errors import ConfigError, TamperDetectedError
 from repro.crypto.engine import HashEngine
@@ -23,83 +34,102 @@ _EMPTY = 0  #: hash of a never-updated leaf
 
 
 class CacheTree:
-    """Fan-out-8 Merkle tree over ``num_leaves`` volatile leaf hashes."""
+    """Fan-out-8 Merkle tree over ``num_leaves`` volatile leaf hashes.
+
+    ``leaf_hash(index, value)``, when given, turns a recorded leaf value
+    into its hash at settle time; without it the recorded value is the
+    leaf hash.
+    """
 
     def __init__(self, name: str, num_leaves: int, engine: HashEngine,
-                 arity: int = 8) -> None:
+                 arity: int = 8,
+                 leaf_hash: Callable[[int, Any], int] | None = None) -> None:
         if num_leaves <= 0:
             raise ConfigError("cache tree needs at least one leaf")
         if arity <= 1:
             raise ConfigError("cache tree arity must exceed one")
         self.engine = engine
         self.arity = arity
-        self._levels: list[list[int]] = [[_EMPTY] * num_leaves]
-        while len(self._levels[-1]) > 1:
-            width = -(-len(self._levels[-1]) // arity)
-            self._levels.append([_EMPTY] * width)
-        self._root = NonVolatileRegister(f"{name}_root", 8, initial=_EMPTY)
-        self._recompute_all()
+        self.leaf_hash = leaf_hash
+        self._levels = self._build([_EMPTY] * num_leaves)
+        #: leaf index -> value recorded since the last settle
+        self._staged: dict[int, Any] = {}
+        self._root = NonVolatileRegister(f"{name}_root", 8,
+                                         initial=self._levels[-1][0])
+
+    def _build(self, leaves: list[int]) -> list[list[int]]:
+        """Every level of the tree over ``leaves``, hashed bottom-up."""
+        digest, arity = self.engine.digest64, self.arity
+        levels = [leaves]
+        while len(levels[-1]) > 1:
+            below = levels[-1]
+            level = len(levels)
+            levels.append([digest(level, idx, *below[lo:lo + arity])
+                           for idx, lo in enumerate(
+                               range(0, len(below), arity))])
+        return levels
 
     # ---------------------------------------------------------- update
-    def _combine(self, level: int, index: int) -> int:
-        lo = index * self.arity
-        below = self._levels[level - 1]
-        hi = min(lo + self.arity, len(below))
-        return self.engine.digest64(level, index, *below[lo:hi])
-
-    def update_leaf(self, index: int, leaf_hash: int) -> int:
-        """Set a leaf hash and propagate to the root.
+    def update_leaf(self, index: int, value: Any) -> int:
+        """Record a leaf; its path to the root is hashed at the next
+        settle.
 
         Returns the number of *serial* hash computations on the critical
-        path (the interior combines plus the root; the leaf hash itself
-        is computed by the caller since its input differs per scheme).
+        path in hardware (the interior combines plus the root; the leaf
+        hash itself is charged by the caller since its input differs per
+        scheme).
         """
-        self._levels[0][index] = leaf_hash
-        serial = 0
-        idx = index
-        for level in range(1, len(self._levels)):
-            idx //= self.arity
-            self._levels[level][idx] = self._combine(level, idx)
-            serial += 1
-        self._root.value = self._levels[-1][0]
-        return serial
+        self._staged[index] = value
+        return len(self._levels) - 1
 
-    def _recompute_all(self) -> None:
-        for level in range(1, len(self._levels)):
-            for idx in range(len(self._levels[level])):
-                self._levels[level][idx] = self._combine(level, idx)
-        self._root.value = self._levels[-1][0]
+    def _settle(self) -> None:
+        """Hash the recorded leaves and the union of their paths, each
+        interior node once, and write the NV root register."""
+        staged = self._staged
+        if not staged:
+            return
+        levels, arity, digest = self._levels, self.arity, self.engine.digest64
+        leaves, leaf_hash = levels[0], self.leaf_hash
+        for index, value in staged.items():
+            leaves[index] = value if leaf_hash is None \
+                else leaf_hash(index, value)
+        dirty = dict.fromkeys(staged)
+        staged.clear()
+        for level in range(1, len(levels)):
+            below, row = levels[level - 1], levels[level]
+            # each parent once, in first-seen order (a dict, not a set)
+            dirty = dict.fromkeys(idx // arity for idx in dirty)
+            for idx in dirty:
+                lo = idx * arity
+                row[idx] = digest(level, idx, *below[lo:lo + arity])
+        self._root.value = levels[-1][0]
 
     # ---------------------------------------------------------- verify
     @property
     def root(self) -> int:
         """The non-volatile root (survives crashes)."""
+        self._settle()
         return self._root.value
 
-    @property
-    def levels(self) -> int:
-        """Interior levels above the leaves (the paper's "4-level")."""
-        return len(self._levels) - 1 + 1  # interior combines + root slot
-
     def crash(self) -> None:
-        """Drop the volatile interior; the NV root survives."""
-        root = self._root.value
+        """Drop the volatile levels; the NV root survives."""
+        self._settle()
         for level in self._levels:
-            for i in range(len(level)):
-                level[i] = _EMPTY
-        self._root.value = root
+            level[:] = [_EMPTY] * len(level)
 
     def rebuild_and_verify(self, leaf_hashes: list[int]) -> None:
         """Recovery: rebuild from recomputed leaf hashes and compare the
-        rebuilt root against the surviving NV root."""
+        rebuilt root against the surviving NV root.  Only a match
+        installs the rebuilt levels; a mismatch leaves the tree and its
+        root register as they were."""
         if len(leaf_hashes) != len(self._levels[0]):
             raise ConfigError(
                 f"expected {len(self._levels[0])} leaf hashes, "
                 f"got {len(leaf_hashes)}")
-        expected_root = self._root.value
-        self._levels[0] = list(leaf_hashes)
-        self._recompute_all()
-        if self._root.value != expected_root:
+        self._settle()
+        rebuilt = self._build(list(leaf_hashes))
+        if rebuilt[-1][0] != self._root.value:
             raise TamperDetectedError(
                 "cache-tree root mismatch: recovered metadata was "
                 "tampered with or replayed")
+        self._levels = rebuilt

@@ -18,7 +18,9 @@ Three mechanisms, each with its modelled cost:
   over the set's dirty nodes *sorted by address* (the sort the paper
   calls out), feeding a 4-level cache-tree whose root is non-volatile.
   Recomputed on every dirty-set change — serial hashes on the critical
-  path.
+  path.  The simulation hashes the set-MAC at once and charges the
+  branch on every change; the tree computes the branch's values when
+  its root is observed (``repro.baselines.cachetree``).
 """
 from __future__ import annotations
 
@@ -180,6 +182,10 @@ class STARController(SecureMemoryController):
                    in self.metacache.set_entries(set_idx) if dirty]
         # the sort the paper calls out: cheap ALU work per update
         self.clock.alu_op(n=max(1, len(entries)), cycles_each=2)
+        # the set-MAC is hashed now, not at settle: a nested eviction
+        # fire mid-flush must see the leaf that still covers the
+        # victim whose bitmap bit is set, which the live set no longer
+        # holds
         mac = self._set_mac(entries)
         # like ASIT's cache-tree, the combine chain pipelines behind the
         # accompanying NVM write; the set-MAC hash itself serializes

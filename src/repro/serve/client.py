@@ -26,6 +26,7 @@ from typing import Any, Callable
 from repro.common.errors import ReproError
 from repro.serve.protocol import (
     ProtocolError,
+    check_reply,
     decode_frame,
     encode_frame,
     submit_frame,
@@ -102,8 +103,10 @@ class ServiceClient:
         """Run one batch; returns (per-index frames, done frame).
 
         Frames arrive in completion order; the returned list is
-        re-indexed to request order.  Cell errors are collected, not
-        raised, so the caller sees every failure at once.
+        re-indexed to request order.  Every reply frame decodes through
+        :func:`~repro.serve.protocol.check_reply`: a missing, extra or
+        mistyped field raises :class:`ProtocolError`.  Cell errors are
+        collected, not raised, so the caller sees every failure at once.
         """
         frames: list[dict[str, Any] | None] = [None] * len(spec_dicts)
         done: dict[str, Any] | None = None
@@ -113,26 +116,20 @@ class ServiceClient:
             with sock.makefile("rb") as stream:
                 for line in stream:
                     frame = decode_frame(line)
-                    op = frame.get("op")
-                    if op == "error":
+                    if frame["op"] == "error":
                         raise ServiceError(str(frame.get("error")))
-                    if op in ("result", "cell_error"):
-                        index = frame.get("index")
-                        if not isinstance(index, int) \
-                                or not 0 <= index < len(spec_dicts):
-                            raise ProtocolError(
-                                f"frame indexes cell {index!r} outside "
-                                f"the batch of {len(spec_dicts)}")
-                        frames[index] = frame
-                        if on_frame is not None:
-                            on_frame(frame)
-                    elif op == "done":
+                    frame = check_reply(frame)
+                    if frame["op"] == "done":
                         done = frame
                         break
-                    else:
+                    index = frame["index"]
+                    if not 0 <= index < len(spec_dicts):
                         raise ProtocolError(
-                            f"unexpected frame op {op!r} in a submit "
-                            "stream")
+                            f"frame indexes cell {index!r} outside "
+                            f"the batch of {len(spec_dicts)}")
+                    frames[index] = frame
+                    if on_frame is not None:
+                        on_frame(frame)
         if done is None:
             raise ServiceError(
                 "service stream ended before the done frame (did the "
@@ -170,10 +167,8 @@ def submit_sweep(specs: list[Any],
         index = frame["index"]
         outcome = CellOutcome(
             specs[index], decode_payload(specs[index], frame["payload"]),
-            cached=bool(frame.get("cached")),
-            elapsed_s=float(frame.get("elapsed_s", 0.0)),
-            key=keys[index],
-            deduped=bool(frame.get("deduped")))
+            cached=frame["cached"], elapsed_s=float(frame["elapsed_s"]),
+            key=keys[index], deduped=frame["deduped"])
         outcomes[index] = outcome
         done_count += 1
         if progress is not None:

@@ -40,7 +40,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigError, ReproError
+from repro.common.records import strict_record
 
 #: protocol revision; servers reject frames from a different revision
 #: loudly instead of guessing (bump on any frame-shape change)
@@ -102,6 +103,30 @@ def done_frame(total: int, executed: int, cached: int,
                deduped: int, retried: int) -> dict[str, Any]:
     return {"op": "done", "total": total, "executed": executed,
             "cached": cached, "deduped": deduped, "retried": retried}
+
+
+#: the exact fields of each frame a submit stream answers with
+_REPLY_FIELDS: dict[str, dict[str, Any]] = {
+    "result": {"op": str, "index": int, "payload": dict, "cached": bool,
+               "deduped": bool, "elapsed_s": (float, int)},
+    "cell_error": {"op": str, "index": int, "error": str},
+    "done": {"op": str, "total": int, "executed": int, "cached": int,
+             "deduped": int, "retried": int},
+}
+
+
+def check_reply(frame: dict[str, Any]) -> dict[str, Any]:
+    """``frame`` itself, once it is a ``result``, ``cell_error`` or
+    ``done`` frame with exactly its fields, each of its type."""
+    op = frame["op"]
+    fields = _REPLY_FIELDS.get(op) if isinstance(op, str) else None
+    if fields is None:
+        raise ProtocolError(
+            f"unexpected frame op {op!r} in a submit stream")
+    try:
+        return strict_record(frame, fields, f"{op} frame")
+    except ConfigError as exc:
+        raise ProtocolError(str(exc)) from exc
 
 
 def error_frame(message: str) -> dict[str, Any]:

@@ -1,14 +1,15 @@
 """Boundary decoders fail loudly: ``CellSpec.from_json``,
 ``ExploreCaseResult.from_json``, ``ExploreProbe.from_json``,
-``config_from_dict`` and ``load_trace``.
+``config_from_dict``, ``load_trace`` and the sweep service's reply
+frames (``check_reply``).
 
 Each accepts exactly the encoding its ``to_json`` (``config_to_dict``,
 ``save_trace``) writes.  Hypothesis draws a valid encoding, checks that
 it decodes, then drops, adds, retypes or truncates the name of one key
 (for a probe, also of one fire; for a config, at any nesting depth; for
 a trace file, of its metadata, or spoils one column) and requires
-:class:`ConfigError`: any other exception type, or a silent decode,
-fails the test.
+:class:`ConfigError` (:class:`ProtocolError` for a service frame): any
+other exception type, or a silent decode, fails the test.
 """
 import io
 import json
@@ -25,6 +26,15 @@ from repro.common.errors import ConfigError
 from repro.exec.configio import config_from_dict, config_to_dict
 from repro.exec.spec import KINDS, CellSpec
 from repro.explore.runner import ExploreCaseResult, ExploreProbe
+from repro.serve.protocol import (
+    ProtocolError,
+    cell_error_frame,
+    check_reply,
+    decode_frame,
+    done_frame,
+    encode_frame,
+    result_frame,
+)
 from repro.workloads import get_profile
 from repro.workloads.tracefile import load_trace, save_trace
 
@@ -280,3 +290,31 @@ def test_mutated_trace_file_raises_config_error(arrays, tmp_path_factory):
     np.savez_compressed(path, **arrays)
     with pytest.raises(ConfigError):
         load_trace(path)
+
+
+# ------------------------------------------------------- service frames
+counts = st.integers(0, 1 << 20)
+reply_frames = st.one_of(
+    st.builds(result_frame, counts, json_dict, st.booleans(),
+              st.booleans(), st.floats(0, 1e6)),
+    st.builds(cell_error_frame, counts, text),
+    st.builds(done_frame, counts, counts, counts, counts, counts),
+)
+
+
+def wire(frame):
+    """``frame`` as the client receives it."""
+    return decode_frame(encode_frame(frame))
+
+
+@settings(max_examples=scaled(60))
+@given(reply_frames)
+def test_reply_frame_decodes(frame):
+    assert check_reply(wire(frame)) == frame
+
+
+@settings(max_examples=scaled(100))
+@given(mutated(reply_frames, also_ok={"elapsed_s": (int,)}))
+def test_mutated_reply_frame_raises_protocol_error(frame):
+    with pytest.raises(ProtocolError):
+        check_reply(wire(frame))

@@ -163,6 +163,28 @@ def test_asit_recovery_reads_whole_shadow_table():
     assert report.nvm_reads >= controller.num_slots
 
 
+def test_detected_shadow_tamper_keeps_cache_tree_root():
+    """A failed cache-tree check must not install the rebuilt (tampered)
+    root: the NV register keeps the trusted root, so a restarted
+    recovery detects the tamper again instead of accepting it."""
+    controller, device, _ = make_rig(CounterMode.GENERAL, ASITController,
+                                     2048)
+    run_and_crash(controller)
+    slot, snap = next((slot, snap) for slot, snap
+                      in sorted(device.populated(Region.SHADOW))
+                      if snap[3][0] == "general")
+    kind, counters = snap[3]
+    device.poke(Region.SHADOW, slot,
+                snap[:3] + ((kind, (counters[0] + 1,) + counters[1:]),)
+                + snap[4:])
+    root = controller.cache_tree.root
+    with pytest.raises(TamperDetectedError):
+        controller.recover()
+    assert controller.cache_tree.root == root
+    with pytest.raises(TamperDetectedError):
+        controller.recover()
+
+
 def test_star_bitmap_tracks_transitions():
     controller, device, _ = make_rig(CounterMode.GENERAL, STARController)
     controller.write_data(0, 1)
