@@ -3,7 +3,7 @@ from repro.nvm.adr import ADRDomain, NonVolatileRegister
 from repro.nvm.device import DeviceStats, NVMDevice
 from repro.nvm.energy import EnergyBreakdown, EnergyMeter
 from repro.nvm.layout import MemoryLayout, Region, build_layout
-from repro.nvm.timing import NVMTimingModel, RowBufferModel, TimingStats
+from repro.nvm.timing import NVMTimingModel, TimingStats
 
 __all__ = [
     "ADRDomain",
@@ -15,7 +15,6 @@ __all__ = [
     "NVMTimingModel",
     "NonVolatileRegister",
     "Region",
-    "RowBufferModel",
     "TimingStats",
     "build_layout",
 ]

@@ -9,6 +9,10 @@ for ``tWR`` when it drains, so write-heavy phases back-pressure reads —
 the first-order behaviour that produces the paper's write-latency and
 execution-time gaps.
 
+Each line access charges one kernel, ``read`` or ``write``; a bisect
+retires completed writes, as the queue is sorted (writes start at or
+after the never-decreasing device free time and all take tWR).
+
 All bookkeeping here is **integer picoseconds** (see
 :mod:`repro.common.units`): timestamps, completion times, and the
 accumulated latency totals are exact ints; nanosecond floats exist only
@@ -16,6 +20,7 @@ on the reporting properties of :class:`TimingStats`.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.common.config import NVMTimingConfig
@@ -56,43 +61,22 @@ class TimingStats:
         return self.write_latency_ns / self.write_count if self.write_count else 0.0
 
 
-class RowBufferModel:
-    """Tracks open rows to decide read hit/miss latency."""
-
-    def __init__(self, cfg: NVMTimingConfig) -> None:
-        self._cfg = cfg
-        self._open_rows: dict[int, None] = {}  # insertion-ordered LRU
-        self._capacity = cfg.row_buffer_rows
-
-    def access(self, row: int) -> bool:
-        """Touch ``row``; returns True on a row-buffer hit."""
-        hit = row in self._open_rows
-        if hit:
-            del self._open_rows[row]
-        elif len(self._open_rows) >= self._capacity:
-            oldest = next(iter(self._open_rows))
-            del self._open_rows[oldest]
-        self._open_rows[row] = None
-        return hit
-
-    def reset(self) -> None:
-        self._open_rows.clear()
-
-
 class NVMTimingModel:
     """Serial-device timing with a bounded posted-write queue.
 
     Device occupancy is tracked as ``_device_free_at`` (integer ps).  The
     write queue holds completion times of outstanding writes; an arriving
     write whose queue is full stalls the issuer until the oldest
-    completes.
+    completes.  ``_open_rows`` is the open-row LRU dict, oldest first.
     """
 
     def __init__(self, cfg: NVMTimingConfig) -> None:
         self.cfg = cfg
-        self.rows = RowBufferModel(cfg)
         self.stats = TimingStats()
-        self.last_row_hit = False  # outcome of the most recent access
+        self.last_row_hit = False  # outcome of the most recent read
+        self._open_rows: dict[int, None] = {}
+        self._row_capacity = cfg.row_buffer_rows
+        self._queue_entries = cfg.write_queue_entries
         self._device_free_at = 0
         self._queue: list[int] = []  # completion times (ps), ascending
         # converted once; the hot path never touches the ns floats
@@ -108,20 +92,28 @@ class NVMTimingModel:
         Reads have priority over queued writes but cannot preempt the
         write currently occupying the device.
         """
-        self._drain(now_ps)
-        hit = self.rows.access(row)
-        self.last_row_hit = hit
-        if hit:
+        q = self._queue
+        if q and q[0] <= now_ps:  # retire completed writes
+            del q[:bisect_right(q, now_ps)]
+        rows = self._open_rows
+        stats = self.stats
+        if row in rows:
+            del rows[row]  # re-inserted below as most recently used
+            self.last_row_hit = True
+            stats.row_hits += 1
             latency = self._read_hit_ps
-            self.stats.row_hits += 1
         else:
+            if len(rows) >= self._row_capacity:
+                del rows[next(iter(rows))]
+            self.last_row_hit = False
+            stats.row_misses += 1
             latency = self._read_miss_ps
-            self.stats.row_misses += 1
-        start = max(now_ps, self._device_free_at)
-        done = start + latency
+        rows[row] = None
+        free = self._device_free_at
+        done = (now_ps if now_ps > free else free) + latency
         self._device_free_at = done
-        self.stats.read_count += 1
-        self.stats.read_latency_ps += done - now_ps
+        stats.read_count += 1
+        stats.read_latency_ps += done - now_ps
         return done
 
     # ------------------------------------------------------------ writes
@@ -132,42 +124,39 @@ class NVMTimingModel:
         may proceed at ``issuer_free_at`` (== ``now_ps`` unless the queue
         was full); the line is durable at ``completion_time``.
         """
-        self._drain(now_ps)
+        q = self._queue
+        if q and q[0] <= now_ps:  # retire completed writes
+            del q[:bisect_right(q, now_ps)]
+        stats = self.stats
         stall_until = now_ps
-        if len(self._queue) >= self.cfg.write_queue_entries:
+        if len(q) >= self._queue_entries:
             # Queue full: the issuer waits for the oldest write to retire.
-            stall_until = self._queue[0]
-            self.stats.write_stall_ps += stall_until - now_ps
-            self._drain(stall_until)
-        self.rows.access(row)
-        start = max(stall_until, self._device_free_at)
+            stall_until = q[0]
+            stats.write_stall_ps += stall_until - now_ps
+            del q[:bisect_right(q, stall_until)]
+        rows = self._open_rows
+        if row in rows:
+            del rows[row]
+        elif len(rows) >= self._row_capacity:
+            del rows[next(iter(rows))]
+        rows[row] = None
+        free = self._device_free_at
+        start = stall_until if stall_until > free else free
         # The cell write takes the full tWR to become durable, but with
         # multiple banks the shared channel is only held for a fraction.
         self._device_free_at = start + self._channel_hold_ps
-        # start times are monotone non-decreasing, so done times are too
-        # and the queue stays sorted without an explicit sort
         done = start + self._write_ps
-        self._queue.append(done)
-        self.stats.write_count += 1
-        self.stats.write_latency_ps += done - now_ps
+        q.append(done)
+        stats.write_count += 1
+        stats.write_latency_ps += done - now_ps
         return stall_until, done
 
     # ----------------------------------------------------------- helpers
-    def _drain(self, now_ps: int) -> None:
-        """Retire queued writes that completed by ``now_ps``."""
-        q = self._queue
-        i = 0
-        for i, t in enumerate(q):
-            if t > now_ps:
-                break
-        else:
-            i = len(q)
-        if i:
-            del q[:i]
-
     def drain_all(self) -> int:
-        """Flush the queue completely; returns the time (ps) all writes
-        retire.
+        """Flush the queue completely; returns the time (ps) the channel
+        is free, before the last posted write is durable when
+        ``bank_parallelism`` > 1 (a write holds the channel for only
+        ``tWR / bank_parallelism``).
 
         Used by the ADR model on crash: residual-power drains the write
         queue and ADR-domain lines into the medium.
@@ -179,9 +168,3 @@ class NVMTimingModel:
     @property
     def queue_depth(self) -> int:
         return len(self._queue)
-
-    def reset(self) -> None:
-        self.rows.reset()
-        self.stats = TimingStats()
-        self._device_free_at = 0
-        self._queue.clear()

@@ -36,6 +36,9 @@ from repro.serve.protocol import (
 #: full cell simulation to arrive
 DEFAULT_TIMEOUT_S = 600.0
 
+#: the reply frame each one-shot request is answered with
+_ONE_SHOT_REPLIES = {"ping": "pong", "stats": "stats", "shutdown": "bye"}
+
 
 class ServiceError(ReproError):
     """The service reported a failure (request- or cell-level)."""
@@ -62,7 +65,9 @@ class ServiceClient:
         return sock
 
     def _roundtrip(self, frame: dict[str, Any]) -> dict[str, Any]:
-        """Send one frame, read one reply, close."""
+        """Send one frame, read one reply, close; a reply other than,
+        strictly, the frame the request is answered with raises
+        :class:`ProtocolError`."""
         with self._connect() as sock:
             sock.sendall(encode_frame(frame))
             with sock.makefile("rb") as stream:
@@ -71,13 +76,15 @@ class ServiceClient:
             raise ServiceError("service closed the connection "
                                "without replying")
         reply = decode_frame(line)
-        if reply.get("op") == "error":
+        if reply["op"] == "error":
             raise ServiceError(str(reply.get("error")))
-        return reply
+        return check_reply(reply, (_ONE_SHOT_REPLIES[frame["op"]],))
 
     # ------------------------------------------------------------ one-shots
     def ping(self) -> bool:
-        return self._roundtrip({"op": "ping"}).get("op") == "pong"
+        """True once the service answers with a pong frame."""
+        self._roundtrip({"op": "ping"})
+        return True
 
     def stats(self) -> dict[str, Any]:
         """The service's live stats frame (see ``metrics_registry``)."""
@@ -91,9 +98,7 @@ class ServiceClient:
 
     def shutdown(self) -> None:
         """Ask the service to drain and stop."""
-        reply = self._roundtrip({"op": "shutdown"})
-        if reply.get("op") != "bye":
-            raise ServiceError(f"unexpected shutdown reply: {reply!r}")
+        self._roundtrip({"op": "shutdown"})
 
     # --------------------------------------------------------------- sweeps
     def submit(self, spec_dicts: list[dict[str, Any]],

@@ -30,6 +30,9 @@ Server -> client frames for one ``submit`` stream:
 ``error``       request-level failure (bad frame, draining server)
 =============== =====================================================
 
+A one-shot request is answered with one ``pong``, ``bye`` or ``stats``
+frame.  :func:`check_reply` strictly decodes every reply but ``error``.
+
 Frames deliberately carry *payloads*, never decoded values: decoding
 happens once, client-side, through :func:`repro.exec.pool
 .decode_payload` — the same path cached and locally-computed payloads
@@ -105,26 +108,31 @@ def done_frame(total: int, executed: int, cached: int,
             "cached": cached, "deduped": deduped, "retried": retried}
 
 
-#: the exact fields of each frame a submit stream answers with
+#: the exact fields of each reply frame but ``error``
 _REPLY_FIELDS: dict[str, dict[str, Any]] = {
     "result": {"op": str, "index": int, "payload": dict, "cached": bool,
                "deduped": bool, "elapsed_s": (float, int)},
     "cell_error": {"op": str, "index": int, "error": str},
     "done": {"op": str, "total": int, "executed": int, "cached": int,
              "deduped": int, "retried": int},
+    "stats": {"op": str, "draining": bool, "queue_depth": int,
+              "inflight": int, "workers": list, "metrics": dict},
+    "pong": {"op": str},
+    "bye": {"op": str},
 }
 
 
-def check_reply(frame: dict[str, Any]) -> dict[str, Any]:
-    """``frame`` itself, once it is a ``result``, ``cell_error`` or
-    ``done`` frame with exactly its fields, each of its type."""
+def check_reply(frame: dict[str, Any], ops: tuple[str, ...] = (
+        "result", "cell_error", "done")) -> dict[str, Any]:
+    """``frame`` itself, once its op is one of ``ops`` (by default, a
+    submit stream's) and it has exactly that frame's fields, each of
+    its type."""
     op = frame["op"]
-    fields = _REPLY_FIELDS.get(op) if isinstance(op, str) else None
-    if fields is None:
+    if not isinstance(op, str) or op not in ops:
         raise ProtocolError(
-            f"unexpected frame op {op!r} in a submit stream")
+            f"unexpected frame op {op!r} (expected {', '.join(ops)})")
     try:
-        return strict_record(frame, fields, f"{op} frame")
+        return strict_record(frame, _REPLY_FIELDS[op], f"{op} frame")
     except ConfigError as exc:
         raise ProtocolError(str(exc)) from exc
 

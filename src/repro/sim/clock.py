@@ -48,7 +48,11 @@ class MemClock:
         self.meter = meter
         #: the meter's op counters, charged in place (one hop per op)
         self._energy = meter.breakdown
-        self.timing = NVMTimingModel(cfg.nvm)
+        self.timing = timing = NVMTimingModel(cfg.nvm)
+        self._timing_read = timing.read
+        self._timing_write = timing.write
+        self._device_read = device.read
+        self._device_write = device.write
         self.now_ps = 0
         self.tracer = tracer
         tracer.bind_clock(self)
@@ -59,7 +63,7 @@ class MemClock:
         self._aes_ps = cfg.aes_latency_ps
         # region base addresses, flattened once: the row computation is
         # per NVM access; index validation happens in the device access
-        # that immediately follows every _row_of call
+        # that follows every row computation
         self._row_base = {r: device.layout.region_base(r) for r in Region}
 
     # ------------------------------------------------------------ time
@@ -72,19 +76,17 @@ class MemClock:
         self.now_ps += cycles * self._cycle_ps
 
     # ------------------------------------------------------- NVM access
-    def _row_of(self, region: Region, index: int) -> int:
-        return (self._row_base[region] + index) // self._lines_per_row
-
     def nvm_read(self, region: Region, index: int) -> object:
         """Blocking read of one line: stalls until data arrives."""
         issued = self.now_ps
-        done = self.timing.read(issued, self._row_of(region, index))
+        done = self._timing_read(
+            issued, (self._row_base[region] + index) // self._lines_per_row)
         self.now_ps = done
         self._energy.nvm_reads += 1
         tr = self.tracer
         if tr.enabled:
             self._trace_read(tr, region, index, issued, done)
-        return self.device.read(region, index)
+        return self._device_read(region, index)
 
     def nvm_read_overlapped(self, region: Region, index: int
                             ) -> tuple[object, int]:
@@ -95,12 +97,13 @@ class MemClock:
         the parallel work is accounted.
         """
         issued = self.now_ps
-        done = self.timing.read(issued, self._row_of(region, index))
+        done = self._timing_read(
+            issued, (self._row_base[region] + index) // self._lines_per_row)
         self._energy.nvm_reads += 1
         tr = self.tracer
         if tr.enabled:
             self._trace_read(tr, region, index, issued, done)
-        return self.device.read(region, index), done
+        return self._device_read(region, index), done
 
     def nvm_write(self, region: Region, index: int, value: object) -> int:
         """Posted write; returns the durability (completion) time in ps.
@@ -108,11 +111,11 @@ class MemClock:
         Advances ``now_ps`` only if the write queue was full.
         """
         issued = self.now_ps
-        stall_until, done = self.timing.write(
-            issued, self._row_of(region, index))
+        stall_until, done = self._timing_write(
+            issued, (self._row_base[region] + index) // self._lines_per_row)
         self.now_ps = stall_until
         self._energy.nvm_writes += 1
-        self.device.write(region, index, value)
+        self._device_write(region, index, value)
         tr = self.tracer
         if tr.enabled:
             stalled = stall_until > issued
@@ -171,7 +174,9 @@ class MemClock:
 
     # ----------------------------------------------------------- admin
     def drain_writes(self) -> None:
-        """Retire all queued writes (graceful shutdown / ADR flush)."""
+        """Retire all queued writes (graceful shutdown / ADR flush);
+        ``now_ps`` advances to the channel-free time ``drain_all``
+        returns, not to the last posted write's completion."""
         done = self.timing.drain_all()
         if done > self.now_ps:
             self.now_ps = done

@@ -1,7 +1,8 @@
 """Boundary decoders fail loudly: ``CellSpec.from_json``,
 ``ExploreCaseResult.from_json``, ``ExploreProbe.from_json``,
 ``config_from_dict``, ``load_trace`` and the sweep service's reply
-frames (``check_reply``).
+frames (``check_reply``: a submit stream's and the one-shot ``stats``,
+``pong`` and ``bye``).
 
 Each accepts exactly the encoding its ``to_json`` (``config_to_dict``,
 ``save_trace``) writes.  Hypothesis draws a valid encoding, checks that
@@ -27,6 +28,7 @@ from repro.exec.configio import config_from_dict, config_to_dict
 from repro.exec.spec import KINDS, CellSpec
 from repro.explore.runner import ExploreCaseResult, ExploreProbe
 from repro.serve.protocol import (
+    REPLY_OPS,
     ProtocolError,
     cell_error_frame,
     check_reply,
@@ -299,7 +301,14 @@ reply_frames = st.one_of(
               st.booleans(), st.floats(0, 1e6)),
     st.builds(cell_error_frame, counts, text),
     st.builds(done_frame, counts, counts, counts, counts, counts),
+    st.fixed_dictionaries({
+        "op": st.just("stats"), "draining": st.booleans(),
+        "queue_depth": counts, "inflight": counts,
+        "workers": st.lists(json_dict, max_size=2), "metrics": json_dict}),
+    st.sampled_from([{"op": "pong"}, {"op": "bye"}]),
 )
+#: every reply frame ``check_reply`` decodes
+DECODED_OPS = tuple(op for op in REPLY_OPS if op != "error")
 
 
 def wire(frame):
@@ -310,11 +319,14 @@ def wire(frame):
 @settings(max_examples=scaled(60))
 @given(reply_frames)
 def test_reply_frame_decodes(frame):
-    assert check_reply(wire(frame)) == frame
+    assert check_reply(wire(frame), (frame["op"],)) == frame
+    with pytest.raises(ProtocolError):   # not the frame asked for
+        check_reply(wire(frame), tuple(
+            op for op in DECODED_OPS if op != frame["op"]))
 
 
 @settings(max_examples=scaled(100))
 @given(mutated(reply_frames, also_ok={"elapsed_s": (int,)}))
 def test_mutated_reply_frame_raises_protocol_error(frame):
     with pytest.raises(ProtocolError):
-        check_reply(wire(frame))
+        check_reply(wire(frame), DECODED_OPS)

@@ -106,7 +106,9 @@ def test_drain_writes(rig):
 def test_row_mapping_regions_do_not_alias(rig):
     clock, _, _ = rig
     # same index in different regions must map to different rows when
-    # the regions are further apart than one row
-    row_data = clock._row_of(Region.DATA, 0)
-    row_tree = clock._row_of(Region.TREE, 0)
-    assert row_data != row_tree
+    # the regions are further apart than one row: both reads miss
+    clock.nvm_read(Region.DATA, 0)
+    assert not clock.timing.last_row_hit
+    clock.nvm_read(Region.TREE, 0)
+    assert not clock.timing.last_row_hit
+    assert clock.timing.stats.row_misses == 2

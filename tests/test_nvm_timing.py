@@ -5,7 +5,7 @@ The model runs on integer picoseconds; equality assertions are exact.
 import pytest
 
 from repro.common.config import NVMTimingConfig
-from repro.nvm.timing import NVMTimingModel, RowBufferModel
+from repro.nvm.timing import NVMTimingModel
 
 
 def make_model(**kwargs) -> NVMTimingModel:
@@ -33,12 +33,17 @@ def test_completion_times_are_exact_ints():
 
 
 def test_row_buffer_capacity_evicts_lru():
-    rb = RowBufferModel(NVMTimingConfig(row_buffer_rows=2))
-    assert not rb.access(1)
-    assert not rb.access(2)
-    assert rb.access(1)       # still open
-    assert not rb.access(3)   # evicts 2 (LRU)
-    assert not rb.access(2)
+    m = make_model(row_buffer_rows=2)
+
+    def row_hit(row):
+        m.read(0, row)
+        return m.last_row_hit
+
+    assert not row_hit(1)
+    assert not row_hit(2)
+    assert row_hit(1)         # still open
+    assert not row_hit(3)     # evicts 2 (LRU)
+    assert not row_hit(2)
 
 
 def test_posted_write_does_not_stall():
@@ -93,16 +98,6 @@ def test_drain_all():
     done = m.drain_all()
     assert m.queue_depth == 0
     assert done > 0
-
-
-def test_reset():
-    m = make_model()
-    m.write(0, row=1)
-    m.read(100_000, row=2)
-    m.reset()
-    assert m.queue_depth == 0
-    assert m.stats.read_count == 0
-    assert m.read(0, row=2) == 63_000
 
 
 def test_latency_stats_accumulate():
