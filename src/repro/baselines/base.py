@@ -15,14 +15,24 @@ differ only in the hooks:
 * ``_on_clean_to_dirty`` / ``_on_dirty_to_clean`` — residency-state
   transitions (Steins records; STAR bitmap),
 * ``_on_leaf_incremented``  — data-write counter bumps (Steins LInc0),
-* ``_pre_read``             — work required before reads are allowed
-  (Steins drains its NV parent buffer, Sec. III-E),
 * ``_pending_parent``       — a parent update that has not landed in the
   parent yet, which the fetch walk verifies against instead (Steins' NV
   buffer; the in-progress applies of the generated-counter schemes),
 * ``_child_seal_counter``   — the counter a persisted child was sealed
   under, which :meth:`SecureMemoryController.rebuild_inner` restores
   into its parent (Steins: the child's gensum; STAR: its echo).
+
+The data path (``read_data``, ``write_data``, ``_ensure_node``,
+``_fetch``, ``_install``) is a set of kernels, one frame per layer: each
+charges its hash, AES, SRAM and ALU work straight into the clock's
+``energy`` counters and ``now_ps`` (in the order the ``MemClock``
+calls would, so ``now_ps`` is the same at every NVM issue), calls the
+engine's ``otp``/``digest64`` directly, and a fetched node is installed
+with one access to its metadata-cache set.  The hooks above are looked
+up on ``self`` at every call, so a scheme or a test may replace them on
+the instance.  ``tests/controller_reference.py`` keeps the
+call-per-charge methods these replaced, and a differential test holds
+the two to the same observable behaviour.
 """
 from __future__ import annotations
 
@@ -31,6 +41,7 @@ from dataclasses import dataclass, field
 
 from repro.baselines.report import RecoveryReport
 from repro.common.config import CounterMode, SystemConfig, UpdateScheme
+from repro.common.constants import CACHE_LINE_BITS
 from repro.common.errors import ConfigError, RecoveryError, TamperDetectedError
 from repro.common.units import ns_from_ps
 from repro.counters import (
@@ -40,25 +51,22 @@ from repro.counters import (
 )
 from repro.counters.base import IncrementResult
 from repro.crypto import cme
+from repro.crypto.cme import BLOCK_MASK
 from repro.crypto.engine import HashEngine, make_engine
 from repro.faults.registry import fire
 from repro.integrity.geometry import TreeGeometry, geometry_for
 from repro.integrity.metacache import MetadataCache
 from repro.integrity.node import SITNode
-from repro.integrity.sit import SITRoot, verify_node
+from repro.integrity.sit import SITRoot, node_mismatch
 from repro.nvm.device import NVMDevice
 from repro.nvm.layout import Region
-from repro.obs.tracer import EV_SIT_WALK
+from repro.obs.tracer import EV_MC_EVICT, EV_SIT_WALK
 
 
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.sim.clock import MemClock
-
-#: persisted data-line value: (tag, ciphertext, hmac, counter_echo)
-DataLine = tuple
-
 
 @dataclass
 class ControllerStats:
@@ -221,9 +229,6 @@ class SecureMemoryController:
                              result: IncrementResult) -> None:
         """A leaf counter was bumped by a data write."""
 
-    def _pre_read(self) -> None:
-        """Invoked before any read operation is served."""
-
     def _child_seal_counter(self, child: SITNode, snap: tuple) -> int:
         """The counter a persisted child was sealed under, which is its
         parent's slot: generated-counter schemes seal a node under its
@@ -233,9 +238,11 @@ class SecureMemoryController:
     # -------------------------------------------------------- data path
     def write_data(self, block_addr: int, plaintext: int) -> None:
         """Handle a dirty data-block eviction from the LLC (Sec. III-F)."""
-        self._check_alive()
+        if self._crashed:
+            self._check_alive()
         fire("controller.write")
-        t0 = self.clock.now_ps
+        clock = self.clock
+        t0 = clock.now_ps
         if not 0 <= block_addr < self._num_blocks:
             raise ConfigError(f"data block {block_addr} out of range")
         leaf_index = block_addr // self._leaf_cov
@@ -244,8 +251,11 @@ class SecureMemoryController:
         leaf = self._ensure_node(0, leaf_index)
 
         result = leaf.block.increment(slot)
-        self.clock.alu_op()
-        self._mark_dirty(leaf_offset, leaf)
+        energy = clock.energy
+        energy.alu_ops += 1
+        clock.now_ps += clock.cycle_ps
+        if self.metacache.mark_dirty(leaf_offset):
+            self._on_clean_to_dirty(leaf_offset, leaf)
         self._on_leaf_incremented(leaf_offset, leaf, result)
         self._on_metadata_modified(leaf_offset, leaf)
         if self._eager:
@@ -259,63 +269,78 @@ class SecureMemoryController:
             self._reencrypt_leaf(leaf_index, leaf, skip_slot=slot)
 
         counter = leaf.block.counter(slot)
-        self.clock.aes_op()   # OTP generation (serial on the write path)
-        cipher = cme.encrypt_block(self.engine, block_addr, counter, plaintext)
-        self.clock.hash_op()  # data HMAC
-        hmac = cme.data_hmac(self.engine, block_addr, counter, plaintext)
-        done = self.clock.nvm_write(
+        # OTP generation (serial on the write path), then the data HMAC
+        energy.aes_ops += 1
+        clock.now_ps += clock.aes_ps
+        if not 0 <= plaintext <= BLOCK_MASK:
+            raise ValueError("plaintext must fit in 512 bits")
+        engine = self.engine
+        cipher = plaintext ^ engine.otp(block_addr, counter, CACHE_LINE_BITS)
+        energy.hashes += 1
+        clock.now_ps += clock.hash_ps
+        hmac = engine.digest64(block_addr, counter, plaintext)
+        done = clock.nvm_write(
             Region.DATA, block_addr, ("data", cipher, hmac, counter))
-        self.stats.data_writes += 1
-        latency = max(done, self.clock.now_ps) - t0
-        self.stats.write_latency_ps += latency
-        if latency > self.stats.max_write_latency_ps:
-            self.stats.max_write_latency_ps = latency
+        stats = self.stats
+        stats.data_writes += 1
+        now = clock.now_ps
+        latency = (done if done > now else now) - t0
+        stats.write_latency_ps += latency
+        if latency > stats.max_write_latency_ps:
+            stats.max_write_latency_ps = latency
         if self.tracer.enabled:
             self.tracer.metrics.histogram(
                 "ctrl.write.latency_ns").observe(ns_from_ps(latency))
 
     def read_data(self, block_addr: int) -> int:
         """Handle an LLC demand miss: fetch, decrypt, verify (Sec. III-F)."""
-        self._check_alive()
+        if self._crashed:
+            self._check_alive()
         fire("controller.read")
-        t0 = self.clock.now_ps
-        self._pre_read()
+        clock = self.clock
+        t0 = clock.now_ps
         if not 0 <= block_addr < self._num_blocks:
             raise ConfigError(f"data block {block_addr} out of range")
         leaf = self._ensure_node(0, block_addr // self._leaf_cov)
         counter = leaf.block.counter(block_addr % self._leaf_cov)
 
-        # The data fetch overlaps OTP generation (CME's latency hiding).
-        value, done_data = self.clock.nvm_read_overlapped(
-            Region.DATA, block_addr)
-        self.clock.aes_op()
-        self.clock.join(done_data)
-
-        plaintext = self._decrypt_and_verify(block_addr, counter, value)
-        self.stats.data_reads += 1
-        latency = self.clock.now_ps - t0
-        self.stats.read_latency_ps += latency
-        if latency > self.stats.max_read_latency_ps:
-            self.stats.max_read_latency_ps = latency
-        if self.tracer.enabled:
-            self.tracer.metrics.histogram(
-                "ctrl.read.latency_ns").observe(ns_from_ps(latency))
-        return plaintext
-
-    def _decrypt_and_verify(self, block_addr: int, counter: int,
-                            value: DataLine | None) -> int:
+        # The data fetch overlaps OTP generation (CME's latency hiding):
+        # the AES charge runs from the issue time, then joins the read.
+        value, done_data = clock.nvm_read_overlapped(Region.DATA, block_addr)
+        energy = clock.energy
+        energy.aes_ops += 1
+        now = clock.now_ps + clock.aes_ps
+        if done_data > now:
+            now = done_data
+        clock.now_ps = now
         if value is None:
             if counter != 0:
                 raise TamperDetectedError(
                     f"data block {block_addr} missing but its counter is "
                     f"{counter} (deletion attack)")
-            return 0
-        _, cipher, hmac, _echo = value
-        plaintext = cme.decrypt_block(self.engine, block_addr, counter, cipher)
-        self.clock.hash_op()
-        if hmac != cme.data_hmac(self.engine, block_addr, counter, plaintext):
-            raise TamperDetectedError(
-                f"data HMAC mismatch for block {block_addr}")
+            plaintext = 0
+        else:
+            _, cipher, hmac, _echo = value
+            if not 0 <= cipher <= BLOCK_MASK:
+                raise ValueError("ciphertext must fit in 512 bits")
+            engine = self.engine
+            plaintext = cipher ^ engine.otp(block_addr, counter,
+                                            CACHE_LINE_BITS)
+            energy.hashes += 1
+            now += clock.hash_ps
+            clock.now_ps = now
+            if hmac != engine.digest64(block_addr, counter, plaintext):
+                raise TamperDetectedError(
+                    f"data HMAC mismatch for block {block_addr}")
+        stats = self.stats
+        stats.data_reads += 1
+        latency = now - t0
+        stats.read_latency_ps += latency
+        if latency > stats.max_read_latency_ps:
+            stats.max_read_latency_ps = latency
+        if self.tracer.enabled:
+            self.tracer.metrics.histogram(
+                "ctrl.read.latency_ns").observe(ns_from_ps(latency))
         return plaintext
 
     def _reencrypt_leaf(self, leaf_index: int, leaf: SITNode,
@@ -356,7 +381,7 @@ class SecureMemoryController:
         """Return the cached node, fetching + verifying on a miss."""
         node = self.metacache.lookup(self._level_offs[level] + index)
         if node is not None:
-            self.clock.sram_op()
+            self.clock.energy.sram_accesses += 1
             return node
         return self._fetch(level, index)
 
@@ -382,6 +407,7 @@ class SecureMemoryController:
                 # of the flush)
                 return node
         metacache, clock = self.metacache, self.clock
+        energy = clock.energy
         pending = self._pending_parent
         top, arity = self._top_level, self._arity
         path = [(level, index, offset)]
@@ -390,7 +416,7 @@ class SecureMemoryController:
             index //= arity
             offset = offs[level] + index
             if metacache.lookup(offset) is not None:
-                clock.sram_op()
+                energy.sram_accesses += 1
                 break
             if inflight and offset in inflight:
                 break
@@ -423,15 +449,19 @@ class SecureMemoryController:
                     if parent is None:
                         parent = self._fetch(level + 1, pindex)
                     else:
-                        clock.sram_op()
+                        energy.sram_accesses += 1
                     parent_counter = parent.block.counter(
                         index - pindex * arity)
-            clock.hash_op()
-            if snap is not None or parent_counter:
-                # a never-persisted node carries the seal under counter
-                # 0 that _empty_node just took: only a non-zero parent
-                # counter can fail it
-                verify_node(self.engine, node, parent_counter)
+            energy.hashes += 1
+            clock.now_ps += clock.hash_ps
+            # a never-persisted node carries the seal under counter 0
+            # that _empty_node just took: only a non-zero parent counter
+            # can fail it (this is verify_node inlined)
+            if (snap is not None or parent_counter) and \
+                    node.hmac != self.engine.digest64(
+                        level, index, node.block.to_packed(),
+                        parent_counter):
+                raise node_mismatch(node, parent_counter)
             self.stats.metadata_fetches += 1
             if self.tracer.enabled:
                 self.tracer.emit(EV_SIT_WALK, level=level, index=index,
@@ -517,22 +547,43 @@ class SecureMemoryController:
           may already have absorbed counter updates) and this insert is
           dropped.  Only a flush can do that: both callers have just
           found ``offset`` uncached, so it is checked after each flush.
+
+        The loop works on the target set's dict and free-way list
+        (:attr:`MetadataCache.sets`, :attr:`MetadataCache.free_ways`)
+        directly: one access finds the victim and inserts, doing what
+        ``victim_candidate``, ``insert`` and ``remove`` would.
         """
+        metacache = self.metacache
+        set_idx = offset % metacache.num_sets
+        entries = metacache.sets[set_idx]
+        free = metacache.free_ways[set_idx]
+        mc_stats = metacache.stats
         flushed_any = False
         while True:
-            victim = self.metacache.victim_candidate(offset)
-            if victim is None or not victim[2]:
+            # the LRU entry is the victim when no way is free
+            voff = None if free else next(iter(entries))
+            if voff is None or not entries[voff][1]:
                 if flushed_any and refresh_on_flush:
                     snap = self.device.peek(Region.TREE, offset)
                     if snap is not None:
                         node = self._node_from_snapshot(snap)
-                self.metacache.insert(offset, node, dirty)
+                if voff is None:
+                    way = free.pop()
+                else:
+                    # a clean victim is dropped: NVM holds its content
+                    fire("metacache.evict")
+                    way = entries.pop(voff)[2]
+                    mc_stats.evictions += 1
+                    if self.tracer.enabled:
+                        self.tracer.emit(EV_MC_EVICT, offset=voff,
+                                         dirty=False)
+                entries[offset] = (node, dirty, way)
                 return node
-            voff, vnode, _ = victim
             fire("controller.evict")
-            self.metacache.remove(voff)
-            self.metacache.stats.evictions += 1
-            self.metacache.stats.dirty_evictions += 1
+            vnode, _, way = entries.pop(voff)
+            free.append(way)
+            mc_stats.evictions += 1
+            mc_stats.dirty_evictions += 1
             # Steins can re-fetch and re-evict the same offset while an
             # outer flush of it is still in its (post-persist) apply
             # phase, nesting two in-flight copies: save and restore.
@@ -547,11 +598,11 @@ class SecureMemoryController:
                     self._inflight[voff] = outer_inflight
             self._on_dirty_to_clean(voff, vnode, evicted=True)
             flushed_any = True
-            if self.metacache.contains(offset):
-                cached = self.metacache.peek(offset)
+            cached = entries.get(offset)
+            if cached is not None:
                 if dirty:
-                    self._mark_dirty(offset, cached)
-                return cached
+                    self._mark_dirty(offset, cached[0])
+                return cached[0]
 
     def _mark_dirty(self, offset: int, node: SITNode) -> None:
         if self.metacache.mark_dirty(offset):

@@ -14,8 +14,7 @@ covers 64 data blocks).  Both expose:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Any, NamedTuple, Protocol
 
 #: An immutable persistable image of a counter block: a tagged tuple
 #: (kind, *fields) whose exact layout is private to the block kind
@@ -23,9 +22,13 @@ from typing import Any, Protocol
 Snapshot = tuple[Any, ...]
 
 
-@dataclass(frozen=True)
-class IncrementResult:
-    """Outcome of bumping one covered block's counter."""
+class IncrementResult(NamedTuple):
+    """Outcome of bumping one covered block's counter.
+
+    Immutable, so a block may hand out one shared instance for its
+    common outcome (a plain general-block bump) instead of building one
+    per write.
+    """
 
     #: Steins generated-counter delta: gensum(after) - gensum(before).
     gensum_delta: int

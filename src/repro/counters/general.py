@@ -13,9 +13,11 @@ from repro.common.errors import CounterOverflowError
 from repro.counters.base import IncrementResult, Snapshot
 
 _WIDTHS = [C.GENERAL_COUNTER_BITS] * C.GENERAL_COUNTERS_PER_NODE
-#: per-slot bit positions, precomputed for the unchecked hot-path pack
-_SHIFTS = tuple(i * C.GENERAL_COUNTER_BITS
-                for i in range(C.GENERAL_COUNTERS_PER_NODE))
+#: the outcome of every general-block bump that does not raise
+_BUMPED = IncrementResult(gensum_delta=1)
+
+# ``to_packed`` unrolls the pack over these eight 56-bit fields
+assert C.GENERAL_COUNTERS_PER_NODE == 8 and C.GENERAL_COUNTER_BITS == 56
 
 
 class GeneralCounterBlock:
@@ -34,9 +36,10 @@ class GeneralCounterBlock:
             raise ValueError(
                 f"expected {C.GENERAL_COUNTERS_PER_NODE} counters, "
                 f"got {len(counters)}")
-        for c in counters:
-            if not 0 <= c <= C.GENERAL_COUNTER_MAX:
-                raise CounterOverflowError(f"counter {c} exceeds 56 bits")
+        if min(counters) < 0 or max(counters) > C.GENERAL_COUNTER_MAX:
+            for c in counters:  # name the first offender
+                if not 0 <= c <= C.GENERAL_COUNTER_MAX:
+                    raise CounterOverflowError(f"counter {c} exceeds 56 bits")
         self.counters = list(counters)
 
     # ---------------------------------------------------------- queries
@@ -56,7 +59,7 @@ class GeneralCounterBlock:
             raise CounterOverflowError(
                 f"56-bit counter overflow in slot {slot}")
         self.counters[slot] = new
-        return IncrementResult(gensum_delta=1)
+        return _BUMPED
 
     def set_counter(self, slot: int, value: int) -> None:
         """Direct assignment (used when a parent adopts a generated
@@ -74,7 +77,7 @@ class GeneralCounterBlock:
         kind, counters = snap
         if kind != "general":
             raise ValueError(f"not a general-block snapshot: {kind!r}")
-        return cls(list(counters))
+        return cls(counters)
 
     def copy(self) -> "GeneralCounterBlock":
         return GeneralCounterBlock(self.counters)
@@ -85,12 +88,12 @@ class GeneralCounterBlock:
 
         Field ranges are enforced at every mutation, so the pack skips
         the per-field validation of :func:`pack_fields` (it runs once
-        per node HMAC — the hottest loop of a simulation).
+        per node HMAC — the hottest loop of a simulation), and it is
+        unrolled over the eight fields.
         """
-        packed = 0
-        for c, sh in zip(self.counters, _SHIFTS):
-            packed |= c << sh
-        return packed
+        c0, c1, c2, c3, c4, c5, c6, c7 = self.counters
+        return (c0 | c1 << 56 | c2 << 112 | c3 << 168 | c4 << 224
+                | c5 << 280 | c6 << 336 | c7 << 392)
 
     @classmethod
     def from_packed(cls, packed: int) -> "GeneralCounterBlock":

@@ -55,9 +55,10 @@ class SplitCounterBlock:
                 f"expected {C.MINORS_PER_SPLIT_BLOCK} minors, got {len(minors)}")
         if not 0 <= major <= _MAJOR_MAX:
             raise CounterOverflowError("major counter exceeds 64 bits")
-        for m in minors:
-            if not 0 <= m <= C.MINOR_COUNTER_MAX:
-                raise CounterOverflowError(f"minor {m} exceeds 6 bits")
+        if min(minors) < 0 or max(minors) > C.MINOR_COUNTER_MAX:
+            for m in minors:  # name the first offender
+                if not 0 <= m <= C.MINOR_COUNTER_MAX:
+                    raise CounterOverflowError(f"minor {m} exceeds 6 bits")
         self.major = major
         self.minors = list(minors)
         self.policy = policy
@@ -119,7 +120,7 @@ class SplitCounterBlock:
         kind, major, minors, policy = snap
         if kind != "split":
             raise ValueError(f"not a split-block snapshot: {kind!r}")
-        return cls(major, list(minors), OverflowPolicy(policy))
+        return cls(major, minors, OverflowPolicy(policy))
 
     def copy(self) -> "SplitCounterBlock":
         return SplitCounterBlock(self.major, self.minors, self.policy)

@@ -11,13 +11,14 @@ from __future__ import annotations
 from repro.common.constants import CACHE_LINE_BITS
 from repro.crypto.engine import HashEngine
 
-_BLOCK_MASK = (1 << CACHE_LINE_BITS) - 1
+#: the largest 512-bit block value
+BLOCK_MASK = (1 << CACHE_LINE_BITS) - 1
 
 
 def encrypt_block(engine: HashEngine, address: int, counter: int,
                   plaintext: int) -> int:
     """Encrypt a 512-bit plaintext block under (address, counter)."""
-    if not 0 <= plaintext <= _BLOCK_MASK:
+    if not 0 <= plaintext <= BLOCK_MASK:
         raise ValueError("plaintext must fit in 512 bits")
     pad = engine.otp(address, counter, CACHE_LINE_BITS)
     return plaintext ^ pad
@@ -26,7 +27,7 @@ def encrypt_block(engine: HashEngine, address: int, counter: int,
 def decrypt_block(engine: HashEngine, address: int, counter: int,
                   ciphertext: int) -> int:
     """Decrypt a block; XOR with the same OTP (CME symmetry)."""
-    if not 0 <= ciphertext <= _BLOCK_MASK:
+    if not 0 <= ciphertext <= BLOCK_MASK:
         raise ValueError("ciphertext must fit in 512 bits")
     pad = engine.otp(address, counter, CACHE_LINE_BITS)
     return ciphertext ^ pad

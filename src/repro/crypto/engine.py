@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from typing import Protocol
 
-from repro.common.rng import _SPLITMIX_GAMMA, mix_wide
+from repro.common.rng import _SPLITMIX_GAMMA
 
 _MASK64 = (1 << 64) - 1
 
@@ -77,18 +77,26 @@ class FastEngine:
             return out
         # splitmix64 inlined (bit-identical to repro.common.rng.splitmix64):
         # this is the hottest function of a simulation, and the helper's
-        # per-step tuple allocation dominated its runtime
+        # per-step tuple allocation dominated its runtime.  A wider field
+        # (a packed 448-bit counter block) is folded in 64-bit lanes,
+        # low lane first, each lane the same step: bit-identical to
+        # ``state = mix_wide(f, state)``.
         state = self._key
         for f in fields:
-            if f < 0:
-                raise ValueError("hash fields must be non-negative")
-            if f > _MASK64:
-                state = mix_wide(f, state)
-            else:
+            if 0 <= f <= _MASK64:
                 s = ((state ^ f) + _SPLITMIX_GAMMA) & _MASK64
                 z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
                 z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
                 state = s ^ z ^ (z >> 31)
+            elif f < 0:
+                raise ValueError("hash fields must be non-negative")
+            else:
+                while f:
+                    s = ((state ^ (f & _MASK64)) + _SPLITMIX_GAMMA) & _MASK64
+                    z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+                    state = s ^ z ^ (z >> 31)
+                    f >>= 64
         # final avalanche so short inputs still diffuse
         s = (state + _SPLITMIX_GAMMA) & _MASK64
         z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64

@@ -39,10 +39,16 @@ class MetadataCache:
         self.tracer = tracer
         self.num_sets = cfg.num_sets
         self.ways = cfg.ways
-        # Per set: LRU-ordered {offset: (node, dirty, way)}.
-        self._sets: list[dict[int, tuple[SITNode, bool, int]]] = \
+        #: per set: LRU-ordered {offset: (node, dirty, way)}, the first
+        #: key the next victim.  Public, like ``SetAssocCache.sets``: the
+        #: controller's install kernel checks for a victim and inserts
+        #: with one access to the target set.
+        self.sets: list[dict[int, tuple[SITNode, bool, int]]] = \
             [dict() for _ in range(self.num_sets)]
-        self._free_ways: list[list[int]] = \
+        #: per set: the free ways, the next one to fill last.  These
+        #: lists (and the set dicts) keep their identity for the cache's
+        #: lifetime; ``clear`` refills them in place.
+        self.free_ways: list[list[int]] = \
             [list(range(self.ways - 1, -1, -1)) for _ in range(self.num_sets)]
         self.stats = CacheStats()
 
@@ -56,7 +62,7 @@ class MetadataCache:
         Counts a hit/miss, so controllers call it exactly once per
         logical access.
         """
-        s = self._sets[offset % self.num_sets]
+        s = self.sets[offset % self.num_sets]
         # a default instead of a caught KeyError: the miss is the fetch
         # walk's common case, and raising costs more than the lookup
         entry = s.pop(offset, None)
@@ -73,19 +79,19 @@ class MetadataCache:
 
     def peek(self, offset: int) -> SITNode | None:
         """Lookup without LRU or stats side effects (tests, recovery)."""
-        entry = self._sets[offset % self.num_sets].get(offset)
+        entry = self.sets[offset % self.num_sets].get(offset)
         return entry[0] if entry else None
 
     def contains(self, offset: int) -> bool:
-        return offset in self._sets[offset % self.num_sets]
+        return offset in self.sets[offset % self.num_sets]
 
     def is_dirty(self, offset: int) -> bool:
-        entry = self._sets[offset % self.num_sets].get(offset)
+        entry = self.sets[offset % self.num_sets].get(offset)
         return bool(entry and entry[1])
 
     def way_of(self, offset: int) -> int:
         """The physical way the entry occupies (for offset records)."""
-        entry = self._sets[offset % self.num_sets].get(offset)
+        entry = self.sets[offset % self.num_sets].get(offset)
         if entry is None:
             raise KeyError(f"offset {offset} not cached")
         return entry[2]
@@ -106,11 +112,11 @@ class MetadataCache:
         back.
         """
         set_idx = offset % self.num_sets
-        s = self._sets[set_idx]
+        s = self.sets[set_idx]
         if offset in s:
             raise ConfigError(f"offset {offset} already cached")
         victim: tuple[int, SITNode, bool] | None = None
-        free = self._free_ways[set_idx]
+        free = self.free_ways[set_idx]
         if free:
             way = free.pop()
         else:
@@ -139,8 +145,8 @@ class MetadataCache:
         set_idx, way = divmod(slot, self.ways)
         if set_idx != offset % self.num_sets:
             return False
-        s = self._sets[set_idx]
-        free = self._free_ways[set_idx]
+        s = self.sets[set_idx]
+        free = self.free_ways[set_idx]
         if offset in s or way not in free:
             return False
         free.remove(way)
@@ -149,11 +155,11 @@ class MetadataCache:
 
     def victim_candidate(self, offset: int) -> tuple[int, SITNode, bool] | None:
         """LRU entry that :meth:`insert` would evict for ``offset``
-        (without evicting).  Lets controllers flush-then-insert."""
+        (without evicting)."""
         set_idx = offset % self.num_sets
-        if self._free_ways[set_idx]:
+        if self.free_ways[set_idx]:
             return None
-        s = self._sets[set_idx]
+        s = self.sets[set_idx]
         voff = next(iter(s))
         vnode, vdirty, _ = s[voff]
         return (voff, vnode, vdirty)
@@ -161,7 +167,7 @@ class MetadataCache:
     # --------------------------------------------------------- mutation
     def mark_dirty(self, offset: int) -> bool:
         """Set the dirty bit; returns True on a clean->dirty transition."""
-        s = self._sets[offset % self.num_sets]
+        s = self.sets[offset % self.num_sets]
         node, dirty, way = s[offset]
         if dirty:
             return False
@@ -169,23 +175,23 @@ class MetadataCache:
         return True
 
     def mark_clean(self, offset: int) -> None:
-        s = self._sets[offset % self.num_sets]
+        s = self.sets[offset % self.num_sets]
         node, _, way = s[offset]
         s[offset] = (node, False, way)
 
     def remove(self, offset: int) -> SITNode | None:
         """Invalidate an entry, freeing its way (no writeback)."""
         set_idx = offset % self.num_sets
-        entry = self._sets[set_idx].pop(offset, None)
+        entry = self.sets[set_idx].pop(offset, None)
         if entry is None:
             return None
-        self._free_ways[set_idx].append(entry[2])
+        self.free_ways[set_idx].append(entry[2])
         return entry[0]
 
     # --------------------------------------------------------- contents
     def entries(self) -> Iterator[tuple[int, SITNode, bool]]:
         """All (offset, node, dirty) tuples, set by set."""
-        for s in self._sets:
+        for s in self.sets:
             for offset, (node, dirty, _) in s.items():
                 yield offset, node, dirty
 
@@ -200,15 +206,14 @@ class MetadataCache:
     def set_entries(self, set_idx: int) -> list[tuple[int, SITNode, bool]]:
         """Contents of one set (STAR's set-MAC computation)."""
         return [(off, node, dirty)
-                for off, (node, dirty, _) in self._sets[set_idx].items()]
+                for off, (node, dirty, _) in self.sets[set_idx].items()]
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self.sets)
 
     # ------------------------------------------------------------ crash
     def clear(self) -> None:
         """Power failure: every cached (possibly dirty) node is lost."""
-        for s in self._sets:
+        for s, free in zip(self.sets, self.free_ways):
             s.clear()
-        self._free_ways = [list(range(self.ways - 1, -1, -1))
-                           for _ in range(self.num_sets)]
+            free[:] = range(self.ways - 1, -1, -1)

@@ -63,9 +63,15 @@ def verify_node(engine: HashEngine, node: SITNode,
     covers (counters, identity, parent counter).
     """
     if not node.hmac_matches(engine, parent_counter):
-        raise TamperDetectedError(
-            f"HMAC mismatch for node (level={node.level}, "
-            f"index={node.index}) under parent counter {parent_counter}")
+        raise node_mismatch(node, parent_counter)
+
+
+def node_mismatch(node: SITNode, parent_counter: int) -> TamperDetectedError:
+    """The error :func:`verify_node` raises for ``node`` (the fetch walk
+    checks the HMAC inline and raises this)."""
+    return TamperDetectedError(
+        f"HMAC mismatch for node (level={node.level}, "
+        f"index={node.index}) under parent counter {parent_counter}")
 
 
 def verify_against_root(engine: HashEngine, root: SITRoot,

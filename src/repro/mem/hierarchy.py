@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.config import HierarchyConfig
 from repro.mem.cache import SetAssocCache
@@ -19,9 +20,9 @@ class MemOp(enum.Enum):
     WRITE = "write"
 
 
-@dataclass(frozen=True, slots=True)
-class MemoryRequest:
-    """A request the hierarchy forwards to the memory controller."""
+class MemoryRequest(NamedTuple):
+    """A request the hierarchy forwards to the memory controller (a
+    tuple: built on every LLC miss and writeback)."""
 
     op: MemOp
     line_addr: int

@@ -46,8 +46,9 @@ class MemClock:
         self.cfg = cfg
         self.device = device
         self.meter = meter
-        #: the meter's op counters, charged in place (one hop per op)
-        self._energy = meter.breakdown
+        #: the meter's op counters, charged in place (one hop per op);
+        #: the controller's data-path kernels charge them directly
+        self.energy = meter.breakdown
         self.timing = timing = NVMTimingModel(cfg.nvm)
         self._timing_read = timing.read
         self._timing_write = timing.write
@@ -57,10 +58,12 @@ class MemClock:
         self.tracer = tracer
         tracer.bind_clock(self)
         self._lines_per_row = max(1, cfg.nvm.row_bytes // 64)
-        # per-unit costs converted to exact ps once, at construction
-        self._cycle_ps = cfg.cycle_ps
-        self._hash_ps = cfg.hash_latency_ps
-        self._aes_ps = cfg.aes_latency_ps
+        #: per-unit costs converted to exact ps once, at construction;
+        #: the controller's data-path kernels add them to ``now_ps``
+        #: inline, as ``hash_op``/``aes_op``/``alu_op`` do
+        self.cycle_ps = cfg.cycle_ps
+        self.hash_ps = cfg.hash_latency_ps
+        self.aes_ps = cfg.aes_latency_ps
         # region base addresses, flattened once: the row computation is
         # per NVM access; index validation happens in the device access
         # that follows every row computation
@@ -73,7 +76,7 @@ class MemClock:
         return ns_from_ps(self.now_ps)
 
     def advance_cycles(self, cycles: int) -> None:
-        self.now_ps += cycles * self._cycle_ps
+        self.now_ps += cycles * self.cycle_ps
 
     # ------------------------------------------------------- NVM access
     def nvm_read(self, region: Region, index: int) -> object:
@@ -82,7 +85,7 @@ class MemClock:
         done = self._timing_read(
             issued, (self._row_base[region] + index) // self._lines_per_row)
         self.now_ps = done
-        self._energy.nvm_reads += 1
+        self.energy.nvm_reads += 1
         tr = self.tracer
         if tr.enabled:
             self._trace_read(tr, region, index, issued, done)
@@ -99,7 +102,7 @@ class MemClock:
         issued = self.now_ps
         done = self._timing_read(
             issued, (self._row_base[region] + index) // self._lines_per_row)
-        self._energy.nvm_reads += 1
+        self.energy.nvm_reads += 1
         tr = self.tracer
         if tr.enabled:
             self._trace_read(tr, region, index, issued, done)
@@ -114,7 +117,7 @@ class MemClock:
         stall_until, done = self._timing_write(
             issued, (self._row_base[region] + index) // self._lines_per_row)
         self.now_ps = stall_until
-        self._energy.nvm_writes += 1
+        self.energy.nvm_writes += 1
         self._device_write(region, index, value)
         tr = self.tracer
         if tr.enabled:
@@ -152,25 +155,25 @@ class MemClock:
     def hash_op(self, n: int = 1, on_critical_path: bool = True) -> None:
         """n HMAC computations.  Serial when on the critical path; a
         pipelined off-path hash still costs energy but no stall."""
-        self._energy.hashes += n
+        self.energy.hashes += n
         if on_critical_path and n:
-            self.now_ps += n * self._hash_ps
+            self.now_ps += n * self.hash_ps
 
     def aes_op(self, n: int = 1, on_critical_path: bool = True) -> None:
-        self._energy.aes_ops += n
+        self.energy.aes_ops += n
         if on_critical_path and n:
-            self.now_ps += n * self._aes_ps
+            self.now_ps += n * self.aes_ps
 
     def alu_op(self, n: int = 1, cycles_each: int = 1,
                on_critical_path: bool = True) -> None:
         """Cheap linear-function work (Steins' counter generation)."""
-        self._energy.alu_ops += n
+        self.energy.alu_ops += n
         if on_critical_path and n:
-            self.now_ps += n * cycles_each * self._cycle_ps
+            self.now_ps += n * cycles_each * self.cycle_ps
 
     def sram_op(self, n: int = 1) -> None:
         """On-controller SRAM/register traffic: energy only, no stall."""
-        self._energy.sram_accesses += n
+        self.energy.sram_accesses += n
 
     # ----------------------------------------------------------- admin
     def drain_writes(self) -> None:

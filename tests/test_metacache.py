@@ -73,6 +73,17 @@ def test_eviction_returns_lru_victim_and_reuses_way():
     assert mc.stats.dirty_evictions == 1
 
 
+def test_lookup_hit_moves_to_mru():
+    mc = make_cache(lines=4, ways=2)
+    sets = mc.num_sets
+    mc.insert(0, node(index=1), dirty=False)
+    mc.insert(sets, node(index=2), dirty=False)
+    assert mc.lookup(0).index == 1
+    assert [off for off, _, _ in mc.set_entries(0)] == [sets, 0]
+    victim = mc.insert(2 * sets, node(index=3), dirty=False)
+    assert victim is not None and victim[0] == sets
+
+
 def test_victim_candidate_does_not_evict():
     mc = make_cache(lines=4, ways=2)
     sets = mc.num_sets
@@ -131,8 +142,11 @@ def test_clear_resets_ways():
     sets = mc.num_sets
     mc.insert(0, node(), True)
     mc.insert(sets, node(), True)
+    held = [*mc.sets, *mc.free_ways]
     mc.clear()
     assert len(mc) == 0
+    # refilled in place: the controller's install kernel may hold them
+    assert all(a is b for a, b in zip(held, [*mc.sets, *mc.free_ways]))
     # all ways free again: two inserts in set 0 evict nothing
     assert mc.insert(0, node(), False) is None
     assert mc.insert(sets, node(), False) is None

@@ -73,10 +73,13 @@ def test_metacache_against_model(ops):
             assert (removed is not None) == (found is not None)
             if found is not None:
                 entry_list.remove(found)
-    # final state agrees
+        # the touched set holds the model's entries in LRU order
+        assert [o for o, _, _ in cache.set_entries(set_of(off))] == \
+            [e[0] for e in entry_list]
+    # final state agrees, each set in LRU order
     for s, entries in model.items():
-        real = {off for off, _, _ in cache.set_entries(s)}
-        assert real == {off for off, _ in entries}
+        real = [off for off, _, _ in cache.set_entries(s)]
+        assert real == [off for off, _ in entries]
         for off, dirty in entries:
             assert cache.is_dirty(off) == dirty
 
