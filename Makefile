@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test test-fast coverage lint simlint ruff mypy faults-smoke \
-	sweep-smoke trace-smoke oracle-smoke explore-smoke serve-smoke \
+	figure-check trace-smoke oracle-smoke explore-smoke serve-smoke \
 	bench-gate bench-suite-smoke bench-ab conformance all
 
 all: lint test
@@ -42,20 +42,32 @@ faults-smoke:
 	cmp .faults-smoke/cold.txt .faults-smoke/warm.txt
 	rm -rf .faults-smoke
 
-# cold + warm mini-sweep through the repro.exec result cache: the two
-# stdouts must be byte-identical and the warm run must simulate nothing
-# (workloads chosen to produce finite normalized values at this scale)
-SWEEP_SMOKE = $(PYTHON) -m repro sweep --figure 13 \
-	--workload pers_hash --workload pers_swap \
-	--accesses 2000 --footprint 4096 --jobs 2 \
-	--cache-dir .sweep-smoke/cache
-sweep-smoke:
-	rm -rf .sweep-smoke && mkdir -p .sweep-smoke
-	$(SWEEP_SMOKE) > .sweep-smoke/cold.txt
-	$(SWEEP_SMOKE) > .sweep-smoke/warm.txt 2> .sweep-smoke/warm.err
-	grep -q "^sweep: [0-9]* cells, 0 simulated," .sweep-smoke/warm.err
-	cmp .sweep-smoke/cold.txt .sweep-smoke/warm.txt
-	rm -rf .sweep-smoke
+# the paper's figures end to end.  Cold: regenerate every checked-in
+# figure table (Figs. 9-17 at the defaults) through one result cache and
+# diff it against benchmarks/results/.  Warm: every figure again with
+# --check, so the paper's claims (repro.analysis.figures.CLAIMS) must
+# hold, no cell may be simulated and stdout must equal the cold tables
+# byte for byte.  On a diff, .figure-check/ keeps the regenerated tables
+FIGURE_TABLES = 9:fig09_exec_time 10:fig10_write_latency \
+	11:fig11_read_latency 12:fig12_exec_time_sc 13:fig13_write_traffic \
+	14:fig14_write_traffic_sc 15:fig15_energy 16:fig16_energy_sc \
+	17:fig17_recovery_time
+FIGURE = $(PYTHON) -m repro figure --jobs 2 --cache-dir .figure-check/cache
+figure-check:
+	rm -rf .figure-check && mkdir -p .figure-check
+	for t in $(FIGURE_TABLES); do \
+		$(FIGURE) $${t%%:*} > .figure-check/$${t#*:}.txt || exit 1; \
+	done
+	status=0; for t in $(FIGURE_TABLES); do \
+		diff -u benchmarks/results/$${t#*:}.txt .figure-check/$${t#*:}.txt \
+			|| status=1; \
+	done; exit $$status
+	$(FIGURE) --check > .figure-check/warm.txt 2> .figure-check/warm.err \
+		|| { grep -v "^\[" .figure-check/warm.err; exit 1; }
+	grep -q "^figure: [0-9]* cells, 0 simulated," .figure-check/warm.err
+	for t in $(FIGURE_TABLES); do cat .figure-check/$${t#*:}.txt; done \
+		| cmp - .figure-check/warm.txt
+	rm -rf .figure-check
 
 # full crash-space enumeration of a tiny trace (all four recovery
 # schemes, torn variants, recovery/double crashes, mutant self-test):

@@ -1,44 +1,20 @@
-"""Fig. 17 — recovery time versus metadata cache size.
+"""Fig. 17 — functional recoveries beside the analytic figure.
 
-Two reproductions:
-
-1. the paper's methodology exactly (all-dirty cache, 100 ns per NVM
-   read-and-verify) via the analytic model, matching the published
-   points (ASIT ~0.02 s, STAR ~0.065 s, Steins-GC ~0.08 s,
-   Steins-SC ~0.44 s at 4 MB);
-2. *measured* functional recoveries on instrumented systems — the
-   pytest-benchmark timing here is the wall-clock of the real recovery
-   code, and the modelled time comes from its actual NVM read count.
+The figure itself is the analytic model (all-dirty cache, 100 ns per NVM
+read-and-verify): ``python -m repro figure 17`` prints it, and
+``repro figure 17 --check`` checks the published points (ASIT ~0.02 s,
+STAR ~0.065 s, Steins-GC ~0.08 s, Steins-SC ~0.44 s at 4 MB) and their
+ordering.  This module times the *real* recovery code on instrumented
+scaled-down systems.  It checks only that each recovers at least one
+node; it does not compare the measured reads with the model.
 """
 import pytest
 
 from benchmarks.conftest import save_and_show
-from repro.analysis.figures import FigureHarness
-from repro.analysis.report import render_table
+from repro.analysis.figures import RECOVERABLE
 from repro.common.config import small_config
 from repro.common.rng import make_rng
 from repro.sim.runner import make_system
-
-RECOVERABLE = ("asit", "star", "steins-gc", "steins-sc")
-
-
-def test_fig17_analytic_sweep(benchmark, results_dir):
-    rows = benchmark.pedantic(FigureHarness.fig17_recovery_time,
-                              rounds=1, iterations=1)
-    table = render_table(
-        "Fig. 17: recovery time in seconds (all-dirty cache, 100ns/read)",
-        list(RECOVERABLE), rows, mean_row=False, fmt="{:.4f}",
-        baseline_note="paper at 4MB: ASIT 0.02s, STAR 0.065s, "
-                      "Steins-GC 0.08s, Steins-SC 0.44s")
-    save_and_show(results_dir, "fig17_recovery_time", table)
-
-    at4 = rows["4MB"]
-    benchmark.extra_info.update({v: round(at4[v], 4) for v in RECOVERABLE})
-    assert at4["asit"] == pytest.approx(0.02, rel=0.15)
-    assert at4["star"] == pytest.approx(0.065, rel=0.15)
-    assert at4["steins-gc"] == pytest.approx(0.08, rel=0.15)
-    assert at4["steins-sc"] == pytest.approx(0.44, rel=0.15)
-    assert at4["asit"] < at4["star"] < at4["steins-gc"] < at4["steins-sc"]
 
 
 @pytest.mark.parametrize("variant", RECOVERABLE)

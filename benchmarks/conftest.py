@@ -1,18 +1,17 @@
 """Shared benchmark fixtures.
 
-The figure benches share one simulation matrix (a session-scoped
-:class:`FigureHarness`): the first bench that needs a cell pays for it,
-the rest reuse it.  Scale knobs via environment variables:
+The paper's Figs. 9-17 are not benches: ``python -m repro figure``
+prints them and ``make figure-check`` checks them.  The ablation benches
+here scale via environment variables:
 
 * ``REPRO_BENCH_ACCESSES``   — accesses per (scheme, workload) cell
-  (default 30000; the paper runs 2B instructions in Gem5),
-* ``REPRO_BENCH_FOOTPRINT``  — workload footprint in 64 B blocks
-  (default 65536 = 4 MB before per-workload multipliers).
+  (default 30000, capped at 30000 by the benches that read it; the paper
+  runs 2B instructions in Gem5).
 
-Every bench writes its table to ``benchmarks/results/`` so the figures
+Every bench writes its table to ``benchmarks/results/`` so the tables
 are inspectable after the run without scraping pytest output.
 
-The matrix fills through ``repro.exec`` (docs/orchestration.md):
+Their cells run through ``repro.exec`` (docs/orchestration.md):
 
 * ``REPRO_BENCH_JOBS``       — worker processes for the cell fan-out
   (default 0 = one per CPU core; results are identical at any count),
@@ -30,25 +29,17 @@ import pytest
 
 sys.setrecursionlimit(100_000)
 
-from repro.analysis.figures import FigureHarness  # noqa: E402
-from repro.exec import ResultCache, run_sweep  # noqa: E402,F401
+from repro.exec import ResultCache  # noqa: E402
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 ACCESSES = int(os.environ.get("REPRO_BENCH_ACCESSES", "30000"))
-FOOTPRINT = int(os.environ.get("REPRO_BENCH_FOOTPRINT", str(1 << 16)))
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "0")) or (os.cpu_count() or 1)
 CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE", "")
 
 
 def bench_cache() -> ResultCache | None:
     return ResultCache(CACHE_DIR) if CACHE_DIR else None
-
-
-@pytest.fixture(scope="session")
-def harness() -> FigureHarness:
-    return FigureHarness(accesses=ACCESSES, footprint_blocks=FOOTPRINT,
-                         jobs=JOBS, cache=bench_cache())
 
 
 @pytest.fixture(scope="session")

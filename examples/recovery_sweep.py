@@ -11,15 +11,13 @@ Two parts:
 
 Run:  python examples/recovery_sweep.py
 """
-from repro.analysis.figures import FigureHarness
+from repro.analysis.figures import RECOVERABLE, FigureHarness
 from repro.analysis.recovery_model import scue_rebuild_estimate
 from repro.analysis.report import render_table
 from repro.common.config import small_config
 from repro.common.rng import make_rng
 from repro.common.units import GB, TB
 from repro.sim.runner import make_system
-
-RECOVERABLE = ("asit", "star", "steins-gc", "steins-sc")
 
 
 def measured_recovery(variant: str, writes: int = 2500) -> dict:
@@ -40,7 +38,7 @@ def measured_recovery(variant: str, writes: int = 2500) -> dict:
 
 def main() -> None:
     print("== analytic Fig. 17 (all-dirty cache, 100ns per read) ==")
-    rows = FigureHarness.fig17_recovery_time()
+    rows = FigureHarness().figure("17")
     print(render_table("recovery time (seconds) vs metadata cache size",
                        list(RECOVERABLE), rows, mean_row=False,
                        fmt="{:.4f}"))

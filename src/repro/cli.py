@@ -4,12 +4,11 @@ Commands
 --------
 ``run``       simulate one (variant, workload) cell and print metrics
 ``compare``   run all variants on one workload, print the normalized table
-``figure``    regenerate one of the paper's figures (9-17)
+``figure``    regenerate the paper's figures (9-17) and check its claims
 ``recover``   crash/recovery demo with timings
 ``storage``   the Sec. IV-E storage-overhead table
 ``overflow``  the Sec. III-B.2 counter-lifetime analysis
 ``workloads`` list the available workload profiles
-``sweep``     parallel figure-matrix sweep with a result cache (docs/orchestration.md)
 ``faults``    deterministic fault-injection campaign (see docs/fault_injection.md)
 ``oracle``    differential conformance suite vs the reference model (docs/testing.md)
 ``explore``   systematic crash-space exploration with state-digest pruning (docs/crash_exploration.md)
@@ -25,7 +24,8 @@ import os
 import sys
 
 from repro.analysis.charts import render_grouped_bars, render_series
-from repro.analysis.figures import FigureHarness, ZOO_VARIANTS
+from repro.analysis.figures import CLAIMS, FIGURES, PAPER_FIGURES, \
+    FigureHarness, failed_claims
 from repro.analysis.recovery_model import scue_rebuild_estimate
 from repro.analysis.report import render_kv, render_table
 from repro.analysis.storage import all_storage_breakdowns
@@ -34,31 +34,17 @@ from repro.common.rng import make_rng
 from repro.common.units import GB, TB, pretty_time_ns
 from repro.core.countergen import years_to_overflow
 from repro.exec import ResultCache
-from repro.sim.runner import GC_VARIANTS, SC_VARIANTS, RunSpec, VARIANTS, \
-    make_system, run_cell, run_trace
+from repro.sim.runner import RunSpec, VARIANTS, make_system, run_cell, \
+    run_trace
 from repro.workloads import ALL_PROFILES, PAPER_WORKLOADS
 
-FIGURES = {
-    "9": ("fig9_execution_time", GC_VARIANTS,
-          "execution time / WB-GC"),
-    "10": ("fig10_write_latency", GC_VARIANTS, "write latency / WB-GC"),
-    "11": ("fig11_read_latency", GC_VARIANTS, "read latency / WB-GC"),
-    "12": ("fig12_execution_time_sc", SC_VARIANTS,
-           "execution time / WB-SC"),
-    "13": ("fig13_write_traffic", GC_VARIANTS, "write traffic / WB-GC"),
-    "14": ("fig14_write_traffic_sc", SC_VARIANTS,
-           "write traffic / WB-SC"),
-    "15": ("fig15_energy", GC_VARIANTS, "energy / WB-GC"),
-    "16": ("fig16_energy_sc", SC_VARIANTS, "energy / WB-SC"),
-    "17": ("fig17_recovery_time", None, "recovery time (s)"),
-    "zoo": ("fig_zoo_execution_time", ZOO_VARIANTS,
-            "execution time / WB-GC, every registered variant"),
-}
-
-
-def _figure_order(number: str) -> tuple[int, int, str]:
-    """Paper figures first in numeric order, then named extras."""
-    return (0, int(number), "") if number.isdigit() else (1, 0, number)
+def _figure_number(text: str) -> str:
+    """argparse ``type`` for a figure number (``choices`` cannot check
+    an empty ``nargs="*"`` positional)."""
+    if text not in FIGURES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(FIGURES)})")
+    return text
 
 
 def _crash_sweep_parser(sub, name: str, summary: str, scheme_help: str, *,
@@ -112,11 +98,34 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--accesses", type=int, default=20_000)
     cmp_.add_argument("--footprint", type=int, default=1 << 15)
 
-    fig = sub.add_parser("figure", help="regenerate a paper figure")
-    fig.add_argument("number", choices=sorted(FIGURES, key=_figure_order))
+    fig = sub.add_parser(
+        "figure", help="regenerate the paper's figures and check its claims")
+    fig.add_argument("number", nargs="*", type=_figure_number, metavar="N",
+                     help=f"figure to print ({', '.join(FIGURES)}; "
+                          "default: every paper figure 9-17)")
+    fig.add_argument("--workload", action="append",
+                     choices=sorted(ALL_PROFILES), default=None,
+                     help="workload row (repeatable; default: the "
+                          "paper's ten)")
     fig.add_argument("--accesses", type=int, default=30_000)
+    fig.add_argument("--footprint", type=int, default=1 << 16,
+                     help="workload footprint in 64 B blocks")
+    fig.add_argument("--seed", type=int, default=2024)
+    fig.add_argument("--jobs", type=int, default=0,
+                     help="worker processes (0 = one per CPU core); the "
+                          "tables are identical at any job count")
+    fig.add_argument("--cache-dir", default=None,
+                     help="reuse completed cells from this result cache "
+                          "(off by default)")
+    fig.add_argument("--service", default=None,
+                     help="route the cells through a running `repro "
+                          "serve` socket (ignores --jobs/--cache-dir: "
+                          "the service owns both)")
     fig.add_argument("--chart", action="store_true",
-                     help="render bar charts instead of a number table")
+                     help="render bar charts instead of number tables")
+    fig.add_argument("--check", action="store_true",
+                     help="evaluate the paper's claims on the printed "
+                          "figures; exit 1 naming each one that fails")
 
     rec = sub.add_parser("recover", help="crash/recovery demo")
     rec.add_argument("variant", choices=[v for v in sorted(VARIANTS)
@@ -126,37 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("storage", help="Sec. IV-E storage overhead")
     sub.add_parser("overflow", help="Sec. III-B.2 counter lifetimes")
     sub.add_parser("workloads", help="list workload profiles")
-
-    sweep = sub.add_parser(
-        "sweep", help="parallel figure-matrix sweep with a result cache")
-    sweep.add_argument("--figure", action="append",
-                       choices=[n for n in sorted(FIGURES,
-                                                  key=_figure_order)
-                                if n != "17"],
-                       default=None,
-                       help="figure to regenerate (repeatable; default: "
-                            "every matrix figure 9-16)")
-    sweep.add_argument("--workload", action="append",
-                       choices=sorted(ALL_PROFILES), default=None,
-                       help="workload column (repeatable; default: the "
-                            "paper's ten)")
-    sweep.add_argument("--accesses", type=int, default=30_000)
-    sweep.add_argument("--footprint", type=int, default=1 << 16,
-                       help="workload footprint in 64 B blocks")
-    sweep.add_argument("--seed", type=int, default=2024)
-    sweep.add_argument("--jobs", type=int, default=0,
-                       help="worker processes (0 = one per CPU core)")
-    sweep.add_argument("--cache-dir", default=".repro-cache",
-                       help="content-addressed result cache directory")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="always simulate; do not read or write the "
-                            "cache")
-    sweep.add_argument("--chart", action="store_true",
-                       help="render bar charts instead of number tables")
-    sweep.add_argument("--service", default=None,
-                       help="route the sweep through a running `repro "
-                            "serve` socket (ignores --jobs/--cache-dir: "
-                            "the service owns both)")
 
     faults = _crash_sweep_parser(
         sub, "faults", "deterministic fault-injection campaign",
@@ -278,26 +256,47 @@ def cmd_compare(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    method, variants, label = FIGURES[args.number]
-    if args.number == "17":
-        rows = FigureHarness.fig17_recovery_time()
-        if args.chart:
-            print(render_series(f"Fig. 17: {label}", rows))
+    numbers = args.number or list(PAPER_FIGURES)
+    harness = FigureHarness(
+        accesses=args.accesses, footprint_blocks=args.footprint,
+        seed=args.seed,
+        workloads=tuple(args.workload) if args.workload else PAPER_WORKLOADS,
+        jobs=args.jobs or (os.cpu_count() or 1),
+        cache=ResultCache(args.cache_dir)
+        if args.cache_dir and not args.service else None,
+        service=args.service)
+    harness.progress = _sweep_progress
+    # one fan-out over every cell the requested figures read; the
+    # figure extractors below then hit only warm cells
+    harness.ensure_figures(numbers)
+    failed: list[str] = []
+    checked = 0
+    for number in numbers:
+        fig = FIGURES[number]
+        rows = harness.figure(number)
+        title = f"Fig. {number}: {fig.title}"
+        analytic = fig.baseline is None   # Fig. 17's seconds, no geomean
+        if args.chart and analytic:
+            print(render_series(title, rows))
+        elif args.chart:
+            print(render_grouped_bars(title, list(fig.variants), rows))
         else:
-            print(render_table(f"Fig. 17: {label}",
-                               ["asit", "star", "steins-gc", "steins-sc"],
-                               rows, mean_row=False, fmt="{:.4f}"))
+            print(render_table(title, list(fig.variants), rows,
+                               baseline_note=fig.note, mean_row=not analytic,
+                               fmt="{:.4f}" if analytic else "{:.3f}"))
+        if args.check:
+            failed += failed_claims(number, rows)
+            checked += sum(claim.figure == number for claim in CLAIMS)
+    report = harness.last_sweep
+    print(f"figure: {report.summary()}" if report is not None
+          else "figure: 0 cells, 0 simulated, 0 cached", file=sys.stderr)
+    if not args.check:
         return 0
-    harness = FigureHarness(accesses=args.accesses,
-                            workloads=PAPER_WORKLOADS)
-    rows = getattr(harness, method)()
-    if args.chart:
-        print(render_grouped_bars(f"Fig. {args.number}: {label}",
-                                  list(variants), rows))
-    else:
-        print(render_table(f"Fig. {args.number}: {label}", list(variants),
-                           rows))
-    return 0
+    for line in failed:
+        print(f"FAILED {line}", file=sys.stderr)
+    print(f"check: {checked - len(failed)} of {checked} claims hold",
+          file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_recover(args) -> int:
@@ -354,41 +353,6 @@ def _sweep_progress(done: int, total: int, outcome) -> None:
     status = "cached" if outcome.cached else f"{outcome.elapsed_s:.1f}s"
     print(f"[{done}/{total}] {outcome.spec.variant} x "
           f"{outcome.spec.workload} ({status})", file=sys.stderr)
-
-
-def cmd_sweep(args) -> int:
-    figures = args.figure or [n for n in sorted(FIGURES, key=_figure_order)
-                              if n not in ("17", "zoo")]
-    jobs = args.jobs or (os.cpu_count() or 1)
-    cache = None if args.no_cache or args.service \
-        else ResultCache(args.cache_dir)
-    workloads = tuple(args.workload) if args.workload else PAPER_WORKLOADS
-    harness = FigureHarness(accesses=args.accesses,
-                            footprint_blocks=args.footprint,
-                            seed=args.seed, workloads=workloads,
-                            jobs=jobs, cache=cache,
-                            service=args.service)
-    harness.progress = _sweep_progress
-    # one fan-out over the union of every requested figure's variants;
-    # the figure extractors below then hit only warm cells
-    needed = dict.fromkeys(
-        v for n in figures for v in FIGURES[n][1])
-    harness.ensure_matrix(tuple(needed))
-    report = harness.last_sweep
-    for number in figures:
-        method, variants, label = FIGURES[number]
-        rows = getattr(harness, method)()
-        if args.chart:
-            print(render_grouped_bars(f"Fig. {number}: {label}",
-                                      list(variants), rows))
-        else:
-            print(render_table(f"Fig. {number}: {label}", list(variants),
-                               rows))
-    if report is not None:
-        print(f"sweep: {report.summary()}", file=sys.stderr)
-    else:  # every cell was already resident (cache-only rerun)
-        print("sweep: 0 cells, 0 simulated, 0 cached", file=sys.stderr)
-    return 0
 
 
 def _run_crash_sweep(args, run, report_path: str | None = None,
@@ -553,7 +517,6 @@ def main(argv: list[str] | None = None) -> int:
         "storage": cmd_storage,
         "overflow": cmd_overflow,
         "workloads": cmd_workloads,
-        "sweep": cmd_sweep,
         "faults": cmd_faults,
         "oracle": cmd_oracle,
         "explore": cmd_explore,

@@ -5,7 +5,7 @@ One :class:`Tracer` handle is threaded through a simulated system
 NVM device, the metadata cache, and the controller).  Emission sites
 guard with ``if tracer.enabled:`` so a disabled tracer — the default
 ``NULL_TRACER`` — costs one attribute check per site and allocates
-nothing, which is what keeps `repro sweep` results byte-identical with
+nothing, which is what keeps `repro figure` results byte-identical with
 observability compiled out of the picture.
 
 Events are *typed*: every kind is declared in :data:`EVENT_SCHEMA` with

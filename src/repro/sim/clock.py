@@ -96,8 +96,8 @@ class MemClock:
         """Read whose latency the caller overlaps with other work.
 
         Returns ``(value, completion_time_ps)``; ``now_ps`` is *not*
-        advanced — the caller joins with ``join(completion_time)`` once
-        the parallel work is accounted.
+        advanced — once the parallel work is accounted, the caller moves
+        ``now_ps`` up to the completion time if it is still ahead.
         """
         issued = self.now_ps
         done = self._timing_read(
@@ -145,11 +145,6 @@ class MemClock:
         m = tr.metrics
         m.histogram("nvm.read.latency_ns").observe(ns_from_ps(done - issued))
         m.window("nvm.read.traffic", tr.window_ns).observe(ns_from_ps(issued))
-
-    def join(self, completion_time: int) -> None:
-        """Wait until an overlapped operation finishes."""
-        if completion_time > self.now_ps:
-            self.now_ps = completion_time
 
     # --------------------------------------------------- security units
     def hash_op(self, n: int = 1, on_critical_path: bool = True) -> None:

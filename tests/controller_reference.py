@@ -90,7 +90,8 @@ class CallPerCharge:
         value, done_data = self.clock.nvm_read_overlapped(
             Region.DATA, block_addr)
         self.clock.aes_op()
-        self.clock.join(done_data)
+        if done_data > self.clock.now_ps:
+            self.clock.now_ps = done_data
 
         plaintext = self._decrypt_and_verify(block_addr, counter, value)
         self.stats.data_reads += 1

@@ -1,6 +1,7 @@
 """CLI smoke tests (in-process: parse + dispatch + render)."""
 import pytest
 
+from repro.analysis.figures import FigureHarness
 from repro.cli import build_parser, main
 
 
@@ -45,6 +46,84 @@ def test_figure_17(capsys):
     assert main(["figure", "17"]) == 0
     out = capsys.readouterr().out
     assert "Fig. 17" in out and "4MB" in out
+
+
+#: a figure run small enough for the tier-1 suite
+TINY = ["--accesses", "300", "--footprint", "512",
+        "--workload", "pers_hash", "--jobs", "1"]
+
+
+def test_figure_runs_concatenate(capsys):
+    assert main(["figure", "9", "12", "17", *TINY]) == 0
+    together = capsys.readouterr().out
+    apart = ""
+    for number in ("9", "12", "17"):
+        assert main(["figure", number, *TINY]) == 0
+        apart += capsys.readouterr().out
+    assert together == apart
+    assert together.count("Fig. ") == 3
+
+
+def test_figure_warm_cache_simulates_nothing(tmp_path, capsys):
+    argv = ["figure", "13", *TINY, "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    cold = capsys.readouterr()
+    assert "figure: 4 cells, 4 simulated, 0 cached" in cold.err
+    assert main(argv) == 0
+    warm = capsys.readouterr()
+    assert "figure: 4 cells, 0 simulated, 4 cached" in warm.err
+    assert warm.out == cold.out
+
+
+def test_figure_check_holds_on_fig17(capsys):
+    assert main(["figure", "17", "--check"]) == 0
+    assert "check: 11 of 11 claims hold" in capsys.readouterr().err
+
+
+def _serve_rows(monkeypatch, rows):
+    """Make every figure read ``rows`` instead of simulating."""
+    monkeypatch.setattr(FigureHarness, "ensure_figures",
+                        lambda self, numbers: None)
+    monkeypatch.setattr(FigureHarness, "figure",
+                        lambda self, number: rows)
+
+
+FIG9_ROW = {"wb-gc": 1.0, "asit": 1.2, "star": 1.1, "steins-gc": 1.0}
+
+
+def test_figure_check_passes_on_holding_rows(monkeypatch, capsys):
+    _serve_rows(monkeypatch, {"mcf_r": FIG9_ROW})
+    assert main(["figure", "9", "--check"]) == 0
+    assert "check: 4 of 4 claims hold" in capsys.readouterr().err
+
+
+def test_figure_check_names_a_broken_claim(monkeypatch, capsys):
+    _serve_rows(monkeypatch, {"mcf_r": {**FIG9_ROW, "steins-gc": 1.15}})
+    assert main(["figure", "9", "--check"]) == 1
+    err = capsys.readouterr().err
+    assert "FAILED Fig. 9: Steins-GC runs faster than STAR: " \
+        "geomean steins-gc = 1.15 < geomean star = 1.1 does not hold" in err
+    assert err.count("FAILED") == 1
+    assert "check: 3 of 4 claims hold" in err
+
+
+def test_figure_check_fails_undefined_cells(monkeypatch, capsys):
+    # no cactusADM row, and a zero-baseline (None) steins-gc cell
+    row = {"wb-gc": 1.0, "asit": 2.0, "star": 1.5, "steins-gc": None}
+    _serve_rows(monkeypatch, {"lbm_r": row})
+    assert main(["figure", "13", "--check"]) == 1
+    err = capsys.readouterr().err
+    assert "FAILED Fig. 13: Steins-GC writes less than STAR: " \
+        "geomean steins-gc = undefined < geomean star = 1.5" in err
+    assert "steins-gc on cactusADM = undefined" in err
+    assert "check: 3 of 5 claims hold" in err
+
+
+def test_sweep_and_no_cache_are_gone():
+    for argv in (["sweep"], ["figure", "17", "--no-cache"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 @pytest.mark.slow

@@ -10,7 +10,10 @@ but the *directional* claims of the paper must already hold:
 """
 import pytest
 
-from repro.analysis.figures import FigureHarness, figure_config
+from collections import Counter
+
+from repro.analysis.figures import CLAIMS, FIGURES, PAPER_FIGURES, \
+    FigureHarness, figure_config
 from repro.common.units import KB, MB
 from repro.sim.stats import geometric_mean
 
@@ -24,7 +27,7 @@ def harness():
 
 @pytest.mark.slow
 def test_fig13_asit_doubles_write_traffic(harness):
-    rows = harness.fig13_write_traffic()
+    rows = harness.figure("13")
     for workload, row in rows.items():
         assert row["asit"] == pytest.approx(2.0, rel=0.15)
         assert row["wb-gc"] == 1.0
@@ -32,7 +35,7 @@ def test_fig13_asit_doubles_write_traffic(harness):
 
 @pytest.mark.slow
 def test_fig13_ordering(harness):
-    rows = harness.fig13_write_traffic()
+    rows = harness.figure("13")
     for workload, row in rows.items():
         assert row["steins-gc"] <= row["star"] + 0.05
         assert row["star"] < row["asit"] + 0.05
@@ -40,7 +43,7 @@ def test_fig13_ordering(harness):
 
 @pytest.mark.slow
 def test_fig9_steins_close_to_wb(harness):
-    rows = harness.fig9_execution_time()
+    rows = harness.figure("9")
     ratios = [row["steins-gc"] for row in rows.values()]
     assert geometric_mean(ratios) < 1.15
     for row in rows.values():
@@ -49,14 +52,14 @@ def test_fig9_steins_close_to_wb(harness):
 
 @pytest.mark.slow
 def test_fig10_write_latency_ordering(harness):
-    rows = harness.fig10_write_latency()
+    rows = harness.figure("10")
     for row in rows.values():
         assert row["steins-gc"] < row["asit"]
 
 
 @pytest.mark.slow
 def test_fig12_sc_beats_gc(harness):
-    rows = harness.fig12_execution_time_sc()
+    rows = harness.figure("12")
     for workload, row in rows.items():
         # Steins-SC ~ WB-SC; Steins-GC takes longer in absolute terms,
         # which shows as > 1 when normalized to WB-SC (Fig. 12)
@@ -66,15 +69,15 @@ def test_fig12_sc_beats_gc(harness):
 
 @pytest.mark.slow
 def test_fig15_energy_ordering(harness):
-    rows = harness.fig15_energy()
+    rows = harness.figure("15")
     for row in rows.values():
         assert row["asit"] > row["steins-gc"]
         assert row["asit"] > 1.3   # the shadow writes cost real energy
 
 
 def test_fig17_static_model():
-    rows = FigureHarness.fig17_recovery_time((256 * KB, 4 * MB))
-    assert set(rows) == {"256KB", "4MB"}
+    rows = FigureHarness().figure("17")
+    assert set(rows) == {"256KB", "512KB", "1MB", "2MB", "4MB"}
     at4 = rows["4MB"]
     assert at4["asit"] < at4["star"] < at4["steins-gc"] < at4["steins-sc"]
     assert at4["steins-sc"] == pytest.approx(0.44, rel=0.2)
@@ -93,3 +96,22 @@ def test_figure_config_keeps_security_params():
     assert cfg.nvm.twr_ns == 300.0
     # only the CPU-side caches shrink
     assert cfg.hierarchy.l3.size_bytes < 2 * MB
+
+
+def test_every_paper_figure_has_claims():
+    assert PAPER_FIGURES == tuple(str(n) for n in range(9, 18))
+    # one row per comparison; an interval is two rows
+    assert Counter(claim.figure for claim in CLAIMS) == {
+        "9": 4, "10": 2, "11": 4, "12": 2, "13": 5, "14": 2, "15": 2,
+        "16": 1, "17": 11}
+    assert len(CLAIMS) == 33
+
+
+def test_claims_name_their_figures_columns():
+    for claim in CLAIMS:
+        assert claim.op in ("<", "<=")
+        for term in (claim.left, claim.right):
+            if isinstance(term, tuple):
+                term = term[1]
+            if isinstance(term, str):
+                assert term in FIGURES[claim.figure].variants, claim

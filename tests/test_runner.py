@@ -72,7 +72,7 @@ def test_harness_respects_workload_subset():
     harness = FigureHarness(accesses=500, footprint_blocks=512,
                             workloads=("pers_swap",),
                             cfg=small_config())
-    rows = harness.fig9_execution_time()
+    rows = harness.figure("9")
     assert list(rows) == ["pers_swap"]
     assert set(rows["pers_swap"]) == set(GC_VARIANTS)
 
