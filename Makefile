@@ -47,7 +47,13 @@ faults-smoke:
 # diff it against benchmarks/results/.  Warm: every figure again with
 # --check, so the paper's claims (repro.analysis.figures.CLAIMS) must
 # hold, no cell may be simulated and stdout must equal the cold tables
-# byte for byte.  On a diff, .figure-check/ keeps the regenerated tables
+# byte for byte.  On a diff, .figure-check/ keeps the regenerated tables.
+# Last, the table benches (ablations, scalability, storage, Fig. 17's
+# recovery sweep) run their asserts and rewrite their tables, which must
+# equal the checked-in ones (obs_overhead.txt is host timing: left out)
+TABLE_BENCHES = benchmarks/bench_ablation_*.py \
+	benchmarks/bench_scalability.py benchmarks/bench_table_storage.py \
+	benchmarks/bench_fig17_recovery_time.py
 FIGURE_TABLES = 9:fig09_exec_time 10:fig10_write_latency \
 	11:fig11_read_latency 12:fig12_exec_time_sc 13:fig13_write_traffic \
 	14:fig14_write_traffic_sc 15:fig15_energy 16:fig16_energy_sc \
@@ -68,6 +74,8 @@ figure-check:
 	for t in $(FIGURE_TABLES); do cat .figure-check/$${t#*:}.txt; done \
 		| cmp - .figure-check/warm.txt
 	rm -rf .figure-check
+	$(PYTHON) -m pytest $(TABLE_BENCHES) --benchmark-disable
+	git diff --exit-code -- benchmarks/results/
 
 # full crash-space enumeration of a tiny trace (all four recovery
 # schemes, torn variants, recovery/double crashes, mutant self-test):

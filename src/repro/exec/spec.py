@@ -49,10 +49,14 @@ from repro.common.records import Fields, strict_record
 #: the kind is part of the key, so old oracle entries are never looked up.
 #: Schema 6: a probe payload records its trace's length (``accesses``),
 #: so a schema-5 probe no longer decodes.
+#: Schema 7: one case runner.  A clean run that detects something with
+#: no mutant planted is ``diverged`` (it was ``detected``), its detail
+#: names the phase, and tamper cells are clean/case plans with an
+#: ``attack`` (the "tamper" mode is gone).
 #: A bump only changes keys *computed from now on* — older entries sit
 #: at their old addresses, never looked up and never invalidated
 #: retroactively.
-CACHE_SCHEMA = 6
+CACHE_SCHEMA = 7
 
 #: the cell kinds the executor knows how to run
 KINDS = ("sim", "explore")
@@ -72,17 +76,18 @@ class CellSpec:
     ``kind`` selects the worker routine:
 
     * ``"sim"``    — one (variant, workload) figure cell -> ``RunResult``
-    * ``"explore"`` — one unit of the crash engine (digest probe, clean
-      run, crash candidate or tamper, including every fault-campaign
-      and oracle case) -> ``ExploreProbe`` / ``ExploreCaseResult``
+    * ``"explore"`` — one unit of the crash engine (a digest probe, or a
+      clean run or crash candidate, either optionally under an attack
+      or a mutant: every fault-campaign and oracle case) ->
+      ``ExploreProbe`` / ``ExploreCaseResult``
 
     ``variant`` is a paper variant name for ``"sim"`` cells and a bare
     scheme name for ``"explore"`` cells.
     ``config`` is the full system configuration as produced by
     :func:`repro.exec.configio.config_to_dict` (``None`` means the
-    default Table I configuration).  ``fault`` holds the case plan
-    (mode, crash fire, torn budget, attack/mutant name) of an explore
-    cell.
+    default Table I configuration).  ``fault`` holds the plan of an
+    explore cell (mode, crash fire, torn budget, attack/mutant name),
+    which :func:`repro.explore.runner.decode_plan` checks strictly.
     """
 
     kind: str

@@ -36,7 +36,6 @@ from repro.explore.runner import (
     ExploreCaseResult,
     ExploreProbe,
     run_case,
-    run_clean,
     run_explore_cell,
     run_probe,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "phase2_plans",
     "phase3_plans",
     "run_case",
-    "run_clean",
     "run_explore",
     "run_explore_cell",
     "run_probe",

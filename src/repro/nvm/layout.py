@@ -19,8 +19,7 @@ from repro.common.errors import LayoutError
 class Region(enum.Enum):
     """Named NVM regions."""
 
-    DATA = "data"          #: user data blocks (ciphertext)
-    DATA_MAC = "data_mac"  #: per-data-block HMAC entries (+ counter echo)
+    DATA = "data"          #: user data blocks (ciphertext, HMAC, echo)
     TREE = "tree"          #: SIT/BMT nodes — the "metadata region"
     RECORDS = "records"    #: Steins offset record lines
     SHADOW = "shadow"      #: ASIT shadow table
@@ -49,17 +48,11 @@ class MemoryLayout:
             if getattr(self, name) < 0:
                 raise LayoutError(f"{name} must be non-negative")
 
-    @property
-    def data_mac_lines(self) -> int:
-        """One 8 B MAC entry per data block, 8 entries per 64 B line."""
-        return (self.data_lines + 7) // 8
-
     @cached_property
     def _limits(self) -> dict[Region, int]:
         """Per-region line counts, computed once (the layout is frozen)."""
         return {
             Region.DATA: self.data_lines,
-            Region.DATA_MAC: self.data_mac_lines,
             Region.TREE: self.tree_lines,
             Region.RECORDS: self.record_lines,
             Region.SHADOW: self.shadow_lines,

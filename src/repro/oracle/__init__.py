@@ -9,11 +9,11 @@ package splits into:
   crash durability;
 * :mod:`repro.oracle.harness` — the lockstep differential runner every
   crash check drives (the crash engine in :mod:`repro.explore.runner`
-  included) and the tamper case runner;
+  included);
 * :mod:`repro.oracle.mutants` — seeded controller bugs proving the
   oracle catches the claimed classes;
 * :mod:`repro.oracle.sweep`   — suite planning plus the parallel,
   cached sweep over schemes x workloads x cases (``repro oracle`` on
-  the command line); its clean and crash cases run on the crash
-  engine.
+  the command line); its clean, crash, tamper and mutant cases run on
+  the crash engine's one case runner.
 """

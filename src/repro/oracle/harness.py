@@ -22,29 +22,17 @@ controller directly and trusts nothing but the model, so a
 misconception shared by a scheme and the simulator stack still diverges
 here.
 
-Clean, crash and mutant cases run on the crash engine in
-:mod:`repro.explore.runner` (``run_clean``/``run_case``), which drives a
-:class:`DifferentialRun`.  This module keeps the runner for the attack
-claim class, which the engine dispatches as ``{"mode": "tamper"}``
-cells: :func:`run_tamper_case` stages a :mod:`repro.attacks`
-tamper/replay between crash and recovery, which must surface as a
-detection error (or be provably neutralized), never as silently wrong
-data.
-
-Tamper outcomes: ``detected`` (a detection error surfaced — the
-expected result of tampering), ``neutralized`` (a tamper was
-overwritten by recovery and all data read back correct — SCUE's
-whole-tree rebuild does this), ``diverged`` (any silent disagreement —
-always a bug).
+Every oracle case — clean, crash, tamper and mutant — runs on the one
+case runner of the crash engine, :func:`repro.explore.runner.run_case`,
+which drives a :class:`DifferentialRun` and reports an
+:class:`ExploreCaseResult`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from typing import Any
 
-from repro.attacks.injector import AttackInjector
 from repro.common.config import SystemConfig
-from repro.common.errors import ConfigError, IntegrityError, RecoveryError
 from repro.common.records import Fields, strict_record
 from repro.common.rng import mix64
 from repro.nvm.layout import Region
@@ -52,10 +40,6 @@ from repro.oracle.model import OracleViolation
 from repro.sim.crash import Divergence, recovery_divergences
 from repro.sim.system import SecureNVMSystem
 from repro.workloads.trace import TraceArrays
-
-#: attack kinds run_tamper_case knows how to stage
-TAMPER_KINDS = ("data-bits", "data-mac", "data-replay", "tree-counter",
-                "tree-replay")
 
 #: the exact encodings :meth:`ExploreCaseResult.from_json` accepts
 _CASE_FIELDS: Fields = {
@@ -186,108 +170,3 @@ class DifferentialRun:
                 self.divergences.append(Divergence(
                     "readback", f"block {addr}",
                     str(self.model.read(addr)), str(value)))
-
-
-# ---------------------------------------------------------- tamper runs
-def _replay_target(dr: DifferentialRun) -> int:
-    """The most-rewritten block: its stale recording is guaranteed to
-    disagree with the current contents."""
-    counts = dr.model.write_counts
-    rewritten = sorted(a for a, n in counts.items() if n >= 2)
-    if not rewritten:
-        raise RecoveryError("trace produced no rewritten block to replay")
-    return max(rewritten, key=lambda a: (counts[a], a))
-
-
-def _straddling_target(trace: TraceArrays, half: int) -> int:
-    """A block written in *both* halves of the trace: recording it at
-    the halfway flush guarantees the recording is stale by the end."""
-    first = {int(a) for w, a in zip(trace.is_write[:half],
-                                    trace.address[:half]) if w}
-    second = {int(a) for w, a in zip(trace.is_write[half:],
-                                     trace.address[half:]) if w}
-    both = sorted(first & second)
-    if not both:
-        raise RecoveryError(
-            "trace has no block written in both halves to replay")
-    return both[0]
-
-
-def run_tamper_case(kind: str, scheme: str, trace: TraceArrays,
-                    cfg: SystemConfig) -> ExploreCaseResult:
-    """Stage one attack between crash and recovery (or against stored
-    data) and require a loud outcome.
-
-    ``detected``    — a detection error surfaced (the expected result),
-    ``neutralized`` — recovery healed the attack and every block read
-                      back correct (legitimate for rebuild-from-data
-                      schemes like SCUE),
-    ``diverged``    — wrong data returned silently, or the attack left
-                      no observable trace where one was required.
-    """
-    if kind not in TAMPER_KINDS:
-        raise ConfigError(f"unknown tamper kind {kind!r}; "
-                          f"pick one of {TAMPER_KINDS}")
-    dr = DifferentialRun(scheme, cfg)
-    injector = AttackInjector(dr.system.device)
-    half = len(trace) // 2
-    dr.run_trace(trace, end=half)
-
-    recorded: int | None = None
-    tree_offset: int | None = None
-    if kind == "data-replay":
-        # record a line now; the second half rewrites it
-        dr.controller.flush_all()
-        recorded = _straddling_target(trace, half)
-        injector.record(Region.DATA, recorded)
-    if kind == "tree-replay":
-        dr.controller.flush_all()
-        # record the persisted leaf covering the replay target; the
-        # second half advances it again
-        recorded = _straddling_target(trace, half)
-        g = dr.controller.geometry
-        tree_offset = g.node_offset(0, g.leaf_for_block(recorded))
-        injector.record(Region.TREE, tree_offset)
-
-    dr.run_trace(trace, start=half)
-    dr.controller.flush_all()
-
-    try:
-        if kind == "data-bits":
-            addr = _replay_target(dr)
-            injector.tamper_data_block(addr)
-        elif kind == "data-mac":
-            addr = _replay_target(dr)
-            injector.tamper_data_mac(addr)
-        elif kind == "data-replay":
-            assert recorded is not None
-            if dr.model.write_counts[recorded] < 2:
-                raise RecoveryError(
-                    "replay target was not rewritten after recording")
-            injector.replay(Region.DATA, recorded)
-        elif kind == "tree-counter":
-            g = dr.controller.geometry
-            addr = _replay_target(dr)
-            tree_offset = g.node_offset(0, g.leaf_for_block(addr))
-            injector.tamper_tree_counter(tree_offset)
-        elif kind == "tree-replay":
-            assert tree_offset is not None
-            injector.replay(Region.TREE, tree_offset)
-        if kind in ("tree-counter", "tree-replay"):
-            # tree lines are only re-fetched once the cached copies are
-            # gone: crash and recover (recovery-capable schemes only)
-            dr.system.crash()
-            dr.system.recover()
-        dr.verify_end_state()
-    # the detection error is the *expected* terminal outcome here
-    # simlint: disable-next=SL402 -- classified, not swallowed
-    except (IntegrityError, RecoveryError) as exc:
-        outcome, detail = "detected", str(exc)
-    else:
-        # nothing detected, nothing wrong: only legitimate when recovery
-        # rebuilds the attacked structure from verified data
-        outcome = "diverged" if dr.divergences else "neutralized"
-        detail = ""
-    return ExploreCaseResult(
-        outcome=outcome, crash_point=kind, detail=detail,
-        divergences=[d.to_json() for d in dr.divergences])

@@ -8,20 +8,25 @@ cases are ``"explore"`` cells on the crash engine, so they fan out over
 processes and a warm rerun is answered from the content-addressed cache
 without simulating anything:
 
-* ``clean``  — untampered run + graceful shutdown + full read-back,
+* ``clean``  — untampered run + graceful shutdown + full read-back
+  (a ``{"mode": "clean"}`` case: no crash trigger),
 * ``crash``  — power failure at the first, middle and last fire of
   *every* injection point the scheme actually fires, plus
   crash-during-recovery doses (the
   :func:`~repro.explore.planner.first_middle_last_plans` policy over
   one probe cell per scheme and workload),
-* ``tamper`` — :mod:`repro.attacks` tampers/replays that must be
-  detected or provably neutralized,
+* ``tamper`` — a plan with an ``attack``
+  (:data:`~repro.explore.runner.TAMPER_KINDS`) that must be detected or
+  provably neutralized: data attacks on a clean run's flushed image,
+  tree attacks between a shutdown crash and recovery
+  (:func:`tamper_plans_for`),
 * ``mutant`` — seeded controller bugs (:mod:`repro.oracle.mutants`),
   each run clean or crashed as it declares, that must come back in
   :data:`~repro.explore.runner.CAUGHT_OUTCOMES` (the oracle's
   self-test).
 
-A cell's role is read off its plan (:func:`role_of`); every cell yields
+A cell's role is read off its plan (:func:`role_of`); every case runs on
+the one case runner, :func:`~repro.explore.runner.run_case`, and yields
 an :class:`~repro.oracle.harness.ExploreCaseResult`.
 
 The acceptance bar, encoded in :meth:`SuiteSummary.failures`: zero
@@ -37,22 +42,27 @@ from repro.exec.cache import ResultCache
 from repro.exec.pool import ProgressFn
 from repro.explore.explorer import Cell, CellBatcher
 from repro.explore.planner import first_middle_last_plans
-from repro.explore.runner import CAUGHT_OUTCOMES, ExploreProbe
-from repro.oracle.harness import TAMPER_KINDS, ExploreCaseResult
+from repro.explore.runner import (
+    CAUGHT_OUTCOMES,
+    TAMPER_KINDS,
+    ExploreCaseResult,
+    ExploreProbe,
+)
 from repro.oracle.mutants import MUTANTS
 from repro.schemes import get_scheme, resolve_schemes
 
-#: tamper kinds that need a crash/recover cycle to force tree refetches
-_TREE_TAMPERS = ("tree-counter", "tree-replay")
-
 
 def tamper_plans_for(scheme: str) -> list[dict[str, Any]]:
-    """Tamper kinds applicable to a scheme (tree tampers need the
-    crash/recover cycle, so they are skipped on non-recovering WB)."""
+    """One plan per attack applicable to a scheme: data attacks corrupt
+    the image after a clean run's graceful flush; tree attacks need the
+    crash/recover cycle to force tree refetches, so they crash at the
+    shutdown boundary and are skipped on non-recovering WB."""
     recovers = get_scheme(scheme).supports_recovery
-    return [{"mode": "tamper", "attack": kind}
+    return [{"mode": "case", "at_shutdown": True, "attack": kind}
+            if kind.startswith("tree-") else
+            {"mode": "clean", "attack": kind}
             for kind in TAMPER_KINDS
-            if recovers or kind not in _TREE_TAMPERS]
+            if recovers or not kind.startswith("tree-")]
 
 
 def mutant_plans_for(scheme: str,
@@ -78,12 +88,13 @@ def mutant_plans_for(scheme: str,
 
 
 def role_of(plan: dict[str, Any]) -> str:
-    """The suite role of one cell plan: ``mutant``, ``tamper``,
-    ``clean`` or ``crash``."""
+    """The suite role of one cell plan: ``mutant``, ``tamper`` (an
+    ``attack``), ``clean`` or ``crash``."""
     if "mutant" in plan:
         return "mutant"
-    mode = plan.get("mode")
-    return mode if mode in ("tamper", "clean") else "crash"
+    if "attack" in plan:
+        return "tamper"
+    return "clean" if plan["mode"] == "clean" else "crash"
 
 
 @dataclass

@@ -59,7 +59,6 @@ register_scheme("scue", SCUEController, SchemeCapabilities(
 register_scheme("steins", SteinsController, SchemeCapabilities(
     counter_modes=(_GC, _SC),
     recovery="nv-buffer-replay",
-    uses_nv_buffer=True,
     fault_points=("steins.drain", POINT_RECOVERY),
     stats_keys=("buffer_drains", "buffered_parent_updates",
                 "osiris_stop_loss_writes"),

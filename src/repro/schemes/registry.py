@@ -63,8 +63,6 @@ class SchemeCapabilities:
     counter_modes: tuple[CounterMode, ...]
     #: one of :data:`RECOVERY_STYLES`
     recovery: str
-    #: whether the scheme stages updates in an NV/ADR buffer at runtime
-    uses_nv_buffer: bool = False
     #: injection points beyond :data:`BASE_FAULT_POINTS` the scheme fires
     fault_points: tuple[str, ...] = ()
     #: ``ControllerStats.extra`` keys the scheme bumps

@@ -1,6 +1,7 @@
 """Boundary decoders fail loudly: ``CellSpec.from_json``,
 ``ExploreCaseResult.from_json``, ``ExploreProbe.from_json``,
-``config_from_dict``, ``load_trace`` and the sweep service's reply
+``decode_plan`` (an explore cell's plan), ``config_from_dict``,
+``load_trace`` and the sweep service's reply
 frames (``check_reply``: a submit stream's and the one-shot ``stats``,
 ``pong`` and ``bye``).
 
@@ -8,7 +9,8 @@ Each accepts exactly the encoding its ``to_json`` (``config_to_dict``,
 ``save_trace``) writes.  Hypothesis draws a valid encoding, checks that
 it decodes, then drops, adds, retypes or truncates the name of one key
 (for a probe, also of one fire; for a config, at any nesting depth; for
-a trace file, of its metadata, or spoils one column) and requires
+a plan, the mode is the one key it cannot drop; for a trace file, of
+its metadata, or spoils one column) and requires
 :class:`ConfigError` (:class:`ProtocolError` for a service frame): any
 other exception type, or a silent decode, fails the test.
 """
@@ -26,7 +28,13 @@ from repro.common.config import CounterMode, default_config, small_config
 from repro.common.errors import ConfigError
 from repro.exec.configio import config_from_dict, config_to_dict
 from repro.exec.spec import KINDS, CellSpec
-from repro.explore.runner import ExploreCaseResult, ExploreProbe
+from repro.explore.runner import (
+    PLAN_KEYS,
+    TAMPER_KINDS,
+    ExploreCaseResult,
+    ExploreProbe,
+    decode_plan,
+)
 from repro.serve.protocol import (
     REPLY_OPS,
     ProtocolError,
@@ -181,6 +189,59 @@ def test_mutated_fire_raises_config_error(data, choice):
         fire[slot] = retype(choice.draw, fire[slot])
     with pytest.raises(ConfigError):
         ExploreProbe.from_json(data)
+
+
+#: a valid value of each optional plan key
+PLAN_VALUES = {"mutant": text, "attack": st.sampled_from(TAMPER_KINDS),
+               "point": text, "crash_after": small_int,
+               "recovery_crash_after": small_int,
+               "second_crash_after": small_int, "residual_words": small_int,
+               "at_shutdown": st.booleans()}
+
+
+@st.composite
+def plan_encodings(draw):
+    mode = draw(st.sampled_from(sorted(PLAN_KEYS)))
+    keys = draw(st.lists(st.sampled_from(sorted(PLAN_KEYS[mode])),
+                         unique=True))
+    return {"mode": mode, **{k: draw(PLAN_VALUES[k]) for k in keys}}
+
+
+@st.composite
+def mutated_plans(draw):
+    """A valid plan with its mode dropped, a key its mode does not take
+    added, or one key retyped (a mode or attack also to an unknown
+    name)."""
+    data = draw(plan_encodings())
+    how = draw(st.sampled_from(["drop", "add", "retype", "rename"]))
+    key = draw(st.sampled_from(sorted(data)))
+    if how == "drop":
+        del data["mode"]
+    elif how == "add":
+        allowed = PLAN_KEYS[data["mode"]].keys() | {"mode"}
+        data[draw(text.filter(lambda k: k not in allowed))] = draw(
+            st.sampled_from(ANY_VALUE))
+    elif how == "retype":
+        data[key] = retype(draw, data[key])
+    elif key in ("mode", "attack"):
+        data[key] = draw(text.filter(
+            lambda v: v not in PLAN_KEYS and v not in TAMPER_KINDS))
+    else:
+        data[key[:-1]] = data.pop(key)
+    return data
+
+
+@settings(max_examples=scaled(60))
+@given(data=plan_encodings())
+def test_plan_encoding_decodes(data):
+    assert decode_plan(json_round_trip(data)) == data
+
+
+@settings(max_examples=scaled(150))
+@given(data=mutated_plans())
+def test_mutated_plan_raises_config_error(data):
+    with pytest.raises(ConfigError):
+        decode_plan(data)
 
 
 config_encodings = st.sampled_from([

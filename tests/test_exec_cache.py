@@ -122,8 +122,8 @@ class TestCacheSchema:
     def test_schema_is_six(self):
         from repro.exec.spec import CACHE_SCHEMA, KINDS
 
-        # schema 6: probe payloads record their trace length
-        assert CACHE_SCHEMA == 6
+        # schema 7: one case runner (clean plans are crashless cases)
+        assert CACHE_SCHEMA == 7
         assert "explore" in KINDS
 
     @pytest.mark.parametrize("kind", ["probe", "fault", "oracle"])

@@ -312,6 +312,25 @@ class TestRunCase:
                      {"mode": "case", "crash_after": 5,
                       "mutant": "gremlin"})
 
+    @pytest.mark.parametrize("plan", [
+        {"mode": "case", "crash_afer": 5},        # a misspelt trigger
+        {"mode": "clean", "crash_after": 5},      # a clean run never crashes
+        {"mode": "case", "crash_after": True},    # a bool is no fire index
+        {"mode": "tamper", "attack": "data-bits"},  # the retired mode
+        {"mode": "probe", "attack": "data-bits"},
+    ], ids=["misspelt", "clean-crash", "bool-fire", "tamper", "probe"])
+    def test_malformed_plan_rejected(self, plan, explore_cfg, tiny_trace):
+        """Both entry points decode the plan strictly: no key is read
+        with a default that hides a typo or a mistyped value."""
+        with pytest.raises(ConfigError):
+            run_explore_cell("steins", plan, explore_cfg, tiny_trace)
+        with pytest.raises(ConfigError):
+            run_case("steins", explore_cfg, tiny_trace, plan)
+
+    def test_probe_plan_is_not_a_case(self, explore_cfg, tiny_trace):
+        with pytest.raises(ConfigError, match="run_probe"):
+            run_case("steins", explore_cfg, tiny_trace, {"mode": "probe"})
+
 
 # ------------------------------------------------- executor integration
 class TestExecIntegration:

@@ -134,7 +134,7 @@ def test_layout_region_math():
                           metadata_cache_lines=64)
     # 64 cache lines -> 64 records -> 4 record lines of 16 entries
     assert layout.record_lines == 4
-    assert layout.data_mac_lines == 128
+    assert layout.region_lines(Region.DATA) == 1024
     assert layout.region_lines(Region.TREE) == 256
     # flat addressing: regions do not overlap
     ends = []

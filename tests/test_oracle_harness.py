@@ -2,9 +2,10 @@
 
 Each oracle case is exercised directly on short traces: clean runs must
 match, targeted crashes (run on the crash engine, ``repro.explore``)
-must recover and match, staged tampers must be loud, and a deliberately
-lying controller or a forged recovery must produce a divergence —
-proving the harness can actually fail.
+must recover and match, staged attacks must be loud (or come back
+``inapplicable`` when they have nothing to corrupt), and a deliberately
+lying controller, a forged recovery or a spurious detection must
+produce a divergence — proving the harness can actually fail.
 """
 import json
 
@@ -12,22 +13,22 @@ import numpy as np
 import pytest
 
 from repro.common.config import small_config
-from repro.common.errors import ConfigError, RecoveryError
+from repro.common.errors import (
+    ConfigError,
+    RecoveryError,
+    TamperDetectedError,
+)
 from repro.explore.runner import (
+    TAMPER_KINDS,
     ExploreCaseResult,
+    _snoop,
     run_case,
-    run_clean,
     run_explore_cell,
 )
 from repro.integrity.node import SITNode
 from repro.nvm.layout import Region
-from repro.oracle.harness import (
-    TAMPER_KINDS,
-    DifferentialRun,
-    Divergence,
-    _straddling_target,
-    run_tamper_case,
-)
+from repro.oracle.harness import DifferentialRun, Divergence
+from repro.oracle.sweep import SuiteSummary, tamper_plans_for
 from repro.sim.crash import check_recovered
 from repro.workloads import get_profile
 from repro.workloads.trace import TraceArrays
@@ -76,7 +77,7 @@ def test_clean_case_matches(scheme, cfg, trace, monkeypatch):
         runs.append(self)
 
     monkeypatch.setattr(DifferentialRun, "__init__", spy)
-    result = run_clean(scheme, cfg, trace)
+    result = run_case(scheme, cfg, trace, {"mode": "clean"})
     assert result.outcome == "match"
     assert result.divergences == []
     (dr,) = runs
@@ -242,7 +243,7 @@ def test_both_entry_points_flag_the_same_states(state, cfg, trace):
 # ----------------------------------------------------------- crash cases
 def test_crash_case_recovers_and_matches(cfg, trace):
     result = run_case("steins", cfg, trace,
-                      {"mode": "crash", "point": "controller.write",
+                      {"mode": "case", "point": "controller.write",
                        "crash_after": 5})
     assert result.outcome == "match"
     assert result.crash_point
@@ -251,43 +252,107 @@ def test_crash_case_recovers_and_matches(cfg, trace):
 
 def test_crash_case_on_wb_is_unsupported(cfg, trace):
     result = run_case("wb", cfg, trace,
-                      {"mode": "crash", "point": "controller.write",
+                      {"mode": "case", "point": "controller.write",
                        "crash_after": 5})
     assert result.outcome == "unsupported"
 
 
 def test_crash_beyond_fire_span_reports_no_crash(cfg, trace):
     result = run_case("steins", cfg, trace,
-                      {"mode": "crash", "point": "controller.write",
+                      {"mode": "case", "point": "controller.write",
                        "crash_after": 10_000_000})
     assert result.outcome == "no_crash"
 
 
 def test_crash_during_recovery_still_converges(cfg, trace):
     result = run_case("steins", cfg, trace,
-                      {"mode": "crash", "point": "recovery.step",
+                      {"mode": "case", "point": "recovery.step",
                        "crash_after": 40, "recovery_crash_after": 1})
     assert result.outcome == "match"
     assert result.recovery_crashed
 
 
+# ---------------------------------------------- spurious clean detections
+def _detect_at(when):
+    """A stand-in for ``DifferentialRun`` ``step`` (``"run"``) or
+    ``verify_end_state`` (``"read-back"``) that detects a tamper nobody
+    staged."""
+    def detect(*args):
+        raise TamperDetectedError(f"spurious detection at {when}")
+    return detect
+
+
+@pytest.mark.parametrize("when, method", [("run", "step"),
+                                          ("read-back", "verify_end_state")])
+def test_spurious_clean_detection_diverges(when, method, cfg, trace,
+                                           monkeypatch):
+    """With no mutant planted and no attack staged, a detection error in
+    a clean run is a bug (``diverged``), as before a crash in a case;
+    under a mutant or an attack it is the expected catch."""
+    monkeypatch.setattr(DifferentialRun, method, _detect_at(when))
+    result = run_case("steins", cfg, trace, {"mode": "clean"})
+    assert result.outcome == "diverged"
+    assert result.detail == (f"{when}: TamperDetectedError: spurious "
+                             f"detection at {when}")
+    for extra in ({"mutant": "stale-read"}, {"attack": "data-bits"}):
+        result = run_case("steins", cfg, trace, {"mode": "clean", **extra})
+        assert result.outcome == "detected", extra
+
+
 # ---------------------------------------------------------- tamper cases
+def attack_plan(scheme, kind):
+    """The oracle's plan for one attack on ``scheme``."""
+    return {p["attack"]: p for p in tamper_plans_for(scheme)}[kind]
+
+
 @pytest.mark.parametrize("kind", TAMPER_KINDS)
 def test_tampers_are_loud_on_steins(kind, cfg, trace):
-    result = run_tamper_case(kind, "steins", trace, cfg)
+    result = run_case("steins", cfg, trace, attack_plan("steins", kind))
     assert result.outcome == "detected", result.detail
 
 
 def test_unknown_tamper_kind_rejected(cfg, trace):
-    with pytest.raises(ConfigError):
-        run_tamper_case("voltage-glitch", "steins", trace, cfg)
+    with pytest.raises(ConfigError, match="unknown attack"):
+        run_case("steins", cfg, trace,
+                 {"mode": "clean", "attack": "voltage-glitch"})
     with pytest.raises(ConfigError):
         run_explore_cell("steins", {"mode": "tamper"}, cfg, trace)
+    with pytest.raises(ConfigError):
+        run_explore_cell("steins", {"mode": "tamper",
+                                    "attack": "data-bits"}, cfg, trace)
 
 
-def test_straddling_target_needs_a_block_in_both_halves():
+def test_straddling_target_needs_a_block_in_both_halves(cfg):
+    dr = DifferentialRun("steins", cfg)
     disjoint = make_trace([(True, 1), (True, 2), (True, 3), (True, 4)])
-    with pytest.raises(RecoveryError):
-        _straddling_target(disjoint, half=2)
+    assert _snoop(dr, "data-replay", disjoint) is None
     straddling = make_trace([(True, 1), (True, 2), (True, 2), (False, 1)])
-    assert _straddling_target(straddling, half=2) == 2
+    assert _snoop(dr, "data-replay", straddling) == (Region.DATA, 2, None)
+    g = dr.controller.geometry
+    assert _snoop(dr, "tree-replay", straddling)[:2] == (
+        Region.TREE, g.node_offset(0, g.leaf_for_block(2)))
+
+
+@pytest.mark.parametrize("kind", TAMPER_KINDS)
+def test_attack_without_a_target_is_inapplicable(kind, cfg):
+    """Four writes to four blocks rewrite nothing and straddle nothing:
+    no attack has a target, so none may pass as ``detected``, and the
+    oracle's tamper role rejects the verdict."""
+    disjoint = make_trace([(True, 1), (True, 2), (True, 3), (True, 4)])
+    plan = attack_plan("steins", kind)
+    result = run_case("steins", cfg, disjoint, plan)
+    assert result.outcome == "inapplicable"
+    assert "recorded" in result.detail or "rewritten" in result.detail
+    tally = SuiteSummary(schemes=["steins"], workloads=["w"])
+    tally.add(("steins", "w", plan), result)
+    assert [c["mode"] for c in tally.failures] == ["tamper"]
+
+
+def test_replay_recorded_after_an_early_crash_is_inapplicable(cfg, trace):
+    """A crash before the trace's midpoint leaves no recording to
+    replay."""
+    result = run_case("steins", cfg, trace,
+                      {"mode": "case", "crash_after": 1,
+                       "attack": "data-replay"})
+    assert result.crash_index < len(trace) // 2
+    assert result.outcome == "inapplicable"

@@ -11,7 +11,12 @@ import pytest
 
 from repro.common.config import small_config
 from repro.common.errors import ConfigError
-from repro.explore.runner import CAUGHT_OUTCOMES, run_explore_cell, run_probe
+from repro.explore.runner import (
+    CAUGHT_OUTCOMES,
+    run_case,
+    run_explore_cell,
+    run_probe,
+)
 from repro.oracle.mutants import MUTANTS
 from repro.oracle.sweep import mutant_plans_for
 from repro.sim.system import SCHEMES
@@ -80,8 +85,7 @@ def test_writethrough_bug_needs_the_unflushed_crash(cfg, trace, plans):
 def test_unpatched_controller_still_matches(cfg, trace):
     """The self-test's control arm: with no mutant the same flow passes,
     so the catches above are attributable to the planted bugs."""
-    from repro.explore.runner import run_clean
-    result = run_clean("steins", cfg, trace)
+    result = run_case("steins", cfg, trace, {"mode": "clean"})
     assert result.outcome == "match"
 
 

@@ -35,7 +35,13 @@ from repro.baselines.wb import WBController
 from repro.common.config import CounterMode, small_config
 from repro.common.errors import ConfigError, CrashInjected, ReproError
 from repro.explore.planner import first_middle_last_plans
-from repro.explore.runner import run_clean, run_explore_cell, run_probe
+from repro.explore.runner import (
+    TAMPER_KINDS,
+    ExploreCaseResult,
+    run_case,
+    run_explore_cell,
+    run_probe,
+)
 from repro.faults.registry import (
     INJECTION_POINTS,
     POINT_RECOVERY,
@@ -43,8 +49,8 @@ from repro.faults.registry import (
     armed,
 )
 from repro.nvm.layout import Region
-from repro.oracle.harness import TAMPER_KINDS, run_tamper_case
 from repro.oracle.mutants import MUTANTS
+from repro.oracle.sweep import tamper_plans_for
 from repro.schemes import (
     BASE_FAULT_POINTS,
     RECOVERY_STYLES,
@@ -64,9 +70,6 @@ from repro.workloads import get_profile
 
 ALL_SCHEMES = scheme_names()
 RECOVERABLE = recoverable_scheme_names()
-
-#: tamper kinds that need the crash/recover cycle (skipped on WB)
-_TREE_TAMPERS = ("tree-counter", "tree-replay")
 
 #: the outcomes an untampered case is allowed to have
 _HONEST = ("match", "unsupported", "no_crash")
@@ -145,8 +148,31 @@ def test_every_scheme_has_mutant_coverage(scheme):
 # ----------------------------------------------------- oracle: clean run
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_clean_case_matches(scheme, cfg, trace):
-    result = run_clean(scheme, cfg, trace)
+    result = run_case(scheme, cfg, trace, {"mode": "clean"})
     assert result.outcome == "match", result.detail
+
+
+#: (metadata cache bytes, accesses, footprint, seed) of the clean runs
+#: ``repro explore --small``, the explore benchmark (two seeds),
+#: ``repro explore`` and ``repro oracle`` (seed 1, and its default) make
+_CLEAN_SETTINGS = [(512, 60, 256, 2025), (512, 40, 256, 2024),
+                   (512, 40, 256, 7), (512, 120, 512, 2025),
+                   (2048, 400, 2048, 1), (2048, 400, 2048, 2024)]
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_clean_plan_is_the_untouched_baseline(scheme):
+    """A clean plan is a case with no crash trigger: at every setting
+    the explorer and the oracle run it, the result carries no crash,
+    recovery or resume fields — exactly the bare ``match``."""
+    for cache_bytes, accesses, footprint, seed in _CLEAN_SETTINGS:
+        trace = get_profile("pers_hash").generate(
+            seed=seed, n=accesses, footprint=footprint)
+        result = run_case(scheme,
+                          small_config(metadata_cache_bytes=cache_bytes),
+                          trace, {"mode": "clean"})
+        assert result == ExploreCaseResult(outcome="match"), (
+            cache_bytes, accesses, footprint, seed)
 
 
 # ----------------------------------------------- oracle: targeted crashes
@@ -167,11 +193,36 @@ def test_targeted_crashes_conform(scheme, cfg, trace):
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 @pytest.mark.parametrize("kind", TAMPER_KINDS)
 def test_tampers_are_loud(scheme, kind, cfg, trace):
-    if kind in _TREE_TAMPERS and not SCHEMES[scheme].supports_recovery:
+    plans = {p["attack"]: p for p in tamper_plans_for(scheme)}
+    if kind not in plans:
+        assert not SCHEMES[scheme].supports_recovery
         pytest.skip("tree tampers need the crash/recover cycle")
-    result = run_tamper_case(kind, scheme, trace, cfg)
+    result = run_case(scheme, cfg, trace, plans[kind])
     assert result.outcome in ("detected", "neutralized"), (
         f"{scheme} under {kind}: {result.outcome} {result.detail}")
+
+
+#: the oracle's tamper verdicts at ``repro oracle --seed 1``: every
+#: applicable attack is detected, except where recovery rebuilds the
+#: attacked tree lines from verified data
+_NEUTRALIZED = {("asit", "tree-replay"), ("scue", "tree-counter"),
+                ("scue", "tree-replay")}
+
+
+def test_oracle_tamper_verdicts_are_pinned():
+    """The 33 (scheme, attack) rows of the oracle suite, run as clean
+    (data attacks) and shutdown-crash (tree attacks) plans."""
+    cfg = small_config(metadata_cache_bytes=2048)
+    trace = get_profile("pers_hash").generate(seed=1, n=400,
+                                              footprint=2048)
+    verdicts = {(scheme, plan["attack"]):
+                run_case(scheme, cfg, trace, plan).outcome
+                for scheme in ALL_SCHEMES
+                for plan in tamper_plans_for(scheme)}
+    assert len(verdicts) == 33
+    assert {k for k, v in verdicts.items() if v != "detected"} == \
+        _NEUTRALIZED
+    assert set(verdicts.values()) == {"detected", "neutralized"}
 
 
 # ------------------------------------------------- recovery properties
