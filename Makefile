@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast coverage lint simlint ruff mypy faults-smoke \
+.PHONY: test test-fast coverage lint simlint ruff mypy \
 	figure-check trace-smoke oracle-smoke explore-smoke serve-smoke \
 	bench-gate bench-suite-smoke bench-ab conformance all
 
@@ -27,20 +27,6 @@ coverage:
 	else \
 		echo "pytest-cov not installed (pip install -e '.[lint]'); skipping"; \
 	fi
-
-# ~200 injected crashes across Steins and the no-recovery baseline;
-# exits non-zero on any golden-state divergence.  Campaign probes and
-# cases are cached "explore" cells: a warm rerun against the same cache
-# must simulate nothing and print a byte-identical report
-FAULTS_SMOKE = $(PYTHON) -m repro faults --scheme steins --scheme wb \
-	--crashes 200 --seed 1 --cache-dir .faults-smoke/cache
-faults-smoke:
-	rm -rf .faults-smoke && mkdir -p .faults-smoke
-	$(FAULTS_SMOKE) > .faults-smoke/cold.txt
-	$(FAULTS_SMOKE) > .faults-smoke/warm.txt 2> .faults-smoke/warm.err
-	grep -q "^faults: 0 cells simulated" .faults-smoke/warm.err
-	cmp .faults-smoke/cold.txt .faults-smoke/warm.txt
-	rm -rf .faults-smoke
 
 # the paper's figures end to end.  Cold: regenerate every checked-in
 # figure table (Figs. 9-17 at the defaults) through one result cache and
@@ -84,9 +70,17 @@ figure-check:
 # against the same cache must print byte-identical reports.  The bench
 # executes every cell in-process and cold.txt reads them all from its
 # cache, so an uncached --jobs 2 run (every cell executed by a crew
-# worker, on that worker's memoized config and trace) must match it too
+# worker, on that worker's memoized config and trace) must match it too.
+# Then a budgeted frontier over a 400-access trace on Steins and WB:
+# it reaches every injection point and outcome class the retired
+# sampling campaign (`repro faults`) reported, cold at --jobs 2 and
+# warm at --jobs 1 against one cache (the warm run simulates nothing
+# and prints the same report)
 EXPLORE_SMOKE = $(PYTHON) -m repro explore --small \
 	--cache-dir .explore-smoke/cache
+EXPLORE_BUDGET = $(PYTHON) -m repro explore --scheme steins --scheme wb \
+	--accesses 400 --footprint 2048 --seed 1 --budget 20 \
+	--recovery-cap 4 --cache-dir .explore-smoke/budget-cache
 explore-smoke:
 	rm -rf .explore-smoke && mkdir -p .explore-smoke
 	$(PYTHON) tools/explore_bench.py BENCH_explore.json .explore-smoke/cache
@@ -96,6 +90,11 @@ explore-smoke:
 	$(EXPLORE_SMOKE) --jobs 1 > .explore-smoke/warm.txt 2> .explore-smoke/warm.err
 	grep -q "^explore: 0 cells simulated" .explore-smoke/warm.err
 	cmp .explore-smoke/cold.txt .explore-smoke/warm.txt
+	$(EXPLORE_BUDGET) --jobs 2 > .explore-smoke/budget-cold.txt
+	$(EXPLORE_BUDGET) --jobs 1 > .explore-smoke/budget-warm.txt \
+		2> .explore-smoke/budget-warm.err
+	grep -q "^explore: 0 cells simulated" .explore-smoke/budget-warm.err
+	cmp .explore-smoke/budget-cold.txt .explore-smoke/budget-warm.txt
 	rm -rf .explore-smoke
 
 # distributed sweep service end-to-end: boots the real `repro serve`

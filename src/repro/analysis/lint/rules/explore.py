@@ -2,11 +2,11 @@
 
 Crash enumeration lives in ``repro.explore``, the one crash engine: its
 probe records every fault-point fire (``ExploreProbe.fires``), its
-planner picks the crash cases — the oracle's and the fault campaign's
-selection policies included — and its runner executes them,
-digest-pruned and cached.  ``repro.oracle`` and ``repro.faults`` build
-their crash cells on that engine (and ``repro.faults`` owns the
-``FaultPlan`` registry), so they are sanctioned too.  A hand-rolled
+planner picks the crash cases — the oracle's selection policy
+included — and its runner executes them, digest-pruned and cached.
+``repro.oracle`` builds its crash cells on that engine, so it is
+sanctioned too.  ``repro.faults`` owns the ``FaultPlan`` registry but
+enumerates nothing, so it is not.  A hand-rolled
 loop that arms ``FaultPlan`` after ``FaultPlan``, walks the
 injection-point table, or replays a probe's fires re-grows the
 pre-explorer failure mode: ad-hoc sweeps with no pruning, no caching,
@@ -16,8 +16,7 @@ no report, and coverage claims nobody can audit
 * SL801 ``crash-loop-outside-explore`` (ERROR) — a ``for``/``while``
   loop that constructs ``FaultPlan`` in its body, or iterates over
   ``INJECTION_POINTS`` / a probe's ``fires``, outside the sanctioned
-  crash-tooling packages (``repro.explore``, ``repro.oracle``,
-  ``repro.faults``).
+  crash-tooling packages (``repro.explore``, ``repro.oracle``).
 
 A deliberate one-off sweep takes the reasoned-suppression path:
 ``# simlint: disable-next=SL801 -- <why the explorer cannot host it>``.
@@ -36,8 +35,8 @@ from repro.analysis.lint.registry import (
 )
 
 #: packages allowed to enumerate crashes: the explorer itself and the
-#: oracle and fault campaign built on it (plus the FaultPlan registry)
-_SANCTIONED_DIRS = frozenset({"explore", "oracle", "faults"})
+#: oracle built on it
+_SANCTIONED_DIRS = frozenset({"explore", "oracle"})
 
 
 def _is_sanctioned(unit: FileUnit) -> bool:

@@ -3,7 +3,7 @@
 Crash points are threaded through the persist paths via the
 ``repro.faults`` registry (named injection points, a single armed
 :class:`~repro.faults.registry.FaultPlan`).  That discipline is what
-makes the campaign deterministic and campaign coverage meaningful: the
+makes crash sweeps deterministic and their coverage meaningful: the
 registry counts every fire, enforces single-shot delivery, and
 suppresses fires inside crash-atomic transactions.  An ad-hoc
 ``if crash_now:`` flag or a home-grown ``fire()`` helper bypasses all
@@ -71,9 +71,9 @@ class AdHocFaultHookRule(Rule):
     description = ("fault injection bypassing the repro.faults "
                    "registry")
     invariant = ("every injected crash flows through a named, counted "
-                 "registry point: campaigns stay deterministic and "
+                 "registry point: crash sweeps stay deterministic and "
                  "atomic sections stay crash-free")
-    paper = "fault campaign design (docs/fault_injection.md)"
+    paper = "fault-injection design (docs/fault_injection.md)"
 
     def check(self, unit: FileUnit,
               project: ProjectContext) -> Iterator[Diagnostic]:

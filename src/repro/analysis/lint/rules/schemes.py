@@ -2,8 +2,7 @@
 
 The scheme registry (:mod:`repro.schemes`) is the one wiring point a
 controller needs: registration makes it appear in the simulator, the
-CLI, the figure harness, the fault campaign, the oracle, and the
-explorer at once — and runs the dynamic half of the plugin contract.
+CLI, the figure harness, the oracle, and the explorer at once — and runs the dynamic half of the plugin contract.
 A ``*Controller`` subclass that names itself but is never registered is
 a scheme the conformance gate silently skips: it simulates fine when
 instantiated by hand, yet no oracle suite, crash exploration, or figure

@@ -44,37 +44,6 @@ def render_table(title: str, columns: list[str],
     return "\n".join(lines)
 
 
-#: every outcome class a fault campaign can report, display order
-CAMPAIGN_OUTCOMES = ["match", "detected", "data_loss", "unsupported",
-                     "no_crash", "diverged"]
-
-
-def render_campaign(report: dict) -> str:
-    """Render a fault-injection campaign report (``repro faults``)."""
-    title = (f"Fault-injection campaign: {report['cases']} cases, "
-             f"seed {report['seed']}")
-    rows = {
-        cell: {o: float(stats["outcomes"].get(o, 0))
-               for o in CAMPAIGN_OUTCOMES}
-        for cell, stats in sorted(report["cells"].items())}
-    blocks = [render_table(title, CAMPAIGN_OUTCOMES, rows,
-                           mean_row=False, fmt="{:.0f}")]
-    if report["crash_points"]:
-        blocks.append(render_kv(
-            "Crash-point coverage (runtime triggers)",
-            dict(sorted(report["crash_points"].items()))))
-    for entry in report["diverged"]:
-        pairs = {k: v for k, v in entry.items() if v is not None}
-        blocks.append(render_kv(
-            f"DIVERGED: {entry['scheme']}/{entry['workload']}", pairs))
-    if report["diverged"]:
-        blocks.append(f"{len(report['diverged'])} divergence(s) — "
-                      "golden-state validation FAILED")
-    else:
-        blocks.append("zero golden-state divergences")
-    return "\n\n".join(blocks)
-
-
 def render_kv(title: str, pairs: dict[str, object]) -> str:
     """Render a simple key/value block (configs, storage tables)."""
     width = max(len(k) for k in pairs) + 2

@@ -9,7 +9,6 @@ Commands
 ``storage``   the Sec. IV-E storage-overhead table
 ``overflow``  the Sec. III-B.2 counter-lifetime analysis
 ``workloads`` list the available workload profiles
-``faults``    deterministic fault-injection campaign (see docs/fault_injection.md)
 ``oracle``    differential conformance suite vs the reference model (docs/testing.md)
 ``explore``   systematic crash-space exploration with state-digest pruning (docs/crash_exploration.md)
 ``trace``     run one cell with tracing armed; write Chrome-trace + metric dumps (docs/observability.md)
@@ -50,9 +49,8 @@ def _figure_number(text: str) -> str:
 def _crash_sweep_parser(sub, name: str, summary: str, scheme_help: str, *,
                        seed: int, accesses: int,
                        footprint: int) -> argparse.ArgumentParser:
-    """The options ``faults``, ``oracle`` and ``explore`` share, with
-    the command's own defaults; :func:`_run_crash_sweep` consumes
-    them."""
+    """The options ``oracle`` and ``explore`` share, with the
+    command's own defaults; :func:`_run_crash_sweep` consumes them."""
     cmd = sub.add_parser(name, help=summary)
     cmd.add_argument("--scheme", action="append", default=None,
                      metavar="NAME", help=scheme_help)
@@ -135,14 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("storage", help="Sec. IV-E storage overhead")
     sub.add_parser("overflow", help="Sec. III-B.2 counter lifetimes")
     sub.add_parser("workloads", help="list workload profiles")
-
-    faults = _crash_sweep_parser(
-        sub, "faults", "deterministic fault-injection campaign",
-        "scheme to sweep (repeatable; validated against the scheme "
-        "registry; default steins)",
-        seed=2024, accesses=400, footprint=2048)
-    faults.add_argument("--crashes", type=int, default=200,
-                        help="total injected crashes across all cells")
 
     oracle = _crash_sweep_parser(
         sub, "oracle",
@@ -357,11 +347,11 @@ def _sweep_progress(done: int, total: int, outcome) -> None:
 
 def _run_crash_sweep(args, run, report_path: str | None = None,
                      **kwargs) -> int:
-    """Run one crash-sweep front end (``run_campaign``,
-    ``run_oracle_suite`` or ``run_explore``) with the shared options;
-    ``kwargs`` add or override arguments.  Prints the report (JSON or
-    text) on stdout and the cell provenance on stderr; a
-    :class:`~repro.common.errors.ConfigError` exits 2."""
+    """Run one crash-sweep front end (``run_oracle_suite`` or
+    ``run_explore``) with the shared options; ``kwargs`` add or override
+    arguments.  Prints the report (JSON or text) on stdout and the cell
+    provenance on stderr; a :class:`~repro.common.errors.ConfigError`
+    exits 2."""
     import json
 
     from repro.common.errors import ConfigError
@@ -392,17 +382,9 @@ def _run_crash_sweep(args, run, report_path: str | None = None,
     return 0 if summary.ok else 1
 
 
-def cmd_faults(args) -> int:
+def cmd_oracle(args) -> int:
     # the front ends import the simulator stack; keep them off the path
     # of the other subcommands
-    from repro.faults.campaign import run_campaign
-
-    return _run_crash_sweep(args, run_campaign,
-                            schemes=args.scheme or ["steins"],
-                            crashes=args.crashes)
-
-
-def cmd_oracle(args) -> int:
     from repro.oracle.sweep import run_oracle_suite
 
     return _run_crash_sweep(
@@ -517,7 +499,6 @@ def main(argv: list[str] | None = None) -> int:
         "storage": cmd_storage,
         "overflow": cmd_overflow,
         "workloads": cmd_workloads,
-        "faults": cmd_faults,
         "oracle": cmd_oracle,
         "explore": cmd_explore,
         "trace": cmd_trace,

@@ -49,10 +49,6 @@ SPLIT_MAJOR_WEIGHT: int = 1 << MINOR_COUNTER_BITS
 assert MAJOR_COUNTER_BITS + MINORS_PER_SPLIT_BLOCK * MINOR_COUNTER_BITS \
     + NODE_HMAC_BITS == CACHE_LINE_BITS
 
-# CME split counter blocks (non-SIT baseline encryption counters) use 7-bit
-# minors (Fig. 1); kept for the CME background model.
-CME_MINOR_COUNTER_BITS: int = 7
-
 # --------------------------------------------------------------- offsets ---
 #: Size of one offset record entry (paper Sec. III-C: 4-byte offsets cover a
 #: metadata region of up to 256 GB).

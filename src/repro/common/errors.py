@@ -52,7 +52,7 @@ class CrashInjected(ReproError):
 
     This is harness control flow, not a detection outcome, so it is
     deliberately *outside* the lint-guarded detection set
-    (``IntegrityError``/``RecoveryError``): the fault campaign catches it
+    (``IntegrityError``/``RecoveryError``): the crash engine catches it
     to simulate the crash without tripping the swallowed-detection rule.
     """
 

@@ -108,8 +108,8 @@ class OffsetRecordTracker:
         already been resolved).  Under an injected energy budget each
         line costs 8 words: a partially funded line persists a valid
         mixed prefix of its 16 entries, an unfunded line is lost —
-        recovery then sees an incomplete record set, which the fault
-        campaign classifies as a detected loss, never silent corruption.
+        recovery then sees an incomplete record set, which the crash
+        engine classifies as a detected loss, never silent corruption.
         """
         for line_idx in sorted(self._dirty):
             line = tuple(self._cached[line_idx])

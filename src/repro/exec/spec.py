@@ -78,7 +78,7 @@ class CellSpec:
     * ``"sim"``    — one (variant, workload) figure cell -> ``RunResult``
     * ``"explore"`` — one unit of the crash engine (a digest probe, or a
       clean run or crash candidate, either optionally under an attack
-      or a mutant: every fault-campaign and oracle case) ->
+      or a mutant: every explorer and oracle case) ->
       ``ExploreProbe`` / ``ExploreCaseResult``
 
     ``variant`` is a paper variant name for ``"sim"`` cells and a bare

@@ -3,13 +3,13 @@
 One probe (:func:`run_probe`) records every crash the fault registry
 can deliver; one case runner (:func:`run_case`) crashes, recovers,
 checks and reads back a single candidate through the differential
-oracle.  Three selection policies pick candidates from a probe:
+oracle.  Two selection policies pick candidates from a probe:
 ``repro explore`` enumerates every crash — torn-write variants, crashes
 during recovery, bounded double-crash sequences — and prunes
-state-equivalent candidates by durable-state digest; ``repro oracle``
-aims at the first, middle and last fire of each point
-(:func:`first_middle_last_plans`); ``repro faults`` spreads crashes
-evenly with seeded jitter (:func:`spread_plans`).  All three plan
+state-equivalent candidates by durable-state digest (``--budget``
+bounds it to the highest-ranked classes); ``repro oracle`` aims at the
+first, middle and last fire of each point
+(:func:`first_middle_last_plans`).  Both plan
 ``(scheme, workload, plan)`` cells for one shared front end,
 :class:`~repro.explore.explorer.CellBatcher`, which sweeps them as
 cached ``"explore"`` cells.  See ``docs/crash_exploration.md``.
@@ -30,7 +30,6 @@ from repro.explore.planner import (
     phase3_plans,
     second_crash_picks,
     select_frontier,
-    spread_plans,
 )
 from repro.explore.runner import (
     ExploreCaseResult,
@@ -59,5 +58,4 @@ __all__ = [
     "run_probe",
     "second_crash_picks",
     "select_frontier",
-    "spread_plans",
 ]

@@ -71,8 +71,8 @@ Cell = tuple[str, str, dict[str, Any]]
 class CellBatcher:
     """The front end every crash-sweep policy shares.
 
-    ``repro explore``, ``repro oracle`` and ``repro faults`` plan
-    :data:`Cell` triples; the batcher turns them into ``"explore"``
+    ``repro explore`` and ``repro oracle`` plan :data:`Cell` triples;
+    the batcher turns them into ``"explore"``
     :class:`~repro.exec.spec.CellSpec` cells on one trace shape and
     config, sweeps them through :func:`~repro.exec.pool.run_sweep`, and
     counts ``executed``/``cached`` over every batch, probes included.

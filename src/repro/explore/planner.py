@@ -5,10 +5,9 @@ deliverable runtime fire as ``(point, access index, durable digest)``.
 Every crash-selection policy is a plain function over that list, and
 every candidate it picks runs through
 :func:`repro.explore.runner.run_case`: :func:`first_middle_last_plans`
-(``repro oracle``), :func:`spread_plans` (``repro faults``), and the
-exhaustive builders below (``repro explore``), which turn the list into
-the candidate set actually simulated, with the DPOR-style pruning the
-explorer reports on:
+(``repro oracle``) and the exhaustive builders below (``repro
+explore``), which turn the list into the candidate set actually
+simulated, with the DPOR-style pruning the explorer reports on:
 
 * **Partition** fires into equivalence classes keyed ``(digest, access
   index)``.  Two fires in the same class crash with byte-identical
@@ -33,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.common.rng import make_rng
 from repro.explore.runner import ExploreProbe
 
 
@@ -198,26 +196,3 @@ def first_middle_last_plans(probe: ExploreProbe,
                           "recovery_crash_after": dose})
     return plans
 
-
-def spread_plans(probe: ExploreProbe, count: int, seed: int,
-                 *tags: int | str) -> list[dict[str, Any]]:
-    """The fault campaign's policy: ``count`` crashes evenly spaced over
-    the probe's fire span with +-1 jitter drawn from
-    ``make_rng(seed, *tags)``; every 5th adds a crash-during-recovery
-    trigger and every 7th a finite ADR energy budget (a torn
-    variant)."""
-    rng = make_rng(seed, *tags)
-    span = len(probe.fires)
-    plans: list[dict[str, Any]] = []
-    for j in range(count):
-        base = 1 + (j * span) // count
-        jitter = int(rng.integers(0, 3)) - 1
-        plan: dict[str, Any] = {
-            "mode": "case",
-            "crash_after": min(max(1, span), max(1, base + jitter))}
-        if j % 5 == 4:
-            plan["recovery_crash_after"] = 1 + int(rng.integers(0, 12))
-        if j % 7 == 6:
-            plan["residual_words"] = int(rng.integers(0, 64))
-        plans.append(plan)
-    return plans

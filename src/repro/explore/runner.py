@@ -1,7 +1,8 @@
 """The crash engine: digest probes and candidate cases.
 
-These are the workers of ``"explore"`` cells — every ``repro explore``,
-``repro faults`` and ``repro oracle`` probe and case.
+These are the workers of ``"explore"`` cells — every ``repro explore``
+and ``repro oracle`` probe and case — plus :func:`minimize_case`, which
+shrinks a diverged case's trace prefix.
 
 Every routine here is a pure function of ``(scheme, plan dict, config,
 trace)`` — the contract that lets :mod:`repro.exec` fan cells out over
@@ -391,6 +392,43 @@ def run_case(scheme: str, cfg: SystemConfig, trace: TraceArrays,
     elif attack is not None:
         out.outcome = "neutralized"
     return out
+
+
+def minimize_case(scheme: str, plan: dict[str, Any], cfg: SystemConfig,
+                  trace: TraceArrays, require_point: str = "") -> int:
+    """Smallest trace prefix (in accesses) that still diverges.
+
+    Binary search: divergence is near-monotone in the prefix length
+    because the crash trigger is a fire *count* — prefixes too short to
+    reach it cannot diverge.  Best effort, never worse than the full
+    trace.
+
+    ``require_point`` pins the minimized reproduction to the original
+    failure: each candidate prefix is re-run end to end (re-probing
+    where the crash trigger actually lands on the shortened trace), and
+    a prefix only counts as reproducing if its crash fires at the same
+    injection point.  Without the pin, a truncated trace can diverge
+    through a *different* crash (the trigger is a global fire count, and
+    what the resumed suffix exercises changes with the prefix length),
+    so the reported minimized repro would crash at the wrong fire and
+    debug a different bug than the original case hit.
+    """
+    def diverges(n: int) -> bool:
+        result = run_case(scheme, cfg, trace[:n], plan)
+        if result.outcome != "diverged":
+            return False
+        return not require_point or result.crash_point == require_point
+
+    lo, hi = 1, len(trace)
+    if not diverges(hi):
+        return hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if diverges(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
 
 
 def run_explore_cell(scheme: str, plan: dict[str, Any], cfg: SystemConfig,

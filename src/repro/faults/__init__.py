@@ -2,9 +2,9 @@
 
 The registry and the torn-write model are dependency-free and imported
 by the instrumented low layers (device, ADR, metacache, controllers).
-The campaign runner lives in :mod:`repro.faults.campaign` and is *not*
-re-exported here — it imports ``repro.sim.system``, which would close an
-import cycle through the controllers that call :func:`fire`.
+The crash engine that arms them lives in :mod:`repro.explore`, which
+imports ``repro.sim``; nothing here may import it back, or the
+controllers that call :func:`fire` would close an import cycle.
 """
 from repro.faults.registry import (
     INJECTION_POINTS,

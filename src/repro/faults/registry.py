@@ -4,8 +4,9 @@ Every place the simulator can lose power *between two persists* calls
 :func:`fire` with a point name declared in :data:`INJECTION_POINTS`.
 With no plan armed a fire is a no-op, so the instrumented hot paths cost
 one dict lookup.  Arming a :class:`FaultPlan` (via :func:`armed`) turns
-the n-th fire into a raised ``CrashInjected``, which the campaign
-catches to crash and recover the system mid-operation.
+the n-th fire into a raised ``CrashInjected``, which the crash engine
+(:func:`repro.explore.runner.run_case`) catches to crash and recover
+the system mid-operation.
 
 Design rules enforced here:
 

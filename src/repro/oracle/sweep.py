@@ -1,8 +1,8 @@
 """Oracle suite planning and the parallel, cached crash-point sweep.
 
 The suite covers four case roles per scheme, planned deterministically
-from a pinned seed.  Like ``repro explore`` and ``repro faults``, it is
-a planner over the shared front end
+from a pinned seed.  Like ``repro explore``, it is a planner over the
+shared front end
 (:class:`~repro.explore.explorer.CellBatcher`): its probes and its
 cases are ``"explore"`` cells on the crash engine, so they fan out over
 processes and a warm rerun is answered from the content-addressed cache

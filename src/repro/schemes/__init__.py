@@ -2,8 +2,8 @@
 
 ``register_scheme(name, factory, capabilities)`` is the single wiring
 point for a secure-memory scheme: the simulator, CLI, figure harness,
-fault campaign, differential oracle, and crash-space explorer all
-enumerate schemes from this registry.  Importing the package registers
+differential oracle, and crash-space explorer all enumerate schemes
+from this registry.  Importing the package registers
 the built-ins (see :mod:`repro.schemes.builtin`); the contract a plugin
 must meet is documented in :mod:`repro.schemes.registry` and
 ``docs/schemes.md``.

@@ -3,9 +3,9 @@
 A *scheme* is a :class:`~repro.baselines.base.SecureMemoryController`
 subclass plus a :class:`SchemeCapabilities` declaration.  Registering it
 via :func:`register_scheme` makes it appear everywhere at once — the
-simulator (``repro.sim``), the CLI, the figure harness, the fault
-campaign, the differential oracle sweep, and the crash-space explorer
-all enumerate schemes from here instead of keeping hardcoded lists.
+simulator (``repro.sim``), the CLI, the figure harness, the
+differential oracle sweep, and the crash-space explorer all enumerate
+schemes from here instead of keeping hardcoded lists.
 
 Registration is also where the controller-boundary contract is checked
 *dynamically* (simlint SL403/SL701/SL1001 are the static half):

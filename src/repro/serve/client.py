@@ -8,8 +8,8 @@ socket, streams result frames back, and assembles a
 decoded through the exact same :func:`~repro.exec.pool.decode_payload`
 path local execution uses.  That shared decode path plus index-ordered
 assembly is what makes `service=` transparent: callers
-(:class:`~repro.analysis.figures.FigureHarness`, the fault campaign,
-the oracle suite, ``repro.explore``) cannot tell — byte for byte —
+(:class:`~repro.analysis.figures.FigureHarness`, the oracle suite,
+``repro.explore``) cannot tell — byte for byte —
 whether their sweep ran in-process or across a worker fleet.
 
 The client is deliberately synchronous plain-socket code: the asyncio

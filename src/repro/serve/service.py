@@ -2,7 +2,7 @@
 
 ``repro serve`` turns the sweep executor into a long-lived service: an
 asyncio server on a local unix socket accepts
-:class:`~repro.exec.spec.CellSpec` batches (sweeps, fault campaigns,
+:class:`~repro.exec.spec.CellSpec` batches (figure sweeps,
 oracle suites, crash-space explorations — anything
 :func:`~repro.exec.pool.execute_cell` can run), funnels unique cells
 through a FIFO work queue to N worker processes, and streams results

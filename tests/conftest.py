@@ -87,3 +87,9 @@ def drive(system: SecureNVMSystem, trace, flush_writes: bool = True,
             system.store(addr, flush=flush_writes)
         else:
             system.load(addr)
+
+
+class KnownDivergence(Exception):
+    """A pinned reproducer of an unfixed defect failed exactly as it did
+    when found; strict xfails expect only this, so any other failure
+    fails the test outright."""

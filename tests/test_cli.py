@@ -160,9 +160,17 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-#: today's defaults of the options faults, oracle and explore share
+def test_faults_command_is_retired(capsys):
+    """The sampling campaign is gone; a budgeted ``repro explore``
+    covers its crash points and outcomes."""
+    with pytest.raises(SystemExit) as exc:
+        main(["faults"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'faults'" in capsys.readouterr().err
+
+
+#: today's defaults of the options oracle and explore share
 CRASH_SWEEP_DEFAULTS = {
-    "faults": dict(seed=2024, accesses=400, footprint=2048),
     "oracle": dict(seed=2024, accesses=400, footprint=2048),
     "explore": dict(seed=2025, accesses=120, footprint=512),
 }

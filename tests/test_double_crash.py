@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import drive, scaled
+from tests.conftest import KnownDivergence, drive, scaled
 
 from repro.common.config import small_config
 from repro.common.errors import CrashInjected
@@ -101,10 +101,6 @@ def test_triple_recovery_is_idempotent(scheme):
         system.crash()
         system.recover()
         check_recovered(system, golden)
-
-
-class KnownDivergence(Exception):
-    """A pinned reproducer failed exactly as it did when found."""
 
 
 #: minimal double-crash reproducers, shrunk from ``repro explore

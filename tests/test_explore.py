@@ -16,6 +16,8 @@ import json
 
 import pytest
 
+from tests.conftest import KnownDivergence
+
 from repro.common.config import small_config
 from repro.common.errors import ConfigError
 from repro.exec import CellSpec, ResultCache, config_to_dict, run_sweep
@@ -417,3 +419,113 @@ class TestRunExplore:
         assert explored.value == summary.explored_total
         assert registry.get("explore.candidates_pruned").value == \
             summary.pruned_total
+
+    @pytest.mark.slow
+    def test_budgeted_explore_covers_the_campaign(self):
+        """The retired sampling campaign (``--crashes 200 --seed 1`` on
+        Steins and WB) crashed at six injection points with outcomes
+        ``match``/``detected`` on Steins and ``unsupported`` on WB; the
+        budget-20 exploration ``make explore-smoke`` runs reaches all of
+        them (its report has no crash-point tally, so the sweep's
+        progress callback counts them)."""
+        points: dict[str, int] = {}
+        outcomes: dict[str, set[str]] = {"steins": set(), "wb": set()}
+
+        def progress(_done, _total, cell):
+            if isinstance(cell.value, ExploreCaseResult):
+                outcomes[cell.spec.variant].add(cell.value.outcome)
+                if cell.value.crash_point:
+                    points[cell.value.crash_point] = \
+                        points.get(cell.value.crash_point, 0) + 1
+
+        summary = run_explore(schemes=["steins", "wb"], accesses=400,
+                              footprint=2048, seed=1, class_budget=20,
+                              recovery_cap=4, with_mutants=False,
+                              progress=progress)
+        assert summary.ok
+        assert set(points) >= {"controller.evict", "controller.flush",
+                               "controller.read", "controller.write",
+                               "metacache.evict", "steins.drain"}
+        assert {"match", "detected"} <= outcomes["steins"]
+        assert "unsupported" in outcomes["wb"]
+
+
+class TestMinimizeCase:
+    """Regression: the crash trigger is a global fire *count*, so the
+    injection point it lands on shifts with the prefix length.  An
+    unpinned minimization can converge on a prefix that diverges through
+    a *different* crash than the original case hit — a minimized repro
+    for the wrong bug.  ``require_point`` pins the search to the
+    original failure.
+    """
+
+    PLAN = {"mode": "case", "crash_after": 20}
+
+    @staticmethod
+    def _fake_run_case(scheme, cfg, prefix, plan):
+        # short prefixes shift the same fire count onto an eviction
+        # fire (a different, also-divergent crash); only prefixes long
+        # enough to reach the original write fire reproduce the bug
+        if len(prefix) >= 40:
+            return ExploreCaseResult("diverged",
+                                     crash_point="controller.write")
+        if len(prefix) >= 10:
+            return ExploreCaseResult("diverged",
+                                     crash_point="metacache.evict")
+        return ExploreCaseResult("match")
+
+    def test_unpinned_search_lands_on_the_wrong_fire(self, monkeypatch):
+        from repro.explore import runner
+
+        monkeypatch.setattr(runner, "run_case", self._fake_run_case)
+        cfg = small_config()
+        trace = get_profile("pers_hash").generate(seed=3, n=100,
+                                                  footprint=2048)
+        # the unpinned minimum accepts the shifted crash: rerunning it
+        # would crash at metacache.evict, not the original fire
+        assert runner.minimize_case("steins", self.PLAN, cfg, trace) == 10
+        wrong = self._fake_run_case("steins", cfg, trace[:10],
+                                    self.PLAN)
+        assert wrong.crash_point != "controller.write"
+
+    def test_pinned_search_reproduces_the_original_crash(self,
+                                                         monkeypatch):
+        from repro.explore import runner
+
+        monkeypatch.setattr(runner, "run_case", self._fake_run_case)
+        cfg = small_config()
+        trace = get_profile("pers_hash").generate(seed=3, n=100,
+                                                  footprint=2048)
+        n = runner.minimize_case("steins", self.PLAN, cfg, trace,
+                                 require_point="controller.write")
+        assert n == 40
+        repro_result = self._fake_run_case("steins", cfg, trace[:n],
+                                           self.PLAN)
+        assert repro_result.outcome == "diverged"
+        assert repro_result.crash_point == "controller.write"
+
+
+@pytest.mark.xfail(strict=True, raises=KnownDivergence,
+                   reason="unfixed: Steins recovery reports a replay "
+                          "after a healthy crash at a steins.drain fire")
+@pytest.mark.parametrize("crash_after", [914, 915, 916])
+def test_steins_single_crash_reproducer(crash_after):
+    """Found by ``repro explore --scheme steins --scheme wb --accesses
+    400 --footprint 2048 --seed 1 --budget 60 --recovery-cap 4``: a
+    healthy crash at fire 914, 915 or 916 lands on ``steins.drain`` at
+    access 399, and recovery raises ``ReplayDetectedError`` ("steins
+    L_1Inc mismatch: recomputed 13 < stored 14").  Every other fire of
+    the run matches, and the prefix cannot shrink below the crash's 400
+    accesses.  Each case must come back ``match``; until it is fixed it
+    raises :class:`KnownDivergence`, and only for its pinned outcome and
+    message."""
+    trace = get_profile("pers_hash").generate(seed=1, n=400,
+                                              footprint=2048)[:400]
+    result = run_case("steins", small_config(metadata_cache_bytes=512),
+                      trace, {"mode": "case", "crash_after": crash_after})
+    assert result.crash_point == "steins.drain"
+    if result.outcome == "diverged" \
+            and "ReplayDetectedError: steins L_1Inc mismatch" \
+            in result.detail:
+        raise KnownDivergence(result.detail)
+    assert result.outcome == "match", result.detail

@@ -1,5 +1,5 @@
 """The fault-injection layer: registry, torn writes, WPQ drain, ADR
-slot independence, crash-at-boundary regressions, and the campaign.
+slot independence, and crash-at-boundary regressions.
 
 The acceptance sweep at the bottom is the issue's headline property: a
 crash injected *inside* ``recover()`` followed by a second recovery
@@ -15,8 +15,6 @@ from repro.common.errors import (
     RecoveryError,
     TamperDetectedError,
 )
-from repro.exec import ResultCache
-from repro.faults.campaign import run_campaign
 from repro.faults.registry import (
     INJECTION_POINTS,
     FaultPlan,
@@ -181,118 +179,6 @@ class TestRunWithCrashEdges:
                                 flush_writes=True)
         assert report is not None
         system.verify_all_persisted()
-
-
-# ---------------------------------------------------------------- campaign
-@pytest.mark.slow
-class TestCampaign:
-    def test_smoke_is_deterministic_and_clean(self):
-        kwargs = dict(schemes=["steins", "wb"], workloads=["pers_hash"],
-                      crashes=24, seed=1, accesses=300, footprint=2048)
-        first = run_campaign(**kwargs)
-        second = run_campaign(**kwargs)
-        assert first == second
-        assert first.ok
-        assert first.report["outcomes"].get("match", 0) > 0
-        assert first.report["cells"]["wb/pers_hash"]["outcomes"].get(
-            "unsupported", 0) > 0
-
-    def test_warm_rerun_is_served_from_the_cache(self, tmp_path):
-        kwargs = dict(schemes=["steins", "wb"], workloads=["pers_hash"],
-                      crashes=12, seed=1, accesses=200, footprint=2048,
-                      cache=ResultCache(tmp_path))
-        runs = []
-        for _ in range(2):
-            outcomes = []
-            report = run_campaign(
-                progress=lambda _d, _t, o: outcomes.append(o), **kwargs)
-            runs.append((report, outcomes))
-        (cold, cold_cells), (warm, warm_cells) = runs
-        assert warm == cold
-        # probes and cases are explore cells: all of them ran cold, and
-        # the warm rerun executed none
-        assert {o.spec.kind for o in cold_cells} == {"explore"}
-        assert not any(o.cached for o in cold_cells)
-        assert warm_cells and all(o.cached for o in warm_cells)
-        assert (warm.cells_executed, warm.cells_cached) == \
-            (0, len(warm_cells))
-
-    def test_lossy_budget_is_detected_not_diverged(self):
-        report = run_campaign(schemes=["steins"], workloads=["pers_hash"],
-                              crashes=35, seed=2, accesses=300,
-                              footprint=2048)
-        assert report.ok
-        assert report.report["outcomes"].get("detected", 0) > 0
-
-
-class TestMinimizeCase:
-    """Regression: the crash trigger is a global fire *count*, so the
-    injection point it lands on shifts with the prefix length.  An
-    unpinned minimization can converge on a prefix that diverges through
-    a *different* crash than the campaign hit — a minimized repro for
-    the wrong bug.  ``require_point`` pins the search to the original
-    failure.
-    """
-
-    PLAN = {"mode": "case", "crash_after": 20}
-
-    @staticmethod
-    def _fake_run_case(scheme, cfg, prefix, plan):
-        from repro.explore.runner import ExploreCaseResult
-
-        # short prefixes shift the same fire count onto an eviction
-        # fire (a different, also-divergent crash); only prefixes long
-        # enough to reach the original write fire reproduce the bug
-        if len(prefix) >= 40:
-            return ExploreCaseResult("diverged",
-                                     crash_point="controller.write")
-        if len(prefix) >= 10:
-            return ExploreCaseResult("diverged",
-                                     crash_point="metacache.evict")
-        return ExploreCaseResult("match")
-
-    def test_unpinned_search_lands_on_the_wrong_fire(self, monkeypatch):
-        from repro.explore import runner
-        from repro.faults import campaign
-
-        monkeypatch.setattr(runner, "run_case", self._fake_run_case)
-        cfg = small_config()
-        trace = get_profile("pers_hash").generate(seed=3, n=100,
-                                                  footprint=2048)
-        # the unpinned minimum accepts the shifted crash: rerunning it
-        # would crash at metacache.evict, not the campaign's fire
-        assert campaign.minimize_case("steins", self.PLAN, cfg,
-                                      trace) == 10
-        wrong = self._fake_run_case("steins", cfg, trace[:10],
-                                    self.PLAN)
-        assert wrong.crash_point != "controller.write"
-
-    def test_pinned_search_reproduces_the_original_crash(self,
-                                                         monkeypatch):
-        from repro.explore import runner
-        from repro.faults import campaign
-
-        monkeypatch.setattr(runner, "run_case", self._fake_run_case)
-        cfg = small_config()
-        trace = get_profile("pers_hash").generate(seed=3, n=100,
-                                                  footprint=2048)
-        n = campaign.minimize_case("steins", self.PLAN, cfg, trace,
-                                   require_point="controller.write")
-        assert n == 40
-        repro_result = self._fake_run_case("steins", cfg, trace[:n],
-                                           self.PLAN)
-        assert repro_result.outcome == "diverged"
-        assert repro_result.crash_point == "controller.write"
-
-    def test_campaign_reports_pinned_minimized_prefixes(self):
-        report = run_campaign(schemes=["asit"], workloads=["pers_hash"],
-                              crashes=12, seed=4, accesses=200,
-                              footprint=2048)
-        # whatever diverged (usually nothing on a healthy tree) must
-        # carry a minimized prefix no longer than the full trace
-        for entry in report.report["diverged"]:
-            if "minimized_prefix" in entry:
-                assert 1 <= entry["minimized_prefix"] <= 200
 
 
 # ----------------------------------------- crash-during-recovery sweep

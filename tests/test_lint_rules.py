@@ -245,11 +245,16 @@ class TestExploreRule:
 
     def test_sanctioned_crash_tooling_dirs_may_enumerate(self, tmp_path):
         src = (FIXTURES / "explore_bad.py").read_text()
-        for pkg in ("explore", "oracle", "faults"):
+        for pkg in ("explore", "oracle"):
             copy = tmp_path / pkg / "sweep.py"
             copy.parent.mkdir()
             copy.write_text(src)
             assert run_lint([str(copy)]).diagnostics == []
+        # the FaultPlan registry's package hosts no crash policy
+        copy = tmp_path / "faults" / "sweep.py"
+        copy.parent.mkdir()
+        copy.write_text(src)
+        assert hits(run_lint([str(copy)])) == hits(lint("explore_bad.py"))
 
     def test_reasoned_suppression_path(self, tmp_path):
         copy = tmp_path / "one_off.py"
