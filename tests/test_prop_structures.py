@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from repro.common.bitfield import pack_fields, unpack_fields
 from repro.common.config import CacheConfig
 from repro.integrity.geometry import TreeGeometry
-from tests.cache_reference import RefCache
+from tests.cache_reference import RefCache, dirty_lines
 from tests.conftest import scaled
 
 
@@ -28,7 +28,7 @@ def test_cache_dirty_only_from_writes(keys):
     cache = RefCache(CacheConfig(16 * 64, 4))
     for key in keys:
         cache.access(key, make_dirty=False)
-    assert list(cache.dirty_keys()) == []
+    assert dirty_lines(cache) == set()
 
 
 @settings(max_examples=scaled(40))
