@@ -297,8 +297,12 @@ class FigureHarness:
         self.last_sweep = report
 
     def ensure_matrix(self, variants: tuple[str, ...]) -> None:
-        """Fill the full ``variants`` x ``self.workloads`` matrix."""
-        self.ensure([(v, w) for v in variants for w in self.workloads])
+        """Fill the full ``variants`` x ``self.workloads`` matrix.
+
+        Workload-major, so a process runs one trace's variants back to
+        back and all but the first replay its filtered LLC stream (the
+        filter memo in :mod:`repro.sim.system` holds a few traces)."""
+        self.ensure([(v, w) for w in self.workloads for v in variants])
 
     def cell(self, variant: str, workload: str) -> RunResult:
         key = (variant, workload)

@@ -33,7 +33,12 @@ stats.  Its hierarchy object falls behind meanwhile; it is brought up to
 date (*materialized*) from the kept segments before anything else uses
 it: a memo miss, ``store``/``load`` or a read of
 :attr:`~SecureNVMSystem.hierarchy`.  Anything but ``run_stream`` that
-touches the hierarchy ends the sharing until the next crash.
+touches the hierarchy ends the sharing until the next crash.  Only
+systems of one process share, and only while the memo still holds the
+trace, so callers run a trace's systems back to back (the benchmark's
+variant loop; ``FigureHarness.ensure_matrix`` lists cells
+workload-major).  A system that records and is never replayed pays
+for the recording, about 5-8% of its segment time.
 """
 from __future__ import annotations
 
@@ -41,7 +46,7 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from functools import lru_cache
-from hashlib import blake2b
+from hashlib import blake2b, sha256
 from itertools import compress, islice
 
 import numpy as np
@@ -125,13 +130,15 @@ def history_root(cfg: HierarchyConfig) -> bytes:
 
 
 def segment_digest(trace: TraceArrays) -> bytes:
-    """A digest of every column's dtype, length and bytes."""
-    h = blake2b(digest_size=16)
+    """A digest of every column's dtype, length and bytes (SHA-256:
+    OpenSSL runs it on the CPU's SHA extensions where there are some,
+    about 2.5x blake2b's speed over a segment on x86-64)."""
+    h = sha256()
     for column in (trace.is_write, trace.address, trace.gap_cycles):
         column = np.ascontiguousarray(column)
         h.update(f"{column.dtype.str}:{len(column)};".encode())
         h.update(column)
-    return h.digest()
+    return h.digest()[:16]
 
 
 def _level_stats(hierarchy: CacheHierarchy) -> list[int]:
@@ -295,6 +302,23 @@ class SecureNVMSystem:
             else:
                 self._check_fill(request.line_addr)
 
+    def _serve_noted(self, requests: list[MemoryRequest], cycles: int,
+                     index: int, events: list[int]) -> None:
+        """``_serve`` for access ``index``, noting each call in ``events``
+        (layout at :data:`_HEADER`; a write-back notes its line's version
+        in place of ``k``)."""
+        stored = self._stored
+        for request in requests:
+            line = request.line_addr
+            if request.op is MemOp.WRITE:
+                events.extend((cycles, line << 2 | _WRITE_BACK,
+                               index << 32 | stored.get(line, 0)))
+                self._write_back(line)
+            else:
+                events.extend((cycles, line << 2 | _READ, index << 32))
+                self._check_fill(line)
+            cycles = 0
+
     def _write_back(self, block_addr: int) -> None:
         """A dirty line leaves the hierarchy (eviction or ``clwb``)."""
         value = self.value_of(block_addr)
@@ -343,21 +367,26 @@ class SecureNVMSystem:
         is_write_col, address_col, gap_col = trace.columns
         hierarchy = self._hierarchy
         before = _level_stats(hierarchy)
-        events = array("q", bytes(8 * _HEADER))
-        events[0] = self._drive(is_write_col, address_col, gap_col,
-                                flush_writes, events)
-        events[1:_HEADER] = array("q", [a - b for a, b in zip(
-            _level_stats(hierarchy), before)])
+        # a list while recording: its extend is several times array's
+        calls: list[int] = []
+        tail = self._drive(is_write_col, address_col, gap_col,
+                           flush_writes, calls)
         # A write-back recorded its line's version then in place of k (0:
         # not stored since the crash); the segment started at its final
         # version less the segment's stores to it.
         stored = self._stored
-        counts = Counter(compress(address_col, is_write_col))
-        for j in range(_HEADER + 2, len(events), 3):
-            version = events[j] & _LOW32
+        counts = None
+        for j in range(2, len(calls), 3):
+            version = calls[j] & _LOW32
             if version:
-                line = events[j - 1] >> 2
-                events[j] += counts[line] - stored[line]
+                if counts is None:
+                    counts = Counter(compress(address_col, is_write_col))
+                line = calls[j - 1] >> 2
+                calls[j] += counts[line] - stored[line]
+        events = array("q", [tail])
+        events.extend([a - b for a, b in zip(_level_stats(hierarchy),
+                                             before)])
+        events.extend(calls)
         return events
 
     def _replay(self, entry: array, trace: TraceArrays,
@@ -391,7 +420,11 @@ class SecureNVMSystem:
                     value = value_of(line)
                 write_data(line, value)
                 model_write(line, value)
-            op, at = _CLWB, (len(address_col) - 1) << 32
+            # the tail: every access ran, with the last one's clwb if any
+            last = len(address_col) - 1
+            op = (_CLWB if last >= 0 and flush_writes and is_write_col[last]
+                  else _READ)
+            at = last << 32
             if entry[0]:
                 advance(entry[0])
         except BaseException:
@@ -424,7 +457,7 @@ class SecureNVMSystem:
 
     def _drive(self, is_write_col: Sequence[bool],
                address_col: Sequence[int], gap_col: Sequence[int],
-               flush_writes: bool, events: array | None = None) -> int:
+               flush_writes: bool, events: list[int] | None = None) -> int:
         """The one access loop.  Cycle costs (compute gaps + cache-hit
         latencies) accumulate in a plain int and are flushed to the
         clock only when a controller operation — the only consumer of
@@ -433,15 +466,17 @@ class SecureNVMSystem:
         skipping per-access clock bookkeeping for the (overwhelmingly
         common) cache-hit accesses in between.
 
-        With ``events`` it records every controller call there (layout at
-        :data:`_HEADER`, with a write-back's ``k`` still the line's
-        version); returns the cycles advanced after the last.
+        With ``events`` it appends three ints per controller call there
+        (the per-call layout at :data:`_HEADER`, with a write-back's
+        ``k`` still the line's version); returns the cycles advanced
+        after the last.
         """
         clock = self.clock
         hierarchy = self._hierarchy
         access = hierarchy.access
         clwb = hierarchy.clwb
         serve = self._serve
+        serve_noted = self._serve_noted
         stored = self._stored
         crashed_versions = self._crashed_versions
         pending_cycles = 0
@@ -456,20 +491,12 @@ class SecureNVMSystem:
             result = access(addr, is_write)
             pending_cycles += result.cycles
             if result.requests:
-                if events is not None:
-                    cycles = pending_cycles
-                    for request in result.requests:
-                        line = request.line_addr
-                        if request.op is MemOp.WRITE:
-                            events.extend((cycles, line << 2 | _WRITE_BACK,
-                                           i << 32 | stored.get(line, 0)))
-                        else:
-                            events.extend((cycles, line << 2 | _READ,
-                                           i << 32))
-                        cycles = 0
                 clock.advance_cycles(pending_cycles)
+                if events is None:
+                    serve(result.requests)
+                else:
+                    serve_noted(result.requests, pending_cycles, i, events)
                 pending_cycles = 0
-                serve(result.requests)
             if is_write and flush_writes and clwb(addr):
                 if events is not None:
                     events.extend((pending_cycles, addr << 2 | _CLWB,

@@ -259,6 +259,55 @@ def test_fault_inside_replayed_segment_leaves_drive_state(crash_after):
     assert runs[:2] == runs[2:]
 
 
+#: a compute gap no access of the generated traces reaches, so the
+#: segment's last advance is the only one at least this long
+TAIL_GAP = 1 << 30
+
+
+class Interrupt(Exception):
+    """Raised by the clock in place of an asynchronous interrupt."""
+
+
+@pytest.mark.parametrize("flush_writes", [False, True])
+@pytest.mark.parametrize("last_is_write", [False, True])
+def test_exception_in_tail_advance_leaves_drive_state(flush_writes,
+                                                      last_is_write):
+    """An exception in the advance after a segment's last controller
+    call leaves what the unshared loop leaves: the hierarchy gets the
+    last access's ``clwb`` only if the loop made it."""
+    trace = get_profile("mcf_r").generate(seed=4, n=300, footprint=512)
+    addr = int(trace.address[-1])
+    # a store leaves the line dirty, then the last access hits it
+    segment = TraceArrays(
+        np.append(trace.is_write, [True, last_is_write]),
+        np.append(trace.address, [addr, addr]),
+        np.append(trace.gap_cycles, [0, TAIL_GAP]))
+    with fresh_memo() as memo:
+        build(SecureNVMSystem, "wb-gc").run_stream(segment, flush_writes)
+        assert len(memo.entries) == 1
+        runs = []
+        for shared in (True, False):
+            system = build(SecureNVMSystem, "steins-gc")
+            if not shared:
+                system.hierarchy  # noqa: B018 - reading it ends sharing
+            advance = system.clock.advance_cycles
+
+            def advance_or_interrupt(cycles, advance=advance):
+                if cycles >= TAIL_GAP:
+                    raise Interrupt
+                advance(cycles)
+
+            system.clock.advance_cycles = advance_or_interrupt
+            with pytest.raises(Interrupt):
+                system.run_stream(segment, flush_writes=flush_writes)
+            assert system._history is None
+            runs.append(state(system, range(512)))
+            del system.clock.advance_cycles
+            system.run_stream(trace, flush_writes=flush_writes)
+            runs.append(state(system, range(512)))
+    assert runs[:2] == runs[2:]
+
+
 #: a memo bound that holds a few of ``test_memo_stays_within_its_bound``'s
 #: segments, not all
 BOUND = 2000
