@@ -176,9 +176,12 @@ endif
 # NV-buffer, ADR, recovery), then schema-validate both artifacts
 trace-smoke:
 	rm -rf .trace-smoke
+	mkdir -p .trace-smoke
 	$(PYTHON) -m repro trace steins-gc pers_hash \
 		--accesses 6000 --footprint 32768 --small --recover \
-		--out .trace-smoke
+		--out .trace-smoke > .trace-smoke/summary.txt
+	cat .trace-smoke/summary.txt
+	grep -q "blocks re-verified" .trace-smoke/summary.txt
 	$(PYTHON) -m repro.obs .trace-smoke/trace.json .trace-smoke/metrics.json
 	rm -rf .trace-smoke
 

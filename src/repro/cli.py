@@ -2,19 +2,22 @@
 
 Commands
 --------
-``run``       simulate one (variant, workload) cell and print metrics
-``compare``   run all variants on one workload, print the normalized table
 ``figure``    regenerate the paper's figures (9-17) and check its claims
-``recover``   crash/recovery demo with timings
-``storage``   the Sec. IV-E storage-overhead table
-``overflow``  the Sec. III-B.2 counter-lifetime analysis
 ``workloads`` list the available workload profiles
 ``oracle``    differential conformance suite vs the reference model (docs/testing.md)
 ``explore``   systematic crash-space exploration with state-digest pruning (docs/crash_exploration.md)
-``trace``     run one cell with tracing armed; write Chrome-trace + metric dumps (docs/observability.md)
+``trace``     run one traced cell; print its metrics and write Chrome-trace +
+              metric dumps (docs/observability.md); ``--recover`` crashes,
+              recovers and checks the recovered state
 ``serve``     run the distributed sweep service on a local socket (docs/orchestration.md)
 ``submit``    talk to a running sweep service (ping/stats/shutdown/batch)
 ``lint``      run simlint over the tree (see ``repro.analysis.lint``)
+
+Retired commands and their replacements: ``run`` -> ``trace`` (the same
+metric rows); ``recover`` -> ``trace --recover``; ``compare`` ->
+``examples/scheme_comparison.py`` or ``figure zoo --workload W``;
+``storage`` and ``overflow`` -> ``benchmarks/results/table_storage.txt``
+and ``table_overflow.txt`` (``benchmarks/bench_table_storage.py``).
 """
 from __future__ import annotations
 
@@ -25,16 +28,11 @@ import sys
 from repro.analysis.charts import render_grouped_bars, render_series
 from repro.analysis.figures import CLAIMS, FIGURES, PAPER_FIGURES, \
     FigureHarness, failed_claims
-from repro.analysis.recovery_model import scue_rebuild_estimate
 from repro.analysis.report import render_kv, render_table
-from repro.analysis.storage import all_storage_breakdowns
 from repro.common.config import small_config
-from repro.common.rng import make_rng
-from repro.common.units import GB, TB, pretty_time_ns
-from repro.core.countergen import years_to_overflow
+from repro.common.units import pretty_time_ns
 from repro.exec import ResultCache
-from repro.sim.runner import RunSpec, VARIANTS, make_system, run_cell, \
-    run_trace
+from repro.sim.runner import VARIANTS, make_system, run_trace
 from repro.workloads import ALL_PROFILES, PAPER_WORKLOADS
 
 def _figure_number(text: str) -> str:
@@ -84,18 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Steins (CLUSTER 2024) reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="simulate one scheme x workload")
-    run.add_argument("variant", choices=sorted(VARIANTS))
-    run.add_argument("workload", choices=sorted(ALL_PROFILES))
-    run.add_argument("--accesses", type=int, default=20_000)
-    run.add_argument("--footprint", type=int, default=1 << 15)
-    run.add_argument("--seed", type=int, default=2024)
-
-    cmp_ = sub.add_parser("compare", help="all schemes on one workload")
-    cmp_.add_argument("workload", choices=sorted(ALL_PROFILES))
-    cmp_.add_argument("--accesses", type=int, default=20_000)
-    cmp_.add_argument("--footprint", type=int, default=1 << 15)
-
     fig = sub.add_parser(
         "figure", help="regenerate the paper's figures and check its claims")
     fig.add_argument("number", nargs="*", type=_figure_number, metavar="N",
@@ -125,13 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="evaluate the paper's claims on the printed "
                           "figures; exit 1 naming each one that fails")
 
-    rec = sub.add_parser("recover", help="crash/recovery demo")
-    rec.add_argument("variant", choices=[v for v in sorted(VARIANTS)
-                                         if v != "wb-gc" and v != "wb-sc"])
-    rec.add_argument("--writes", type=int, default=2500)
-
-    sub.add_parser("storage", help="Sec. IV-E storage overhead")
-    sub.add_parser("overflow", help="Sec. III-B.2 counter lifetimes")
     sub.add_parser("workloads", help="list workload profiles")
 
     oracle = _crash_sweep_parser(
@@ -178,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     trc = sub.add_parser(
         "trace",
-        help="run one cell with tracing armed; write obs artifacts")
+        help="run one cell with tracing armed; print its metrics and "
+             "write obs artifacts")
     trc.add_argument("variant", choices=sorted(VARIANTS))
     trc.add_argument("workload", choices=sorted(ALL_PROFILES))
     trc.add_argument("--accesses", type=int, default=20_000)
@@ -191,8 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="event ring-buffer capacity (default 65536; "
                           "older events beyond it are dropped)")
     trc.add_argument("--recover", action="store_true",
-                     help="crash after the trace and trace the recovery "
-                          "(recovery-capable variants only)")
+                     help="crash after the trace, trace the recovery and "
+                          "check the recovered state (recovery-capable "
+                          "variants only)")
     trc.add_argument("--small", action="store_true",
                      help="use the scaled-down test configuration (16 KB "
                           "metadata cache) so eviction and NV-buffer "
@@ -211,38 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("lint_args", nargs=argparse.REMAINDER,
                       help="arguments forwarded to simlint")
     return parser
-
-
-def cmd_run(args) -> int:
-    spec = RunSpec(args.variant, args.workload, accesses=args.accesses,
-                   footprint_blocks=args.footprint, seed=args.seed)
-    result = run_cell(spec)
-    print(render_kv(f"{args.variant} x {args.workload}", {
-        "exec time": pretty_time_ns(result.exec_time_ns),
-        "data reads / writes": f"{result.data_reads} / "
-                               f"{result.data_writes}",
-        "avg read latency": f"{result.avg_read_latency_ns:.1f} ns",
-        "avg write latency": f"{result.avg_write_latency_ns:.1f} ns",
-        "NVM write traffic": f"{result.nvm_write_traffic} lines",
-        "energy": f"{result.energy_nj / 1e3:.1f} uJ",
-        "metadata cache hits": f"{result.metadata_cache_hit_rate:.1%}",
-    }))
-    return 0
-
-
-def cmd_compare(args) -> int:
-    results = {v: run_cell(RunSpec(v, args.workload,
-                                   accesses=args.accesses,
-                                   footprint_blocks=args.footprint))
-               for v in VARIANTS}
-    base = results["wb-gc"]
-    rows = {metric: {v: results[v].normalized_to(base)[metric]
-                     for v in VARIANTS}
-            for metric in ("exec_time", "write_latency", "read_latency",
-                           "write_traffic", "energy")}
-    print(render_table(f"{args.workload}: normalized to WB-GC",
-                       list(VARIANTS), rows, mean_row=False))
-    return 0
 
 
 def cmd_figure(args) -> int:
@@ -287,55 +236,6 @@ def cmd_figure(args) -> int:
     print(f"check: {checked - len(failed)} of {checked} claims hold",
           file=sys.stderr)
     return 1 if failed else 0
-
-
-def cmd_recover(args) -> int:
-    system = make_system(args.variant, small_config(
-        metadata_cache_bytes=8 * 1024))
-    rng = make_rng(17, "cli", args.variant)
-    for addr in rng.integers(0, 40_000, args.writes):
-        system.store(int(addr), flush=True)
-    dirty = system.controller.metacache.dirty_count()
-    system.crash()
-    report = system.recover()
-    checked = system.verify_all_persisted()
-    print(render_kv(f"{args.variant} crash recovery", {
-        "dirty nodes at crash": dirty,
-        "nodes recovered": report.nodes_recovered,
-        "NVM reads": report.nvm_reads,
-        "modeled recovery time": pretty_time_ns(report.time_ns),
-        "blocks re-verified": checked,
-    }))
-    return 0
-
-
-def cmd_storage(_args) -> int:
-    rows = {}
-    for b in all_storage_breakdowns():
-        key = f"{b.scheme}-{'sc' if b.counter_mode == 'split' else 'gc'}"
-        rows[key] = {
-            "height": float(b.tree_height),
-            "tree_GB": b.tree_bytes / (1 << 30),
-            "extra_nvm_KB": b.extra_nvm_bytes / 1024,
-            "extra_cache_KB": b.extra_cache_bytes / 1024,
-            "onchip_B": float(b.onchip_nv_bytes),
-        }
-    print(render_table("Sec. IV-E storage overhead (16 GB NVM)",
-                       ["height", "tree_GB", "extra_nvm_KB",
-                        "extra_cache_KB", "onchip_B"],
-                       rows, mean_row=False, fmt="{:.2f}"))
-    return 0
-
-
-def cmd_overflow(_args) -> int:
-    pairs = {e.scheme: f"{e.years:,.0f} years" for e in years_to_overflow()}
-    pairs["scue-rebuild 16GB"] = \
-        f"{scue_rebuild_estimate(16 * GB):.1f} s per recovery"
-    pairs["scue-rebuild 1TB"] = \
-        f"{scue_rebuild_estimate(1 * TB):.1f} s per recovery"
-    print(render_kv("Counter lifetimes (Sec. III-B.2) and SCUE scale",
-                    pairs))
-    return 0
 
 
 def _sweep_progress(done: int, total: int, outcome) -> None:
@@ -413,8 +313,13 @@ def cmd_explore(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    """One traced cell -> Chrome-trace JSON + metric dumps on disk."""
+    """One traced cell -> its metrics, plus Chrome-trace JSON and metric
+    dumps on disk.  With ``--recover`` the cell crashes after the trace
+    and recovers; the recovered state is checked against the pre-crash
+    snapshot and every persisted block re-read, after the dumps are
+    written so the checks' own reads stay out of them."""
     from repro import obs
+    from repro.sim.crash import capture_golden, check_recovered
 
     tracer = (obs.Tracer() if args.capacity is None
               else obs.Tracer(capacity=args.capacity))
@@ -428,9 +333,28 @@ def cmd_trace(args) -> int:
     trace = profile.generate(args.seed, args.accesses, args.footprint)
     result = run_trace(system, trace, args.workload,
                        flush_writes=profile.persistent)
+    rows: dict[str, object] = {
+        "exec time": pretty_time_ns(result.exec_time_ns),
+        "data reads / writes": f"{result.data_reads} / "
+                               f"{result.data_writes}",
+        "avg read latency": f"{result.avg_read_latency_ns:.1f} ns",
+        "avg write latency": f"{result.avg_write_latency_ns:.1f} ns",
+        "NVM write traffic": f"{result.nvm_write_traffic} lines",
+        "energy": f"{result.energy_nj / 1e3:.1f} uJ",
+        "metadata cache hits": f"{result.metadata_cache_hit_rate:.1%}",
+    }
+    recovery: dict[str, object] = {}
     if args.recover:
+        golden = capture_golden(system)
+        dirty = system.controller.metacache.dirty_count()
         system.crash()
-        system.recover()
+        report = system.recover()
+        recovery = {
+            "dirty nodes at crash": dirty,
+            "nodes recovered": report.nodes_recovered,
+            "NVM reads": report.nvm_reads,
+            "modeled recovery time": pretty_time_ns(report.time_ns),
+        }
 
     registry = obs.system_registry(system, tracer)
     os.makedirs(args.out, exist_ok=True)
@@ -442,15 +366,19 @@ def cmd_trace(args) -> int:
     obs.write_metrics_json(metrics_path, registry, tracer)
     obs.write_metrics_csv(csv_path, registry)
 
-    counts = tracer.counts_by_kind()
-    print(render_kv(f"traced {args.variant} x {args.workload}", {
-        "exec time": pretty_time_ns(result.exec_time_ns),
-        "events retained": f"{len(tracer)} "
-                           f"(+{tracer.dropped} dropped)",
-        **{f"  {kind}": str(n) for kind, n in counts.items()},
-        "metrics": str(len(registry)),
+    # read before the checks below add their own events
+    observed = {
+        "events retained": f"{len(tracer)} (+{tracer.dropped} dropped)",
+        **{f"  {kind}": n for kind, n in tracer.counts_by_kind().items()},
+        "metrics": len(registry),
         "artifacts": f"{trace_path}, {metrics_path}, {csv_path}",
-    }))
+    }
+    if args.recover:
+        # a failed check raises: the command exits 1 with its traceback
+        check_recovered(system, golden)
+        recovery["blocks re-verified"] = system.verify_all_persisted()
+    print(render_kv(f"traced {args.variant} x {args.workload}",
+                    {**rows, **recovery, **observed}))
     return 0
 
 
@@ -492,12 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     handler = {
-        "run": cmd_run,
-        "compare": cmd_compare,
         "figure": cmd_figure,
-        "recover": cmd_recover,
-        "storage": cmd_storage,
-        "overflow": cmd_overflow,
         "workloads": cmd_workloads,
         "oracle": cmd_oracle,
         "explore": cmd_explore,

@@ -7,9 +7,10 @@ baselines it compares against (WB, ASIT, STAR), the excluded comparator
 (Phoenix, SecPM).
 
 Registration order is load-bearing for presentation only: it fixes the
-ordering of ``repro.sim.runner.VARIANTS`` (and therefore of
-``repro compare`` output), matching the paper's WB/ASIT/STAR/SCUE/
-Steins sequence with the plugin schemes appended.
+ordering of ``repro.sim.runner.VARIANTS`` (and therefore of the
+``examples/scheme_comparison.py`` and ``repro figure zoo`` columns),
+matching the paper's WB/ASIT/STAR/SCUE/Steins sequence with the plugin
+schemes appended.
 """
 from __future__ import annotations
 

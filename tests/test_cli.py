@@ -3,6 +3,7 @@ import pytest
 
 from repro.analysis.figures import FigureHarness
 from repro.cli import build_parser, main
+from repro.sim.system import SecureNVMSystem
 
 
 def test_workloads_lists_paper_set(capsys):
@@ -13,33 +14,52 @@ def test_workloads_lists_paper_set(capsys):
     assert "[persistent]" in out
 
 
-def test_storage_table(capsys):
-    assert main(["storage"]) == 0
+#: what ``repro run steins-gc pers_hash --accesses 1500 --footprint
+#: 2048`` printed before ``trace`` took over its rows
+RUN_ROWS = """\
+  exec time            103.078us
+  data reads / writes  412 / 1000
+  avg read latency     119.1 ns
+  avg write latency    410.2 ns
+  NVM write traffic    1030 lines
+  energy               23.1 uJ
+  metadata cache hits  95.0%
+"""
+
+
+def test_run_cell(tmp_path, capsys):
+    """``trace`` is the single-run command: it prints the metric rows
+    the retired ``run`` printed, with the same values."""
+    assert main(["trace", "steins-gc", "pers_hash",
+                 "--accesses", "1500", "--footprint", "2048",
+                 "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "steins-sc" in out and "asit-gc" in out
-    assert "2.00" in out   # 2 GB GC leaves
+    assert out.startswith("traced steins-gc x pers_hash\n" + RUN_ROWS)
+    assert "nodes recovered" not in out
 
 
-def test_overflow_table(capsys):
-    assert main(["overflow"]) == 0
-    out = capsys.readouterr().out
-    assert "traditional" in out and "steins-skip" in out
-    assert "scue-rebuild 1TB" in out
-
-
-def test_run_cell(capsys):
-    assert main(["run", "steins-gc", "pers_hash",
-                 "--accesses", "1500", "--footprint", "2048"]) == 0
-    out = capsys.readouterr().out
-    assert "exec time" in out
-    assert "metadata cache hits" in out
-
-
-def test_recover_demo(capsys):
-    assert main(["recover", "steins-gc", "--writes", "400"]) == 0
+def test_recover_demo(tmp_path, capsys):
+    """``trace --recover`` replaces the retired ``recover`` demo."""
+    assert main(["trace", "steins-gc", "pers_hash", "--accesses", "400",
+                 "--small", "--recover", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "nodes recovered" in out
     assert "blocks re-verified" in out
+
+
+def test_trace_recover_raises_on_a_failed_check(tmp_path, monkeypatch,
+                                                  capsys):
+    def lost_block(self):
+        raise AssertionError("block 7: lost")
+
+    monkeypatch.setattr(SecureNVMSystem, "verify_all_persisted",
+                        lost_block)
+    with pytest.raises(AssertionError, match="block 7: lost"):
+        main(["trace", "steins-gc", "pers_hash", "--accesses", "400",
+              "--small", "--recover", "--out", str(tmp_path)])
+    assert "blocks re-verified" not in capsys.readouterr().out
+    # the artifacts are written before the checks run
+    assert (tmp_path / "trace.json").exists()
 
 
 def test_figure_17(capsys):
@@ -147,12 +167,7 @@ def test_oracle_json_output(capsys):
 
 def test_parser_rejects_bad_variant():
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "nope", "pers_hash"])
-
-
-def test_parser_rejects_wb_recover():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["recover", "wb-gc"])
+        build_parser().parse_args(["trace", "nope", "pers_hash"])
 
 
 def test_parser_requires_command():
@@ -161,12 +176,17 @@ def test_parser_requires_command():
 
 
 def test_faults_command_is_retired(capsys):
-    """The sampling campaign is gone; a budgeted ``repro explore``
-    covers its crash points and outcomes."""
-    with pytest.raises(SystemExit) as exc:
-        main(["faults"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'faults'" in capsys.readouterr().err
+    """Retired commands: a budgeted ``repro explore`` replaces
+    ``faults``, ``trace`` (``--recover``) replaces ``run`` and
+    ``recover``, ``examples/scheme_comparison.py`` replaces ``compare``,
+    and the checked-in ``benchmarks/results/table_storage.txt`` and
+    ``table_overflow.txt`` replace ``storage`` and ``overflow``."""
+    for command in ("faults", "run", "compare", "recover", "storage",
+                    "overflow"):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2, command
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 #: today's defaults of the options oracle and explore share
