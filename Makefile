@@ -97,11 +97,13 @@ explore-smoke:
 	cmp .explore-smoke/budget-cold.txt .explore-smoke/budget-warm.txt
 	rm -rf .explore-smoke
 
-# distributed sweep service end-to-end: boots the real `repro serve`
-# CLI, routes a figure batch + an oracle batch through the socket, and
-# requires byte-identity with serial execution (cold and warm), zero
-# warm recomputes, and in-flight dedup of duplicate cells; writes
-# BENCH_sweep.json (cells/sec cold+warm, hit rate, worker count)
+# both front ends of the one worker-crew scheduler end-to-end: runs a
+# figure batch + an oracle batch with `run_sweep(jobs=2)`, then boots
+# the real `repro serve` CLI and routes the batch through the socket;
+# requires byte-identity with serial execution (local crew, service
+# cold and warm), zero warm recomputes, and in-flight dedup of
+# duplicate cells; writes BENCH_sweep.json (local crew time, cells/sec
+# cold+warm, hit rate, worker count)
 serve-smoke:
 	rm -rf .serve-smoke && mkdir -p .serve-smoke
 	$(PYTHON) tools/serve_bench.py BENCH_sweep.json .serve-smoke/cache

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
@@ -31,7 +30,7 @@ from repro.common.errors import ConfigError, ReproError
 from repro.exec.cache import CacheBackend
 from repro.exec.configio import config_from_dict
 from repro.exec.spec import CellSpec, cell_key
-from repro.exec.workers import RETRY_LIMIT, WorkerCrew
+from repro.exec.workers import RETRY_LIMIT, Scheduler, WorkerCrew
 from repro.workloads.trace import TraceArrays
 
 #: decoded configs one process keeps; a sweep shares one config across
@@ -194,19 +193,21 @@ ProgressFn = Callable[[int, int, CellOutcome], None]
 def run_sweep(specs: list[CellSpec], jobs: int = 1,
               cache: CacheBackend | None = None,
               progress: ProgressFn | None = None,
-              code_version: str | None = None,
               service: "str | os.PathLike[str] | None" = None
               ) -> SweepReport:
     """Execute a sweep; results come back in spec order.
 
     ``jobs`` > 1 fans the uncached cells out over a
-    :class:`~repro.exec.workers.WorkerCrew`; the parent never runs
-    simulations itself in that mode, so an armed fault plan in a worker
-    can never leak across cells.  A worker that dies mid-cell (SIGKILL,
-    OOM) is respawned and its cell rerun; a cell that raises fails the
-    sweep with a :class:`~repro.common.errors.ReproError` naming it.
-    With ``jobs`` <= 1 everything runs in-process (no workers, no
-    pickling) — handy under pytest and on single-core runners.
+    :class:`~repro.exec.workers.WorkerCrew`, driven by the same
+    :class:`~repro.exec.workers.Scheduler` as the sweep service; the
+    parent never runs simulations itself in that mode, so an armed
+    fault plan in a worker can never leak across cells.  A worker that
+    dies mid-cell (SIGKILL, OOM) is respawned and its cell rerun, up to
+    :data:`~repro.exec.workers.RETRY_LIMIT` times; a cell that raises
+    fails the sweep with a :class:`~repro.common.errors.ReproError`
+    naming it.  With ``jobs`` <= 1 everything runs in-process (no
+    workers, no pickling) — handy under pytest and on single-core
+    runners.
 
     ``service`` routes the whole sweep to a running ``repro serve``
     instance (the value is its socket path) instead of executing
@@ -222,9 +223,8 @@ def run_sweep(specs: list[CellSpec], jobs: int = 1,
     if service is not None:
         from repro.serve.client import submit_sweep
 
-        return submit_sweep(specs, service, progress=progress,
-                            code_version=code_version)
-    keys = [cell_key(spec, code_version) for spec in specs]
+        return submit_sweep(specs, service, progress=progress)
+    keys = [cell_key(spec) for spec in specs]
     outcomes: list[CellOutcome | None] = [None] * len(specs)
     done = 0
 
@@ -261,7 +261,28 @@ def run_sweep(specs: list[CellSpec], jobs: int = 1,
 
     representatives = [indices[0] for indices in pending.values()]
     if representatives and jobs > 1:
-        _run_on_crew(specs, representatives, jobs, settle)
+        crew = WorkerCrew(min(jobs, len(representatives)))
+        scheduler = Scheduler(crew)
+        crew.start()
+        try:
+            for index in representatives:
+                scheduler.submit(keys[index], specs[index].to_json(), index)
+            while len(scheduler):
+                for task in scheduler.step(crew.result()):
+                    index = task.waiters[0]
+                    if task.result is None:
+                        raise ReproError(
+                            f"cell {index}: worker died {task.deaths} "
+                            f"times running it; retry limit {RETRY_LIMIT} "
+                            "exhausted")
+                    ok, payload, elapsed = task.result
+                    if not ok:
+                        raise ReproError(
+                            f"cell {index} failed in a sweep worker: "
+                            f"{payload.get('error')}")
+                    settle(index, payload, elapsed)
+        finally:
+            crew.stop()
     else:
         for index in representatives:
             # simlint: disable-next=SL102 -- orchestration timing, not simulated time
@@ -271,60 +292,3 @@ def run_sweep(specs: list[CellSpec], jobs: int = 1,
             settle(index, payload, time.perf_counter() - start)
 
     return SweepReport([o for o in outcomes if o is not None])
-
-
-def _run_on_crew(specs: list[CellSpec], indices: list[int], jobs: int,
-                 settle: Callable[[int, dict[str, Any], float], None]
-                 ) -> None:
-    """Run ``specs[i]`` for every ``i`` in ``indices`` on a worker crew.
-
-    Cells go one at a time to idle workers, FIFO.  A cell whose worker
-    died is requeued on a fresh worker, up to :data:`RETRY_LIMIT` times;
-    a cell that raised fails the sweep (it would raise again).
-    """
-    todo = deque(indices)
-    unsettled = set(indices)
-    deaths: dict[int, int] = {}
-    crew = WorkerCrew(min(jobs, len(indices)))
-
-    def feed() -> None:
-        for worker_id in crew.idle_workers():
-            # a requeued cell may have been settled since by a result
-            # its dying worker sent just before the kill
-            while todo and todo[0] not in unsettled:
-                todo.popleft()
-            if not todo:
-                return
-            index = todo.popleft()
-            crew.dispatch(worker_id, index, specs[index].to_json())
-
-    crew.start()
-    try:
-        feed()
-        while unsettled:
-            item = crew.result()
-            for _worker_id, lost in crew.reap_dead():
-                if lost is None or lost not in unsettled:
-                    continue
-                deaths[lost] = deaths.get(lost, 0) + 1
-                if deaths[lost] > RETRY_LIMIT:
-                    raise ReproError(
-                        f"cell {lost}: worker died {deaths[lost]} times "
-                        f"running it; retry limit {RETRY_LIMIT} "
-                        "exhausted")
-                todo.append(lost)
-            # refill the workers before settling, so none waits on the
-            # parent's decode of a finished cell
-            feed()
-            if item is None:
-                continue
-            _worker_id, index, ok, payload, elapsed = item
-            if index not in unsettled:
-                continue
-            if not ok:
-                raise ReproError(f"cell {index} failed in a sweep worker: "
-                                 f"{payload.get('error')}")
-            unsettled.discard(index)
-            settle(index, payload, elapsed)
-    finally:
-        crew.stop()

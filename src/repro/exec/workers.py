@@ -1,12 +1,15 @@
-"""Crash-tolerant worker processes: the one process pool.
+"""Crash-tolerant worker processes and their one scheduler.
 
 Every parallel sweep runs here — a local ``run_sweep(jobs=N)`` and the
 sweep service (:mod:`repro.serve`) alike.  :class:`WorkerCrew` is N
 long-lived worker processes, each with a private inbox queue, all
-reporting to one shared result queue.  Its caller dispatches one cell
-at a time to a named worker, detects a worker that died mid-cell (so
-the cell can be retried elsewhere), and respawns it without disturbing
-its siblings.
+reporting to one shared result queue; it can dispatch one cell to a
+named worker, find a worker that died, and respawn it without
+disturbing its siblings.  :class:`Scheduler` is the one policy both
+front ends drive it with: a key -> task table whose tasks collect
+waiters (so a key in flight is computed once), one FIFO queue fed to
+idle workers, a dead worker's cell requeued at the tail up to
+:data:`RETRY_LIMIT` times, and a late duplicate result dropped.
 
 This module lives in ``repro.exec`` on purpose: process fan-out is
 quarantined here by simlint SL501.  A worker computes
@@ -18,16 +21,17 @@ Execution errors and worker deaths are deliberately different events:
 
 * a cell that **raises** is deterministic — retrying it would raise
   again — so the exception is serialized into an error result and the
-  caller propagates it to whoever asked for the cell;
+  front end reports it to whoever asked for the cell;
 * a worker that **dies** (SIGKILL, OOM) tells us nothing about the
-  cell, so the supervisor requeues the cell on a live worker.
+  cell, so the scheduler requeues the cell on a live worker.
 """
 from __future__ import annotations
 
 import multiprocessing
 import queue
 import time
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.errors import ConfigError
@@ -35,8 +39,8 @@ from repro.common.errors import ConfigError
 #: queue poll granularity; only bounds shutdown latency, never results
 _POLL_S = 0.05
 
-#: re-runs of a cell whose worker died before the cell fails; shared by
-#: local sweeps and the sweep service (a cell that raises is never rerun)
+#: re-runs of a cell whose worker died before the cell fails, for local
+#: sweeps and the sweep service alike (a cell that raises is never rerun)
 RETRY_LIMIT = 3
 
 
@@ -82,11 +86,11 @@ class _Handle:
 class WorkerCrew:
     """N restartable worker processes with per-worker dispatch.
 
-    The crew itself is policy-free: the caller decides which worker
-    gets which task, when a dead worker's task is retried, and when to
-    stop.  All bookkeeping needed for those decisions (``idle_workers``,
-    ``reap_dead``, ``busy_count``) is served from the parent process's
-    own records, never by querying children.
+    The crew itself is policy-free: :class:`Scheduler` decides which
+    worker gets which task and when a dead worker's task is retried.
+    All bookkeeping needed for those decisions (``idle_workers``,
+    ``reap_dead``) is served from the parent process's own records,
+    never by querying children.
     """
 
     def __init__(self, size: int) -> None:
@@ -159,14 +163,6 @@ class WorkerCrew:
                       if handle.task_id is None
                       and handle.process.is_alive())
 
-    def task_of(self, worker_id: int) -> int | None:
-        """The task a worker currently holds, or None if idle."""
-        return self._workers[worker_id].task_id
-
-    def busy_count(self) -> int:
-        return sum(1 for handle in self._workers.values()
-                   if handle.task_id is not None)
-
     def reap_dead(self) -> list[tuple[int, int | None]]:
         """Find dead workers, respawn them, return lost assignments.
 
@@ -185,14 +181,6 @@ class WorkerCrew:
             self._respawns += 1
         return lost
 
-    def kill(self, worker_id: int) -> None:
-        """Forcibly kill a worker (hung-cell timeout enforcement).
-
-        The dead process is left for :meth:`reap_dead` to find, so the
-        kill and the crash-recovery path are exercised identically.
-        """
-        self._workers[worker_id].process.kill()
-
     @property
     def respawns(self) -> int:
         return self._respawns
@@ -205,3 +193,106 @@ class WorkerCrew:
     def busy_map(self) -> dict[int, bool]:
         return {worker_id: handle.task_id is not None
                 for worker_id, handle in self._workers.items()}
+
+
+@dataclass
+class Task:
+    """One unique cell between its first submit and its settling."""
+
+    task_id: int
+    key: str
+    spec_json: dict[str, Any]
+    #: whoever asked for the key, first asker first
+    waiters: list[Any] = field(default_factory=list)
+    #: workers that died holding it
+    deaths: int = 0
+    #: the worker's ``(ok, payload, elapsed)``; still None when the
+    #: task settled by exhausting :data:`RETRY_LIMIT`
+    result: tuple[bool, dict[str, Any], float] | None = None
+
+
+class Scheduler:
+    """Dispatch, dedup and retry for one :class:`WorkerCrew`.
+
+    Synchronous and single-threaded: the front end submits cells and
+    feeds every :meth:`WorkerCrew.result` item (or None after a quiet
+    poll) to :meth:`step`, which returns the tasks that settled.  The
+    crew's start and stop stay with the front end.
+    """
+
+    def __init__(self, crew: WorkerCrew) -> None:
+        self.crew = crew
+        self.queue: deque[Task] = deque()
+        self._by_key: dict[str, Task] = {}
+        self._by_id: dict[int, Task] = {}
+        self._next_id = 0
+        #: deaths of workers that held an unsettled task, all told
+        self.retries = 0
+
+    def __len__(self) -> int:
+        """Tasks submitted and not yet settled."""
+        return len(self._by_id)
+
+    def submit(self, key: str, spec_json: dict[str, Any],
+               waiter: Any) -> Task:
+        """Add ``waiter`` to the task of ``key``, opening and queueing
+        the task if the key is not in flight; returns the task."""
+        task = self._by_key.get(key)
+        if task is None:
+            task = Task(self._next_id, key, spec_json)
+            self._next_id += 1
+            self._by_key[key] = task
+            self._by_id[task.task_id] = task
+            self.queue.append(task)
+            self._dispatch()
+        task.waiters.append(waiter)
+        return task
+
+    def step(self, item: tuple[int, int, bool, dict[str, Any], float]
+             | None) -> list[Task]:
+        """Take one crew result, reap dead workers, refill idle ones.
+
+        Returns the tasks that settled: the one ``item`` finished
+        (unless it is a late duplicate of a settled task) and any whose
+        workers have now died more than :data:`RETRY_LIMIT` times.
+        Workers are refilled before the caller sees the settled tasks,
+        so none waits on the caller's decode of a finished cell.
+        """
+        settled: list[Task] = []
+        if item is not None:
+            _worker_id, task_id, ok, payload, elapsed = item
+            task = self._close(task_id)
+            if task is not None:
+                task.result = (ok, payload, elapsed)
+                settled.append(task)
+        for _worker_id, task_id in self.crew.reap_dead():
+            task = self._by_id.get(task_id) if task_id is not None \
+                else None
+            if task is None:
+                continue  # died idle, or its result already landed
+            task.deaths += 1
+            self.retries += 1
+            if task.deaths > RETRY_LIMIT:
+                self._close(task_id)
+                settled.append(task)
+            else:
+                self.queue.append(task)
+        self._dispatch()
+        return settled
+
+    def _close(self, task_id: int) -> Task | None:
+        task = self._by_id.pop(task_id, None)
+        if task is not None:
+            del self._by_key[task.key]
+        return task
+
+    def _dispatch(self) -> None:
+        for worker_id in self.crew.idle_workers():
+            # a requeued task may have settled since, by a result its
+            # dying worker sent just before the kill
+            while self.queue and self.queue[0].task_id not in self._by_id:
+                self.queue.popleft()
+            if not self.queue:
+                return
+            task = self.queue.popleft()
+            self.crew.dispatch(worker_id, task.task_id, task.spec_json)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.exec.workers import RETRY_LIMIT
 from repro.serve.protocol import DEFAULT_SOCKET
 
 
@@ -30,13 +29,6 @@ def add_serve_args(sub) -> None:
                        help="shared content-addressed result cache")
     serve.add_argument("--no-cache", action="store_true",
                        help="serve without a cache (always simulate)")
-    serve.add_argument("--retry-limit", type=int, default=RETRY_LIMIT,
-                       help="max re-runs of a cell whose worker died")
-    serve.add_argument("--backoff", type=float, default=0.05,
-                       help="linear requeue backoff per retry (seconds)")
-    serve.add_argument("--cell-timeout", type=float, default=None,
-                       help="kill a worker stuck on one cell for this "
-                            "many seconds (off by default)")
 
     submit = sub.add_parser(
         "submit", help="talk to a running sweep service")
@@ -51,8 +43,6 @@ def add_serve_args(sub) -> None:
     submit.add_argument("--specs", default=None,
                         help="JSON file with a list of cell-spec "
                              "objects to run")
-    submit.add_argument("--code-version", default=None,
-                        help="cache code-version tag for the batch")
 
 
 def run_serve(args) -> int:
@@ -65,10 +55,7 @@ def run_serve(args) -> int:
 
     cache = None if args.no_cache else LocalDirBackend(args.cache_dir)
     workers = args.workers or (os.cpu_count() or 1)
-    service = SweepService(
-        args.socket, workers=workers, cache=cache,
-        retry_limit=args.retry_limit,
-        backoff_s=args.backoff, cell_timeout_s=args.cell_timeout)
+    service = SweepService(args.socket, workers=workers, cache=cache)
 
     async def _main() -> int:
         await service.start()
@@ -119,8 +106,7 @@ def _submit_specs(client, args) -> int:
               "cell specs", file=sys.stderr)
         return 2
     try:
-        frames, done = client.submit(spec_dicts,
-                                     code_version=args.code_version)
+        frames, done = client.submit(spec_dicts)
     except ServiceError as exc:
         print(f"repro submit: {exc}", file=sys.stderr)
         return 1

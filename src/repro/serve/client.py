@@ -102,7 +102,6 @@ class ServiceClient:
 
     # --------------------------------------------------------------- sweeps
     def submit(self, spec_dicts: list[dict[str, Any]],
-               code_version: str | None = None,
                on_frame: Callable[[dict[str, Any]], None] | None = None,
                ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
         """Run one batch; returns (per-index frames, done frame).
@@ -116,8 +115,7 @@ class ServiceClient:
         frames: list[dict[str, Any] | None] = [None] * len(spec_dicts)
         done: dict[str, Any] | None = None
         with self._connect() as sock:
-            sock.sendall(encode_frame(submit_frame(spec_dicts,
-                                                   code_version)))
+            sock.sendall(encode_frame(submit_frame(spec_dicts)))
             with sock.makefile("rb") as stream:
                 for line in stream:
                     frame = decode_frame(line)
@@ -148,8 +146,8 @@ class ServiceClient:
 
 def submit_sweep(specs: list[Any],
                  service: "str | os.PathLike[str]",
-                 progress: Callable[[int, int, Any], None] | None = None,
-                 code_version: str | None = None) -> Any:
+                 progress: Callable[[int, int, Any], None] | None = None
+                 ) -> Any:
     """Run a sweep through the service; returns a local-shaped report.
 
     This is what ``run_sweep(..., service=...)`` calls.  Outcomes come
@@ -161,7 +159,7 @@ def submit_sweep(specs: list[Any],
     from repro.exec.pool import CellOutcome, SweepReport, decode_payload
     from repro.exec.spec import cell_key
 
-    keys = [cell_key(spec, code_version) for spec in specs]
+    keys = [cell_key(spec) for spec in specs]
     outcomes: list[CellOutcome | None] = [None] * len(specs)
     done_count = 0
 
@@ -181,7 +179,6 @@ def submit_sweep(specs: list[Any],
 
     client = ServiceClient(service)
     frames, _done = client.submit([spec.to_json() for spec in specs],
-                                  code_version=code_version,
                                   on_frame=on_frame)
     errors = [(i, f["error"]) for i, f in enumerate(frames)
               if f["op"] == "cell_error"]

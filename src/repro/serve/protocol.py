@@ -11,8 +11,9 @@ Client -> server requests (one request per connection for ``submit``;
 the others are single round trips):
 
 =========== =========================================================
-``submit``  ``{"op", "specs": [CellSpec.to_json(), ...],
-            "code_version": str | null}`` — run a batch
+``submit``  ``{"op", "v", "specs": [CellSpec.to_json(), ...]}`` — run
+            a batch; the service keys its cells with its own
+            :func:`~repro.exec.spec.code_version_tag`
 ``stats``   queue depth / hit rate / worker table / obs metrics dump
 ``ping``    liveness probe
 ``shutdown`` graceful drain: finish in-flight work, then stop
@@ -24,8 +25,9 @@ Server -> client frames for one ``submit`` stream:
 ``result``      one finished cell: ``index`` (position in the request
                 batch), ``payload``, ``cached``/``deduped`` provenance
                 flags and ``elapsed_s``
-``cell_error``  cell ``index`` raised deterministically; ``error``
-                carries the exception text
+``cell_error``  cell ``index`` raised deterministically, or its
+                worker died past the scheduler's retry limit;
+                ``error`` carries the text
 ``done``        terminator: totals for the batch
 ``error``       request-level failure (bad frame, draining server)
 =============== =====================================================
@@ -48,7 +50,7 @@ from repro.common.records import strict_record
 
 #: protocol revision; servers reject frames from a different revision
 #: loudly instead of guessing (bump on any frame-shape change)
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: default socket filename shared by ``repro serve`` and its clients
 #: (defined here, not in service.py, so the CLI can read it without
@@ -85,10 +87,8 @@ def decode_frame(line: bytes) -> dict[str, Any]:
     return frame
 
 
-def submit_frame(specs: list[dict[str, Any]],
-                 code_version: str | None) -> dict[str, Any]:
-    return {"op": "submit", "v": PROTOCOL_VERSION, "specs": specs,
-            "code_version": code_version}
+def submit_frame(specs: list[dict[str, Any]]) -> dict[str, Any]:
+    return {"op": "submit", "v": PROTOCOL_VERSION, "specs": specs}
 
 
 def result_frame(index: int, payload: dict[str, Any], cached: bool,

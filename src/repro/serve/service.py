@@ -5,19 +5,22 @@ asyncio server on a local unix socket accepts
 :class:`~repro.exec.spec.CellSpec` batches (figure sweeps,
 oracle suites, crash-space explorations — anything
 :func:`~repro.exec.pool.execute_cell` can run), funnels unique cells
-through a FIFO work queue to N worker processes, and streams results
-back per request.  The pieces:
+through the one :class:`~repro.exec.workers.Scheduler` to N worker
+processes, and streams results back per request.  The scheduler is the
+same one a local ``run_sweep(jobs=N)`` drives; this module adds only
+what a service needs around it:
 
 * **cache front** — every submitted cell is first looked up in the
   shared :class:`~repro.exec.cache.CacheBackend`; hits are answered
-  without touching the queue, so identical cells are computed once
+  without touching the scheduler, so identical cells are computed once
   *globally*, across requests, clients, and service restarts;
 * **in-flight dedup** — a cell that is already queued or running gains
-  a waiter instead of a twin; one computation fans out to every waiter
-  when it lands (:class:`~repro.serve.queue.InFlightTable`);
-* **crash recovery** — a worker that dies mid-cell is detected by the
-  supervisor, respawned, and its cell requeued with linear backoff, up
-  to ``retry_limit`` attempts; a cell that *raises* is never retried
+  a waiter in the scheduler's task instead of a twin; one computation
+  fans out to every waiter when it lands;
+* **crash recovery** — the scheduler respawns a worker that dies
+  mid-cell and requeues its cell at the FIFO tail, up to
+  :data:`~repro.exec.workers.RETRY_LIMIT` times (then a
+  ``cell_error``); a cell that *raises* is never retried
   (deterministic — it would raise again) and the error is streamed to
   its waiters instead;
 * **graceful drain** — shutdown stops accepting submissions, finishes
@@ -38,14 +41,13 @@ from __future__ import annotations
 
 import asyncio
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.errors import ConfigError
 from repro.exec.cache import CacheBackend
 from repro.exec.spec import CellSpec, cell_key
-from repro.exec.workers import RETRY_LIMIT, WorkerCrew
+from repro.exec.workers import RETRY_LIMIT, Scheduler, Task, WorkerCrew
 from repro.obs import MetricRegistry
 from repro.serve.protocol import (
     DEFAULT_SOCKET,
@@ -58,7 +60,6 @@ from repro.serve.protocol import (
     error_frame,
     result_frame,
 )
-from repro.serve.queue import InFlightTable, Task, Waiter
 
 __all__ = ["DEFAULT_SOCKET", "SweepService"]
 
@@ -87,24 +88,14 @@ class SweepService:
 
     def __init__(self, socket_path: str | os.PathLike,
                  workers: int = 2,
-                 cache: CacheBackend | None = None,
-                 retry_limit: int = RETRY_LIMIT,
-                 backoff_s: float = 0.05,
-                 cell_timeout_s: float | None = None) -> None:
-        if retry_limit < 0:
-            raise ConfigError("retry limit cannot be negative")
+                 cache: CacheBackend | None = None) -> None:
         self.socket_path = os.fspath(socket_path)
         self.cache = cache
-        self.retry_limit = retry_limit
-        self.backoff_s = backoff_s
-        self.cell_timeout_s = cell_timeout_s
         self.crew = WorkerCrew(workers)
-        self.queue: deque[Task] = deque()
-        self.inflight = InFlightTable()
+        self.scheduler = Scheduler(self.crew)
         self.metrics = MetricRegistry()
         self._requests: dict[int, _Request] = {}
         self._next_request_id = 0
-        self._assigned_at: dict[int, float] = {}
         self._draining = False
         self._stopped = asyncio.Event()
         self._server: asyncio.AbstractServer | None = None
@@ -130,7 +121,7 @@ class SweepService:
         """Stop the service; with ``drain``, finish in-flight work first."""
         self._draining = True
         if drain:
-            while len(self.inflight) or any(
+            while len(self.scheduler) or any(
                     not r.done.is_set() and not r.dead
                     for r in self._requests.values()):
                 await asyncio.sleep(_TICK_S)
@@ -150,117 +141,77 @@ class SweepService:
 
     # -------------------------------------------------------- orchestrator
     async def _run(self) -> None:
-        """Supervision loop: results in, dead workers reaped, work out."""
+        """Supervision loop: wait for a result off the event loop, then
+        hand it, and whatever else already landed, to the scheduler."""
         loop = asyncio.get_running_loop()
         while True:
             item = await loop.run_in_executor(None, self.crew.result,
                                               _TICK_S)
-            if item is not None:
-                await self._on_result(*item)
-                # drain whatever else already landed before sleeping
-                while True:
-                    extra = self.crew.result(timeout=0.001)
-                    if extra is None:
-                        break
-                    await self._on_result(*extra)
-            await self._reap_and_retry(loop)
-            self._enforce_timeouts(loop)
-            self._dispatch_idle(loop)
+            while True:
+                for task in self.scheduler.step(item):
+                    await self._on_settled(task)
+                if item is None:
+                    break
+                item = self.crew.result(timeout=0.001)
             self._refresh_gauges()
 
-    def _dispatch_idle(self, loop: asyncio.AbstractEventLoop) -> None:
-        for worker_id in self.crew.idle_workers():
-            if not self.queue:
-                break
-            task = self.queue.popleft()
-            self.crew.dispatch(worker_id, task.task_id, task.spec_json)
-            self._assigned_at[task.task_id] = loop.time()
-
-    async def _reap_and_retry(self,
-                              loop: asyncio.AbstractEventLoop) -> None:
-        for _worker_id, task_id in self.crew.reap_dead():
-            self.metrics.counter("serve.worker.respawns").inc()
-            if task_id is None:
-                continue  # died idle: nothing to retry
-            task = self.inflight.by_id(task_id)
-            self._assigned_at.pop(task_id, None)
-            if task is None:
-                continue  # its result landed just before the death
-            task.retries += 1
-            self.metrics.counter("serve.worker.retries").inc()
-            if task.retries > self.retry_limit:
-                await self._resolve_error(
-                    task, f"worker died {task.retries} times running "
-                          f"cell {task.key[:12]}; retry limit "
-                          f"{self.retry_limit} exhausted")
-                continue
-            # linear backoff: the queue re-accepts the task later, so a
-            # crash loop cannot monopolize the workers
-            loop.call_later(self.backoff_s * task.retries,
-                            self.queue.append, task)
-
-    def _enforce_timeouts(self, loop: asyncio.AbstractEventLoop) -> None:
-        if self.cell_timeout_s is None:
-            return
-        deadline = loop.time() - self.cell_timeout_s
-        for worker_id, busy in self.crew.busy_map().items():
-            if not busy:
-                continue
-            task_id = self.crew.task_of(worker_id)
-            if task_id is not None \
-                    and self._assigned_at.get(task_id, 0.0) < deadline:
-                self.crew.kill(worker_id)  # reaped + retried next tick
-
     def _refresh_gauges(self) -> None:
-        self.metrics.gauge("serve.queue.depth").set(len(self.queue))
-        self.metrics.gauge("serve.inflight").set(len(self.inflight))
+        self.metrics.gauge("serve.queue.depth").set(
+            len(self.scheduler.queue))
+        self.metrics.gauge("serve.inflight").set(len(self.scheduler))
         submitted = self.metrics.counter("serve.cells.submitted").value
         cached = self.metrics.counter("serve.cells.cached").value
         self.metrics.gauge("serve.cache.hit_rate").set(
             cached / submitted if submitted else 0.0)
+        for name, total in (("serve.worker.respawns", self.crew.respawns),
+                            ("serve.worker.retries",
+                             self.scheduler.retries)):
+            if total:
+                counter = self.metrics.counter(name)
+                counter.inc(total - counter.value)
 
     # ------------------------------------------------------------- results
-    async def _on_result(self, worker_id: int, task_id: int, ok: bool,
-                         payload: dict[str, Any],
-                         elapsed: float) -> None:
-        del worker_id
-        task = self.inflight.by_id(task_id)
-        self._assigned_at.pop(task_id, None)
-        if task is None:
-            return  # late duplicate from a raced retry: already resolved
+    async def _on_settled(self, task: Task) -> None:
+        if task.result is None:
+            await self._resolve_error(
+                task, f"worker died {task.deaths} times running cell "
+                      f"{task.key[:12]}; retry limit {RETRY_LIMIT} "
+                      "exhausted")
+            return
+        ok, payload, elapsed = task.result
         if not ok:
             self.metrics.counter("serve.cells.errors").inc()
             await self._resolve_error(task, str(payload.get("error")))
             return
         if self.cache is not None:
-            self.cache.put(task.key, task.kind, payload)
+            self.cache.put(task.key, task.spec_json["kind"], payload)
         self.metrics.counter("serve.cells.executed").inc()
-        self.inflight.close(task_id)
-        for position, waiter in enumerate(task.waiters):
-            request = self._requests.get(waiter.request_id)
-            if request is None or request.dead:
-                continue
+        for position, (request, index) in enumerate(
+                self._live_waiters(task)):
             deduped = position > 0
             if deduped:
                 request.deduped += 1
                 self.metrics.counter("serve.cells.deduped").inc()
             else:
                 request.executed += 1
-            request.retried += task.retries
+            request.retried += task.deaths
             await self._send(request, result_frame(
-                waiter.index, payload, cached=False, deduped=deduped,
+                index, payload, cached=False, deduped=deduped,
                 elapsed_s=elapsed if not deduped else 0.0))
             await self._account_done(request)
 
     async def _resolve_error(self, task: Task, message: str) -> None:
-        self.inflight.close(task.task_id)
-        for waiter in task.waiters:
-            request = self._requests.get(waiter.request_id)
-            if request is None or request.dead:
-                continue
-            await self._send(request,
-                             cell_error_frame(waiter.index, message))
+        for request, index in self._live_waiters(task):
+            await self._send(request, cell_error_frame(index, message))
             await self._account_done(request)
+
+    def _live_waiters(self, task: Task) -> list[tuple[_Request, int]]:
+        """``task``'s ``(request, index)`` waiters whose client is still
+        connected, first asker first (the first one ran the cell)."""
+        live = [(self._requests.get(request_id), index)
+                for request_id, index in task.waiters]
+        return [(request, index) for request, index in live
+                if request is not None and not request.dead]
 
     async def _account_done(self, request: _Request) -> None:
         request.remaining -= 1
@@ -282,15 +233,13 @@ class SweepService:
             self._abandon(request)
 
     def _abandon(self, request: _Request) -> None:
-        """A client vanished: detach its waiters, keep computing.
+        """A client vanished: its waiters are skipped, work continues.
 
         The work itself stays queued — its results still feed the
         shared cache, so the next submission of the same cells is warm.
         """
-        if not request.dead:
-            request.dead = True
-            self.inflight.drop_request(request.request_id)
-            request.done.set()
+        request.dead = True
+        request.done.set()
 
     # ------------------------------------------------------------ requests
     async def _on_connect(self, reader: asyncio.StreamReader,
@@ -339,8 +288,8 @@ class SweepService:
         return {
             "op": "stats",
             "draining": self._draining,
-            "queue_depth": len(self.queue),
-            "inflight": len(self.inflight),
+            "queue_depth": len(self.scheduler.queue),
+            "inflight": len(self.scheduler),
             "workers": [{"id": worker_id, "pid": pids[worker_id],
                          "busy": busy[worker_id]}
                         for worker_id in sorted(pids)],
@@ -355,7 +304,6 @@ class SweepService:
             await writer.drain()
             return
         spec_dicts = check_submit(frame)
-        code_version = frame.get("code_version")
         self.metrics.counter("serve.requests").inc()
         request = _Request(self._next_request_id, writer,
                            total=len(spec_dicts),
@@ -363,16 +311,13 @@ class SweepService:
         self._next_request_id += 1
         self._requests[request.request_id] = request
         try:
-            await self._enqueue_batch(request, spec_dicts, code_version)
-            loop = asyncio.get_running_loop()
-            self._dispatch_idle(loop)
+            await self._enqueue_batch(request, spec_dicts)
             await request.done.wait()
         finally:
             self._requests.pop(request.request_id, None)
 
     async def _enqueue_batch(self, request: _Request,
-                             spec_dicts: list[dict[str, Any]],
-                             code_version: str | None) -> None:
+                             spec_dicts: list[dict[str, Any]]) -> None:
         for index, spec_dict in enumerate(spec_dicts):
             try:
                 spec = CellSpec.from_json(spec_dict)
@@ -381,7 +326,7 @@ class SweepService:
                     index, f"invalid spec: {exc}"))
                 await self._account_done(request)
                 continue
-            key = cell_key(spec, code_version)
+            key = cell_key(spec)
             self.metrics.counter("serve.cells.submitted").inc()
             payload = self.cache.get(key) if self.cache is not None \
                 else None
@@ -393,8 +338,5 @@ class SweepService:
                     elapsed_s=0.0))
                 await self._account_done(request)
                 continue
-            waiter = Waiter(request.request_id, index)
-            if self.inflight.join(key, waiter) is None:
-                task = self.inflight.open(key, spec.kind, spec.to_json())
-                task.waiters.append(waiter)
-                self.queue.append(task)
+            self.scheduler.submit(key, spec.to_json(),
+                                  (request.request_id, index))

@@ -146,6 +146,19 @@ def test_sweep_and_no_cache_are_gone():
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["serve", "--backoff", "1"], ["serve", "--cell-timeout", "1"],
+    ["serve", "--retry-limit", "1"], ["submit", "--code-version", "x"]])
+def test_retired_serve_options_are_gone(argv, capsys):
+    """The worker scheduler's retry limit is the fixed ``RETRY_LIMIT``,
+    without backoff or timeout, and a service keys cells with its own
+    code version."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
 @pytest.mark.slow
 def test_oracle_single_scheme(capsys):
     assert main(["oracle", "--scheme", "steins", "--accesses", "250",

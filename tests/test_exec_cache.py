@@ -11,6 +11,7 @@ import pytest
 
 from repro.common.config import small_config
 from repro.common.errors import ConfigError
+from repro.exec import spec as spec_module
 from repro.exec import (
     CellSpec,
     ResultCache,
@@ -73,15 +74,19 @@ class TestResultCache:
         assert second.executed == 0 and second.cached == 1
         assert second.values[0].to_json() == first.values[0].to_json()
 
-    def test_miss_on_seed_config_and_version_change(self, tmp_path):
+    def test_miss_on_seed_config_and_version_change(self, tmp_path,
+                                                    monkeypatch):
         cache = ResultCache(tmp_path)
         run_sweep([spec()], cache=cache)
         assert run_sweep([spec(seed=8)], cache=cache).executed == 1
         other = dict(CFG)
         other["clock_ghz"] = 3.0
         assert run_sweep([spec(config=other)], cache=cache).executed == 1
-        assert run_sweep([spec()], cache=cache,
-                         code_version="next/1").executed == 1
+        # a sweep keys its cells with the running code's own version tag
+        with monkeypatch.context() as patched:
+            patched.setattr(spec_module, "code_version_tag",
+                            lambda: "next/1")
+            assert run_sweep([spec()], cache=cache).executed == 1
         # and the original key still hits
         assert run_sweep([spec()], cache=cache).cached == 1
 

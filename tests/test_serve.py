@@ -17,10 +17,9 @@ import time
 import pytest
 
 from repro.common.config import small_config
-from repro.common.errors import ConfigError
-from repro.exec import CellSpec, MemoryBackend, run_sweep
+from repro.exec import CellSpec, MemoryBackend, pool, run_sweep
 from repro.exec.configio import config_to_dict
-from repro.exec.workers import WorkerCrew
+from repro.exec.workers import RETRY_LIMIT, Scheduler, WorkerCrew
 from repro.serve.client import ServiceClient, ServiceError, submit_sweep
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -30,7 +29,6 @@ from repro.serve.protocol import (
     encode_frame,
     submit_frame,
 )
-from repro.serve.queue import InFlightTable, Waiter
 from repro.serve.service import SweepService
 
 CFG = config_to_dict(small_config(metadata_cache_bytes=2048))
@@ -83,9 +81,9 @@ class _Running:
 def serve(tmp_path):
     running: list[_Running] = []
 
-    def start(workers=2, cache=None, **kwargs) -> _Running:
+    def start(workers=2, cache=None) -> _Running:
         sock = str(tmp_path / f"svc{len(running)}.sock")
-        svc = SweepService(sock, workers=workers, cache=cache, **kwargs)
+        svc = SweepService(sock, workers=workers, cache=cache)
         handle = _Running(svc).start()
         running.append(handle)
         return handle
@@ -97,7 +95,7 @@ def serve(tmp_path):
 
 class TestProtocol:
     def test_frames_round_trip_canonically(self):
-        frame = submit_frame([{"kind": "sim"}], "v/1")
+        frame = submit_frame([{"kind": "sim"}])
         line = encode_frame(frame)
         assert line.endswith(b"\n") and b": " not in line
         assert decode_frame(line) == frame
@@ -112,7 +110,7 @@ class TestProtocol:
             decode_frame(b'["no", "op"]\n')
 
     def test_check_submit_enforces_revision_and_shape(self):
-        good = submit_frame([{"kind": "sim"}], None)
+        good = submit_frame([{"kind": "sim"}])
         assert check_submit(good) == [{"kind": "sim"}]
         with pytest.raises(ProtocolError, match="revision"):
             check_submit({"op": "submit", "v": PROTOCOL_VERSION + 1,
@@ -134,18 +132,23 @@ class TestQueue:
         assert arrived == list(range(len(specs)))
 
     def test_inflight_dedups_by_key(self):
-        table = InFlightTable()
-        task = table.open("aa" * 32, "sim", {})
-        task.waiters.append(Waiter(0, 0))
-        joined = table.join("aa" * 32, Waiter(1, 3))
-        assert joined is task and len(task.waiters) == 2
-        with pytest.raises(ConfigError):
-            table.open("aa" * 32, "sim", {})
-        assert table.join("bb" * 32, Waiter(0, 1)) is None
-        closed = table.close(task.task_id)
-        assert closed is task and len(table) == 0
-        # the key is free again after close
-        assert table.open("aa" * 32, "sim", {}).task_id != task.task_id
+        # an unstarted crew has no idle worker, so every task stays queued
+        scheduler = Scheduler(WorkerCrew(1))
+        task = scheduler.submit("aa" * 32, {}, (0, 0))
+        assert scheduler.submit("aa" * 32, {}, (1, 3)) is task
+        assert task.waiters == [(0, 0), (1, 3)]
+        other = scheduler.submit("bb" * 32, {}, (0, 1))
+        assert other is not task
+        assert len(scheduler) == 2 and list(scheduler.queue) == [task, other]
+        result = (True, {"result": {}}, 0.5)
+        settled = scheduler.step((0, task.task_id, *result))
+        assert settled == [task] and task.result == result
+        # a late duplicate of a settled task is dropped
+        assert scheduler.step((0, task.task_id, *result)) == []
+        # the key is free again once its task finished
+        again = scheduler.submit("aa" * 32, {}, (2, 0))
+        assert again is not task and again.task_id != task.task_id
+        assert len(scheduler) == 2
 
 
 class TestWorkerCrew:
@@ -305,8 +308,7 @@ class TestWorkerCrashRecovery:
         # long cells so the kill lands mid-computation
         specs = matrix(accesses=4000, seed=13)
         serial = run_sweep(specs)
-        handle = serve(workers=1, cache=MemoryBackend(),
-                       retry_limit=3, backoff_s=0.01)
+        handle = serve(workers=1, cache=MemoryBackend())
         sock = handle.service.socket_path
         client = ServiceClient(sock)
 
@@ -337,3 +339,26 @@ class TestWorkerCrashRecovery:
         # every cell still accounted exactly once
         assert report.total == len(specs)
         assert report.executed == len(specs)
+
+    def test_worker_that_always_dies_exhausts_the_retry_limit(
+            self, serve, monkeypatch):
+        doomed, sibling = matrix(accesses=60)[:2]
+        real = pool.execute_cell
+
+        def execute_cell(spec):
+            if spec.variant == doomed.variant:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(spec)
+
+        # patched before the service forks its workers (and respawns)
+        monkeypatch.setattr(pool, "execute_cell", execute_cell)
+        handle = serve(workers=2, cache=MemoryBackend())
+        client = ServiceClient(handle.service.socket_path)
+        frames, done = client.submit([doomed.to_json(), sibling.to_json()])
+
+        assert frames[0]["op"] == "cell_error"
+        assert f"retry limit {RETRY_LIMIT} exhausted" in frames[0]["error"]
+        assert frames[1]["op"] == "result" and "result" in frames[1]["payload"]
+        assert done["total"] == 2 and done["executed"] == 1
+        metrics = client.stats()["metrics"]
+        assert metrics["serve.worker.retries"]["value"] == RETRY_LIMIT + 1

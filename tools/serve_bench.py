@@ -1,17 +1,20 @@
-"""Distributed-sweep smoke bench (``make serve-smoke``).
+"""Parallel-sweep smoke bench (``make serve-smoke``).
 
-Boots the real ``repro serve`` CLI as a subprocess, routes a figure
-batch and an oracle batch through it, and pins the service's acceptance
-properties:
+Runs a figure batch and an oracle batch on both front ends of the one
+worker-crew scheduler: a local ``run_sweep(specs, jobs=2)``, then the
+real ``repro serve`` CLI booted as a subprocess.  It pins their
+acceptance properties:
 
-* the distributed report is **byte-identical** to a serial
-  ``run_sweep`` of the same specs (cold and warm);
+* the local crew report and the distributed report are
+  **byte-identical** to a serial ``run_sweep`` of the same specs (the
+  service's cold and warm);
 * the warm rerun recomputes **zero** cells (every one answered from the
   shared content-addressed cache);
 * duplicate specs in one batch are computed once (in-flight dedup).
 
-Then writes throughput numbers to ``BENCH_sweep.json``: cells per
-second cold and warm, the warm cache hit rate, and the worker count.
+Then writes throughput numbers to ``BENCH_sweep.json``: the local crew
+time, service cells per second cold and warm, the warm cache hit rate,
+and the worker count.
 Exits non-zero on any mismatch, warm recompute, or service failure.
 
 Usage::
@@ -101,9 +104,15 @@ def main(argv: list[str]) -> int:
     serial_s = time.perf_counter() - t0
     serial_doc = fingerprints(serial)
 
+    failures: list[str] = []
+    t0 = time.perf_counter()
+    local = run_sweep(specs, jobs=WORKERS)
+    local_s = time.perf_counter() - t0
+    if fingerprints(local) != serial_doc:
+        failures.append(f"jobs={WORKERS} local report != serial report")
+
     sock = os.path.join(scratch, "svc.sock")
     proc = start_service(sock, cache_dir)
-    failures: list[str] = []
     try:
         client = ServiceClient(sock)
         if not client.ping():
@@ -143,6 +152,7 @@ def main(argv: list[str]) -> int:
         "unique_cells": unique,
         "executed_on_service": executed,
         "serial_seconds": round(serial_s, 3),
+        "local_crew_seconds": round(local_s, 3),
         "cold_seconds": round(cold_s, 3),
         "warm_seconds": round(warm_s, 3),
         "cells_per_sec_cold": round(total / cold_s, 2) if cold_s
