@@ -99,10 +99,13 @@ class PhoenixController(GeneratedCounterController):
         stale: dict[int, set[int]] = {
             t: set() for t in range(len(counts))
             if self.root.counter(t) != counts[t]}
-        for leaf in self._populated_leaves():
-            leaves = stale.get(leaf // self._leaves_per_top)
-            if leaves is not None:
-                leaves.add(leaf)
+        # the leaf scan passes over every stored line twice; after most
+        # crashes no subtree is stale and nothing needs it
+        if stale:
+            for leaf in self._populated_leaves():
+                leaves = stale.get(leaf // self._leaves_per_top)
+                if leaves is not None:
+                    leaves.add(leaf)
         for top, leaves in stale.items():
             self._rebuild_forest(leaves, counts[top],
                                  f"phoenix subtree {top} register", report)

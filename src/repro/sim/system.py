@@ -21,33 +21,37 @@ as an end-to-end functional test of the scheme under test.
 
 One filter pass per trace.  The hierarchy's output is a pure function
 of its config, the accesses since the last crash and ``flush_writes``,
-and every scheme sees the same LLC miss/write-back stream.  So
-:meth:`~SecureNVMSystem.run_stream` records, per segment, the controller
-calls the hierarchy made (cycles before each, line, kind, the number of
-earlier stores to the line in the segment, access index) in a
-process-wide memo keyed by a digest chain over all of those inputs.  A
-later system with the same history replays the records instead of
-running the hierarchy: it makes the same controller calls at the same
-simulated times with the same values, and adds the recorded per-level
-stats.  Its hierarchy object falls behind meanwhile; it is brought up to
-date (*materialized*) from the kept segments before anything else uses
-it: a memo miss, ``store``/``load`` or a read of
+and every scheme sees the same LLC miss/write-back stream.  The
+hierarchy's segment kernel (:meth:`CacheHierarchy.run`) yields a
+segment's controller calls as ``(cycles, line << 2 | kind, index << 32
+| k)`` triples, ``k`` being the number of earlier stores to the line in
+the segment, and :meth:`~SecureNVMSystem.run_stream` records them, with
+the segment's per-line store counts, in a process-wide memo keyed by a
+digest chain over all of those inputs.  A later system with the same
+history replays the entry instead of running the hierarchy: the
+recording system, an unshared one and a replaying one make their
+controller calls in one loop, so they make the same calls at the same
+simulated times with the same values; a replay then bumps its versions
+from the recorded counts and adds the recorded per-level stats.  Its
+hierarchy object falls behind meanwhile; it is brought up to date
+(*materialized*) from the kept segments before anything else uses it: a
+memo miss, ``store``/``load`` or a read of
 :attr:`~SecureNVMSystem.hierarchy`.  Anything but ``run_stream`` that
 touches the hierarchy ends the sharing until the next crash.  Only
 systems of one process share, and only while the memo still holds the
 trace, so callers run a trace's systems back to back (the benchmark's
 variant loop; ``FigureHarness.ensure_matrix`` lists cells
-workload-major).  A system that records and is never replayed pays
-for the recording, about 5-8% of its segment time.
+workload-major).  A system that records and is never replayed pays for
+the digest, noting the calls and packing the entry.
 """
 from __future__ import annotations
 
 from array import array
-from collections import Counter
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from hashlib import blake2b, sha256
-from itertools import compress, islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -56,7 +60,7 @@ from repro.common.config import HierarchyConfig, SystemConfig
 from repro.common.errors import ConfigError
 from repro.common.rng import mix64
 from repro.integrity.geometry import geometry_for
-from repro.mem.hierarchy import CacheHierarchy, MemOp, MemoryRequest
+from repro.mem.hierarchy import READ, TAIL, CacheHierarchy
 from repro.nvm.device import NVMDevice
 from repro.nvm.energy import EnergyMeter
 from repro.nvm.layout import MemoryLayout, build_layout
@@ -73,24 +77,21 @@ from repro.workloads.trace import TraceArrays
 SCHEMES: dict[str, type[SecureMemoryController]] = controller_types()
 
 #: ints the filter memo holds at most, over all its entries in this
-#: process; the oldest entries go first.  4 MB: every trace of every
-#: benchmark workload fits, the largest being ``crash-recover``'s (a
-#: 40k-access warm-up and 15 segments on ``mcf_r``, about 140k ints)
+#: process; the oldest entries go first.  4 MB: all the entries of any
+#: benchmark workload fit at once, ``fig-hit``'s being the most (750
+#: segments, about 240k ints, most of them store pairs), and the largest
+#: entry is ``crash-recover``'s 40k-access warm-up on ``mcf_r`` (about
+#: 100k ints)
 FILTER_MEMO_INTS = 1 << 19
-
-#: the kind of a recorded controller call
-_READ, _WRITE_BACK, _CLWB = 0, 1, 2
 
 #: the per-level ``CacheStats`` counters a recorded segment adds
 _STAT_FIELDS = ("hits", "misses", "evictions", "dirty_evictions")
 
-#: a recorded segment is one flat ``array('q')``: the cycles to advance
-#: after the last controller call, the 12 per-level stats deltas (L1,
-#: L2, L3; ``_STAT_FIELDS`` each), then three ints per controller call,
-#: in call order: the core cycles to advance before it, ``line << 2 |
-#: kind`` and ``index << 32 | k``, where ``index`` is the access and
-#: ``k`` the segment's stores to the line before the call (this
-#: access's included for a ``_CLWB``)
+#: a recorded segment is one flat ``array('q')``: the 12 per-level stats
+#: deltas (L1, L2, L3; ``_STAT_FIELDS`` each), the number ``P`` of lines
+#: the segment stores to, ``P`` pairs ``line, stores``, then the
+#: kernel's controller calls, three ints each, in call order
+#: (:meth:`CacheHierarchy.run`), the last being its ``TAIL``
 _HEADER = 13
 _LOW32 = (1 << 32) - 1
 
@@ -155,15 +156,12 @@ def _add_stats(hierarchy: CacheHierarchy, deltas: Sequence[int]) -> None:
             setattr(stats, name, getattr(stats, name) + next(fields))
 
 
-def _filter(hierarchy: CacheHierarchy, is_write_col: Sequence[bool],
-            address_col: Sequence[int], flush_writes: bool) -> None:
-    """Run accesses through the hierarchy alone, ``clwb`` included."""
-    access = hierarchy.access
-    clwb = hierarchy.clwb
-    for addr, is_write in zip(address_col, is_write_col):
-        access(addr, is_write)
-        if is_write and flush_writes:
-            clwb(addr)
+def _noted(calls: Iterator[tuple[int, int, int]],
+           out: list[int]) -> Iterator[tuple[int, int, int]]:
+    """``calls``, each also appended flat to ``out``."""
+    for call in calls:
+        out.extend(call)
+        yield call
 
 
 @lru_cache(maxsize=32)
@@ -208,9 +206,10 @@ class SecureNVMSystem:
         #: digest chain over every input of the hierarchy since the last
         #: crash (module docstring); None once something else touched it
         self._history: bytes | None = history_root(cfg.hierarchy)
-        #: replayed segments ``(is_write, address, flush_writes)`` not
-        #: yet run through ``_hierarchy``
-        self._unfiltered: list[tuple[np.ndarray, np.ndarray, bool]] = []
+        #: replayed segments ``(is_write, address, gap_cycles,
+        #: flush_writes)`` not yet run through ``_hierarchy``
+        self._unfiltered: list[tuple[np.ndarray, np.ndarray, np.ndarray,
+                                     bool]] = []
         self.controller: SecureMemoryController = SCHEMES[scheme](
             cfg, self.device, self.clock)
         #: what the controller accepted (module docstring)
@@ -243,9 +242,9 @@ class SecureNVMSystem:
             return
         hierarchy = self._hierarchy
         before = _level_stats(hierarchy)
-        for is_write, address, flush_writes in self._unfiltered:
-            _filter(hierarchy, is_write.tolist(), address.tolist(),
-                    flush_writes)
+        for is_write, address, gaps, flush_writes in self._unfiltered:
+            deque(hierarchy.run(address.tolist(), is_write.tolist(),
+                                gaps.tolist(), flush_writes, {}), 0)
         _add_stats(hierarchy, [b - a for b, a in
                                zip(before, _level_stats(hierarchy))])
         self._unfiltered.clear()
@@ -258,13 +257,11 @@ class SecureNVMSystem:
             return self.model.blocks.get(block_addr, 0)
         return mix64(block_addr, version)
 
-    def _bump_versions(self, is_write_col: Sequence[bool],
-                       address_col: Sequence[int]) -> None:
-        """Record the stores of ``address_col`` at once."""
+    def _bump_versions(self, counts: Iterable[tuple[int, int]]) -> None:
+        """Record a segment's stores at once, ``(line, stores)`` each."""
         stored = self._stored
         crashed_versions = self._crashed_versions
-        for addr, count in Counter(compress(address_col,
-                                            is_write_col)).items():
+        for addr, count in counts:
             stored[addr] = (stored.get(addr)
                             or crashed_versions.get(addr, 0)) + count
 
@@ -292,39 +289,6 @@ class SecureNVMSystem:
                 f"scheme {self.scheme!r} returned wrong data "
                 f"for block {line}: {plaintext} != {expected}")
 
-    def _serve(self, requests: list[MemoryRequest]) -> None:
-        """Carry one access's memory requests to the controller: a
-        write-back sends the block's architectural value, a fill is
-        checked against the persisted one."""
-        for request in requests:
-            if request.op is MemOp.WRITE:
-                self._write_back(request.line_addr)
-            else:
-                self._check_fill(request.line_addr)
-
-    def _serve_noted(self, requests: list[MemoryRequest], cycles: int,
-                     index: int, events: list[int]) -> None:
-        """``_serve`` for access ``index``, noting each call in ``events``
-        (layout at :data:`_HEADER`; a write-back notes its line's version
-        in place of ``k``)."""
-        stored = self._stored
-        for request in requests:
-            line = request.line_addr
-            if request.op is MemOp.WRITE:
-                events.extend((cycles, line << 2 | _WRITE_BACK,
-                               index << 32 | stored.get(line, 0)))
-                self._write_back(line)
-            else:
-                events.extend((cycles, line << 2 | _READ, index << 32))
-                self._check_fill(line)
-            cycles = 0
-
-    def _write_back(self, block_addr: int) -> None:
-        """A dirty line leaves the hierarchy (eviction or ``clwb``)."""
-        value = self.value_of(block_addr)
-        self.controller.write_data(block_addr, value)
-        self.model.write(block_addr, value)
-
     def advance(self, gap_cycles: int) -> None:
         """Compute time between memory accesses."""
         self.clock.advance_cycles(gap_cycles)
@@ -338,8 +302,8 @@ class SecureNVMSystem:
         suite compares the two.  A segment this process has already
         filtered from the same hierarchy history is replayed from the
         memo (module docstring); any other is recorded into it.  A
-        replaying system keeps the trace's ``is_write`` and ``address``
-        arrays until it materializes, so, as for the python lists
+        replaying system keeps the trace's column arrays until it
+        materializes, so, as for the python lists
         :attr:`TraceArrays.columns` caches, a trace must not change once
         it has run.
         """
@@ -363,37 +327,81 @@ class SecureNVMSystem:
 
     def _record(self, trace: TraceArrays, flush_writes: bool) -> array:
         """Run a segment through the hierarchy, recording its controller
-        calls (layout at :data:`_HEADER`)."""
-        is_write_col, address_col, gap_col = trace.columns
+        calls and store counts (layout at :data:`_HEADER`)."""
         hierarchy = self._hierarchy
         before = _level_stats(hierarchy)
         # a list while recording: its extend is several times array's
         calls: list[int] = []
-        tail = self._drive(is_write_col, address_col, gap_col,
-                           flush_writes, calls)
-        # A write-back recorded its line's version then in place of k (0:
-        # not stored since the crash); the segment started at its final
-        # version less the segment's stores to it.
-        stored = self._stored
-        counts = None
-        for j in range(2, len(calls), 3):
-            version = calls[j] & _LOW32
-            if version:
-                if counts is None:
-                    counts = Counter(compress(address_col, is_write_col))
-                line = calls[j - 1] >> 2
-                calls[j] += counts[line] - stored[line]
-        events = array("q", [tail])
-        events.extend([a - b for a, b in zip(_level_stats(hierarchy),
-                                             before)])
-        events.extend(calls)
-        return events
+        counts = self._drive(*trace.columns, flush_writes, calls)
+        entry = array("q", [a - b for a, b in zip(_level_stats(hierarchy),
+                                                  before)])
+        entry.append(len(counts))
+        entry.extend(chain.from_iterable(counts.items()))
+        entry.extend(calls)
+        return entry
 
     def _replay(self, entry: array, trace: TraceArrays,
                 flush_writes: bool) -> None:
         """Make a recorded segment's controller calls, as ``_drive``
         would make them, without the hierarchy."""
-        is_write_col, address_col, _ = trace.columns
+        start = _HEADER + 2 * entry[_HEADER - 1]
+        events = islice(entry, start, None)
+
+        def abort(op: int, at: int) -> None:
+            # leave what _drive leaves when this call raises: the
+            # hierarchy run up to the call, its accesses' stores counted
+            self._materialize()
+            is_write_col, address_col, gap_col = trace.columns
+            counts: dict[int, int] = {}
+            kernel = self._hierarchy.run(address_col, is_write_col, gap_col,
+                                         flush_writes, counts)
+            for call in kernel:
+                if call[1] == op and call[2] == at:
+                    break
+            kernel.close()
+            self._bump_versions(counts.items())
+
+        self._make_calls(zip(events, events, events), abort)
+        pairs = islice(entry, _HEADER, start)
+        self._bump_versions(zip(pairs, pairs))
+        _add_stats(self._hierarchy, entry[:_HEADER - 1])
+        self.accesses += len(trace.address)
+        self._unfiltered.append((trace.is_write, trace.address,
+                                 trace.gap_cycles, flush_writes))
+
+    def _drive(self, is_write_col: Sequence[bool],
+               address_col: Sequence[int], gap_col: Sequence[int],
+               flush_writes: bool,
+               noted: list[int] | None = None) -> dict[int, int]:
+        """Run accesses through the hierarchy kernel and make its
+        controller calls, appending them flat to ``noted`` if given;
+        returns the segment's ``{line: stores}``."""
+        counts: dict[int, int] = {}
+        kernel = self._hierarchy.run(address_col, is_write_col, gap_col,
+                                     flush_writes, counts)
+
+        def abort(op: int, at: int) -> None:
+            # the kernel stopped at the failing call: closing it adds
+            # its stats, and counts holds the stores through that access
+            kernel.close()
+            self._bump_versions(counts.items())
+
+        self._make_calls(kernel if noted is None else _noted(kernel, noted),
+                         abort)
+        self._bump_versions(counts.items())
+        self.accesses += len(address_col)
+        return counts
+
+    def _make_calls(self, calls: Iterable[tuple[int, int, int]],
+                    abort: Callable[[int, int], None]) -> None:
+        """The one loop that makes a segment's controller calls, from the
+        kernel or from a memo entry.  Before each, advance the clock by
+        its cycles; a fill is checked against the persisted value, and a
+        write-back sends the line's value after the segment's first
+        ``k`` stores to it (``value_of`` when ``k`` is 0; the versions
+        are bumped once the segment is done).  If a call raises,
+        ``abort(op, at)`` gets that call's ints before the exception
+        propagates."""
         advance = self.clock.advance_cycles
         write_data = self.controller.write_data
         model_write = self.model.write
@@ -401,15 +409,17 @@ class SecureNVMSystem:
         value_of = self.value_of
         stored = self._stored
         crashed_versions = self._crashed_versions
-        op = at = -1 << 32
+        op = at = -1
         try:
-            events = islice(entry, _HEADER, None)
-            for cycles, op, at in zip(events, events, events):
+            for cycles, op, at in calls:
                 if cycles:
                     advance(cycles)
+                kind = op & 3
                 line = op >> 2
-                if not op & 3:
+                if kind == READ:
                     check_fill(line)
+                    continue
+                if kind == TAIL:
                     continue
                 k = at & _LOW32
                 if k:
@@ -420,95 +430,9 @@ class SecureNVMSystem:
                     value = value_of(line)
                 write_data(line, value)
                 model_write(line, value)
-            # the tail: every access ran, with the last one's clwb if any
-            last = len(address_col) - 1
-            op = (_CLWB if last >= 0 and flush_writes and is_write_col[last]
-                  else _READ)
-            at = last << 32
-            if entry[0]:
-                advance(entry[0])
         except BaseException:
-            self._abort_replay(is_write_col, address_col, flush_writes,
-                               at >> 32, op & 3 == _CLWB)
+            abort(op, at)
             raise
-        self._bump_versions(is_write_col, address_col)
-        _add_stats(self._hierarchy, entry[1:_HEADER])
-        self.accesses += len(address_col)
-        self._unfiltered.append((trace.is_write, trace.address,
-                                 flush_writes))
-
-    def _abort_replay(self, is_write_col: Sequence[bool],
-                      address_col: Sequence[int], flush_writes: bool,
-                      index: int, clwb_done: bool) -> None:
-        """Leave the state ``_drive`` leaves when access ``index``
-        raises: its stores and those before it counted, the hierarchy
-        run through it (and its ``clwb`` if that was the failing call)."""
-        self._bump_versions(is_write_col[:index + 1],
-                            address_col[:index + 1])
-        self._materialize()
-        if index < 0:
-            return
-        hierarchy = self._hierarchy
-        _filter(hierarchy, is_write_col[:index], address_col[:index],
-                flush_writes)
-        hierarchy.access(address_col[index], is_write_col[index])
-        if clwb_done:
-            hierarchy.clwb(address_col[index])
-
-    def _drive(self, is_write_col: Sequence[bool],
-               address_col: Sequence[int], gap_col: Sequence[int],
-               flush_writes: bool, events: list[int] | None = None) -> int:
-        """The one access loop.  Cycle costs (compute gaps + cache-hit
-        latencies) accumulate in a plain int and are flushed to the
-        clock only when a controller operation — the only consumer of
-        ``now_ps`` — is about to run.  Integer time makes the deferred
-        sum bit-identical to eager per-access advances; the win is
-        skipping per-access clock bookkeeping for the (overwhelmingly
-        common) cache-hit accesses in between.
-
-        With ``events`` it appends three ints per controller call there
-        (the per-call layout at :data:`_HEADER`, with a write-back's
-        ``k`` still the line's version); returns the cycles advanced
-        after the last.
-        """
-        clock = self.clock
-        hierarchy = self._hierarchy
-        access = hierarchy.access
-        clwb = hierarchy.clwb
-        serve = self._serve
-        serve_noted = self._serve_noted
-        stored = self._stored
-        crashed_versions = self._crashed_versions
-        pending_cycles = 0
-        n = len(address_col)
-        for i in range(n):
-            addr = address_col[i]
-            is_write = is_write_col[i]
-            pending_cycles += gap_col[i]
-            if is_write:
-                stored[addr] = (stored.get(addr)
-                                or crashed_versions.get(addr, 0)) + 1
-            result = access(addr, is_write)
-            pending_cycles += result.cycles
-            if result.requests:
-                clock.advance_cycles(pending_cycles)
-                if events is None:
-                    serve(result.requests)
-                else:
-                    serve_noted(result.requests, pending_cycles, i, events)
-                pending_cycles = 0
-            if is_write and flush_writes and clwb(addr):
-                if events is not None:
-                    events.extend((pending_cycles, addr << 2 | _CLWB,
-                                   i << 32 | stored[addr]))
-                if pending_cycles:
-                    clock.advance_cycles(pending_cycles)
-                    pending_cycles = 0
-                self._write_back(addr)
-        if pending_cycles:
-            clock.advance_cycles(pending_cycles)
-        self.accesses += n
-        return pending_cycles
 
     # ----------------------------------------------------------- crash
     def crash(self) -> None:

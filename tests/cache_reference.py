@@ -5,7 +5,8 @@ levels' set dicts.  This module keeps the per-level algorithm the
 kernel replaced, verbatim: :class:`RefCache` adds the old lookup and
 LRU methods on top of :class:`SetAssocCache`'s storage, and
 :class:`RefHierarchy` drives three of them through the old
-``access``/``_writeback``/``clwb``.  ``tests/test_hierarchy.py``
+``access``/``_writeback``/``clwb`` (plus ``clear``, for
+``tests/system_reference.RefSystem``).  ``tests/test_hierarchy.py``
 requires the two to agree on every request, cycle count, set content
 (in LRU order) and stats field.
 """
@@ -173,6 +174,11 @@ class RefHierarchy:
                 self._writeback(lowest, ev.key, requests, None)
             else:
                 requests.append(MemoryRequest(MemOp.WRITE, ev.key))
+
+    def clear(self) -> None:
+        """Volatile caches lose everything on a crash."""
+        for cache in (self.l1, self.l2, self.l3):
+            cache.clear()
 
     def clwb(self, line_addr: int) -> bool:
         """Clear the line's dirty state everywhere; True if it was dirty."""

@@ -9,8 +9,11 @@ copies the persisted value into ``current``, and a crash rolls
 outcome record is gone (nothing read it), and the fill check is always
 on, as in the system.  ``RefSystem`` reuses the
 system's wiring (device, clock, controller, stats) and overrides the
-run and crash paths.  ``tests/test_reference_model.py`` requires the
-two to agree on values, NVM contents, stats and time after every op.
+run and crash paths.  Its CPU caches are the per-level
+``tests/cache_reference.RefHierarchy``, so the system's hierarchy kernel
+is checked against an algorithm it does not share.
+``tests/test_reference_model.py`` requires the two to agree on values,
+NVM contents, stats and time after every op.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from repro.common.rng import mix64
 from repro.mem.hierarchy import MemOp
 from repro.sim.system import SecureNVMSystem
 from repro.workloads.trace import TraceArrays
+from tests.cache_reference import RefHierarchy
 
 
 class RefSystem(SecureNVMSystem):
@@ -25,6 +29,7 @@ class RefSystem(SecureNVMSystem):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self._hierarchy = RefHierarchy(self.cfg.hierarchy)
         self.current: dict[int, int] = {}
         self.persisted: dict[int, int] = {}
         self._versions: dict[int, int] = {}

@@ -13,7 +13,9 @@ beside ``tests/system_reference.RefSystem``.  After every op both must
 equal the eager model in persisted and architectural values, NVM data
 lines, controller, device and timing stats, energy, simulated time and
 access count, and, read through the ``hierarchy`` property of a copy,
-in every cache set in LRU order and every per-level stat.
+in every cache set in LRU order and every per-level stat.  Fixed tests
+add failures (a ``FaultPlan`` crash, a tampered fill) inside replayed,
+recorded and unshared segments.
 """
 from __future__ import annotations
 
@@ -28,7 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import CacheConfig, HierarchyConfig, small_config
-from repro.common.errors import CrashInjected
+from repro.attacks.injector import AttackInjector
+from repro.common.errors import CrashInjected, TamperDetectedError
 from repro.faults.registry import FaultPlan, armed
 from repro.mem.hierarchy import CacheHierarchy
 from repro.nvm.layout import Region
@@ -160,25 +163,25 @@ def fresh_memo() -> Iterator[FilterMemo]:
 
 @contextmanager
 def counted_hierarchy_calls() -> Iterator[list[int]]:
-    """Counts ``CacheHierarchy.access`` and ``clwb`` calls in the block."""
+    """Counts entries into the hierarchy in the block: ``run`` (the
+    segment kernel the system calls), ``access`` and ``clwb``."""
     calls = [0]
-    access, clwb = CacheHierarchy.access, CacheHierarchy.clwb
+    originals = {name: getattr(CacheHierarchy, name)
+                 for name in ("run", "access", "clwb")}
 
-    def counted_access(self, line_addr, is_write):
-        calls[0] += 1
-        return access(self, line_addr, is_write)
+    def counted(method):
+        def wrapper(self, *args):
+            calls[0] += 1
+            return method(self, *args)
+        return wrapper
 
-    def counted_clwb(self, line_addr):
-        calls[0] += 1
-        return clwb(self, line_addr)
-
-    CacheHierarchy.access = counted_access
-    CacheHierarchy.clwb = counted_clwb
+    for name, method in originals.items():
+        setattr(CacheHierarchy, name, counted(method))
     try:
         yield calls
     finally:
-        CacheHierarchy.access = access
-        CacheHierarchy.clwb = clwb
+        for name, method in originals.items():
+            setattr(CacheHierarchy, name, method)
 
 
 @pytest.mark.parametrize("variant", ["steins-gc", "asit"])
@@ -257,6 +260,88 @@ def test_fault_inside_replayed_segment_leaves_drive_state(crash_after):
             system.run_stream(head, flush_writes=True)
             runs.append(state(system, range(512)))
     assert runs[:2] == runs[2:]
+
+
+def fill_target(system: RefSystem, trace: TraceArrays, after: int) -> int:
+    """A line ``trace`` fills from NVM (with ``flush_writes``) once the
+    segment has written back at least ``after`` lines: persisted before
+    the segment, and not written back in it before that fill."""
+    probe = copy.deepcopy(system)
+    persisted = {addr for addr, _ in probe.device.populated(Region.DATA)}
+    calls: list[tuple[bool, int]] = []
+    controller = probe.controller
+    read_data, write_data = controller.read_data, controller.write_data
+
+    def logged_read(line):
+        calls.append((False, line))
+        return read_data(line)
+
+    def logged_write(line, value):
+        calls.append((True, line))
+        return write_data(line, value)
+
+    controller.read_data, controller.write_data = logged_read, logged_write
+    probe.run_stream(trace, flush_writes=True)
+    written: set[int] = set()
+    for is_write, line in calls:
+        if is_write:
+            written.add(line)
+        elif len(written) >= after and line in persisted - written:
+            return line
+    raise AssertionError("no fill to tamper with")
+
+
+@pytest.mark.parametrize("failure", [("crash", 7), ("crash", 40),
+                                     ("crash", 150), ("tamper", 5),
+                                     ("tamper", 60)])
+@pytest.mark.parametrize("path", ["recording", "unshared"])
+def test_failure_inside_kernel_segment_leaves_reference_state(path,
+                                                              failure):
+    """A ``FaultPlan`` crash or a tampered fill inside a segment the
+    system runs through the hierarchy kernel itself, as the first
+    system that records it or as an unshared one, leaves the eager
+    model's state: versions through the failing access, caches, stats,
+    time and access count.  So do the crash, recovery and run after
+    it."""
+    kind, at = failure
+    trace = get_profile("pers_swap").generate(seed=5, n=1200, footprint=512)
+    head, tail = trace[:400], trace[400:]
+    blocks = range(512)
+    runs: dict[str, list[tuple]] = {}
+    with fresh_memo() as memo:
+        system = build(SecureNVMSystem, "steins-gc")
+        ref = build(RefSystem, "steins-gc")
+        if path == "unshared":
+            system.hierarchy  # noqa: B018 - reading it ends sharing
+        for s in (system, ref):
+            s.run_stream(head, flush_writes=True)
+        target = fill_target(ref, tail, at) if kind == "tamper" else None
+        for name, s in (("system", system), ("ref", ref)):
+            states = runs[name] = []
+            if kind == "crash":
+                with armed(FaultPlan(crash_after=at)) as plan:
+                    with pytest.raises(CrashInjected):
+                        s.run_stream(tail, flush_writes=True)
+                    assert plan.crash_delivered
+                    states.append(state(s, blocks))
+                    s.crash()
+                    s.recover()
+            else:
+                original = s.device.peek(Region.DATA, target)
+                AttackInjector(s.device).tamper_data_block(target)
+                with pytest.raises(TamperDetectedError):
+                    s.run_stream(tail, flush_writes=True)
+                states.append(state(s, blocks))
+                s.device.poke(Region.DATA, target, original)
+                s.crash()
+                s.recover()
+            s.run_stream(tail, flush_writes=True)
+            states.append(state(s, blocks))
+            if s is system:
+                # the memo kept the head only if it recorded it, never
+                # the failed segment
+                assert len(memo.entries) == (path == "recording") + 1
+    assert runs["system"] == runs["ref"]
 
 
 #: a compute gap no access of the generated traces reaches, so the

@@ -1,6 +1,7 @@
 """Three-level cache hierarchy: inclusion, writebacks, clwb, and the
 fused access kernel against the per-level reference algorithm."""
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,14 @@ from hypothesis import strategies as st
 
 from repro.analysis.figures import figure_config
 from repro.common.config import CacheConfig, HierarchyConfig
-from repro.mem.hierarchy import CacheHierarchy, MemOp
+from repro.mem.hierarchy import (
+    CLWB,
+    READ,
+    TAIL,
+    WRITE_BACK,
+    CacheHierarchy,
+    MemOp,
+)
 from repro.workloads import get_profile
 from tests.cache_reference import RefHierarchy, dirty_lines
 from tests.conftest import scaled
@@ -197,6 +205,107 @@ def test_fused_kernel_matches_reference_figure_config(workload):
         if store:
             ops.append(("clwb", line))
     replay(figure_config().hierarchy, ops, check_every=5_000)
+
+
+# ------------------------------------------------- segment kernel vs reference
+def reference_segment(ref: RefHierarchy, segment, flush_writes: bool):
+    """The calls the access loop made around the per-level algorithm:
+    ``(cycles, line << 2 | kind, index << 32 | k)`` per controller call,
+    cycles accumulated since the previous call, then the ``TAIL``."""
+    counts: dict[int, int] = {}
+    calls = []
+    pending = 0
+    for i, (is_write, line, gap) in enumerate(segment):
+        if is_write:
+            counts[line] = counts.get(line, 0) + 1
+        result = ref.access(line, is_write)
+        pending += gap + result.cycles
+        for request in result.requests:
+            if request.op is MemOp.WRITE:
+                calls.append((pending, request.line_addr << 2 | WRITE_BACK,
+                              i << 32 | counts.get(request.line_addr, 0)))
+            else:
+                calls.append((pending, request.line_addr << 2 | READ,
+                              i << 32))
+            pending = 0
+        if is_write and flush_writes and ref.clwb(line):
+            calls.append((pending, line << 2 | CLWB, i << 32 | counts[line]))
+            pending = 0
+    calls.append((pending, TAIL, len(segment) << 32))
+    return calls, counts
+
+
+def segments(lines: int):
+    access = st.tuples(st.booleans(), st.integers(0, lines - 1),
+                       st.integers(0, 500))
+    return st.lists(st.tuples(st.lists(access, max_size=120), st.booleans()),
+                    min_size=1, max_size=6)
+
+
+def run_segments(cfg: HierarchyConfig, segs) -> None:
+    """Run segments through the kernel and the reference on one
+    hierarchy each; after each, the same calls in order, store counts,
+    sets in LRU order and per-level stats."""
+    kernel, ref = CacheHierarchy(cfg), RefHierarchy(cfg)
+    for segment, flush_writes in segs:
+        counts: dict[int, int] = {}
+        got = list(kernel.run([a[1] for a in segment],
+                              [a[0] for a in segment],
+                              [a[2] for a in segment], flush_writes, counts))
+        assert (got, counts) == reference_segment(ref, segment, flush_writes)
+        assert cache_state(kernel) == cache_state(ref)
+        assert_inclusive(kernel)
+
+
+@settings(max_examples=scaled(100))
+@given(segments(24))
+def test_segment_kernel_matches_reference_tiny(segs):
+    run_segments(KERNEL_CONFIGS["tiny"], segs)
+
+
+@settings(max_examples=scaled(100))
+@given(segments(16))
+def test_segment_kernel_matches_reference_inverted(segs):
+    run_segments(KERNEL_CONFIGS["inverted"], segs)
+
+
+@settings(max_examples=scaled(60))
+@given(segments(320))
+def test_segment_kernel_matches_reference_figure_ratios(segs):
+    run_segments(KERNEL_CONFIGS["figure-ratios"], segs)
+
+
+def test_closed_kernel_stops_at_the_call_it_yielded():
+    """A consumer that stops at a call sees the hierarchy as the loop
+    left it there: that access run (its ``clwb`` only for a ``CLWB``
+    call), later ones not, and the stats of the accesses run."""
+    cfg = KERNEL_CONFIGS["tiny"]
+    segment = [(i % 3 == 0, (7 * i) % 24, i) for i in range(60)]
+    full = list(CacheHierarchy(cfg).run([a[1] for a in segment],
+                                        [a[0] for a in segment],
+                                        [a[2] for a in segment], True, {}))
+    for stop in range(len(full)):
+        kernel = CacheHierarchy(cfg)
+        counts: dict[int, int] = {}
+        calls = kernel.run([a[1] for a in segment], [a[0] for a in segment],
+                           [a[2] for a in segment], True, counts)
+        for _ in range(stop + 1):
+            call = next(calls)
+        calls.close()
+        index, kind = call[2] >> 32, call[1] & 3
+        ref = RefHierarchy(cfg)
+        if kind == TAIL:
+            reference_segment(ref, segment, True)
+        else:
+            head = segment[:index]
+            reference_segment(ref, head, True)
+            is_write, line, _ = segment[index]
+            ref.access(line, is_write)
+            if kind == CLWB:
+                ref.clwb(line)
+        assert cache_state(kernel) == cache_state(ref)
+        assert counts == Counter(line for is_write, line, _
+                                 in segment[:index + 1] if is_write)
 
 
 # ----------------------------------------------- known back-invalidation gap
